@@ -128,6 +128,7 @@ class LinearHeightReport:
     adapted_linear_exists: bool
     m: Optional[Fraction]              # k2/k1 in the final coordinates, if > 1
     verdict: AdaptednessVerdict        # adaptedness in the final coordinates
+    input_verdict: AdaptednessVerdict  # adaptedness of the input itself
 
 
 def linear_height(phi: PuiseuxPoly, max_steps: int = 32) -> LinearHeightReport:
@@ -144,18 +145,22 @@ def linear_height(phi: PuiseuxPoly, max_steps: int = 32) -> LinearHeightReport:
         raise ValueError("linear height needs an integer-exponent polynomial")
     t: Matrix = IDENTITY
     cur = phi
+    first = None
     for _ in range(max_steps):
         verdict = is_adapted(cur)
+        if first is None:
+            first = verdict
         if verdict.adapted:
             return LinearHeightReport(verdict.d, t, cur, True,
-                                      _final_ratio(verdict), verdict)
+                                      _final_ratio(verdict), verdict, first)
         w = verdict.weight
         if w.a < 1:
             cur = cur.swap_variables()
             t = _matmul(t, SWAP)
             continue
         if w.a >= 2:
-            return LinearHeightReport(verdict.d, t, cur, False, w.a, verdict)
+            return LinearHeightReport(verdict.d, t, cur, False, w.a, verdict,
+                                      first)
         if w.a != 1:
             # non-integer ratio in (1, 2) would have been adapted already
             raise InternalInvariantError(f"unexpected principal ratio {w.a}")

@@ -17,7 +17,6 @@ import sys
 from .diagram import render_diagram, render_loglog_plot
 from .errors import (AlgebraicRootHalt, InternalInvariantError, ParseError,
                      QuadratureError)
-from .geometry import NewtonPolyhedron
 from .parser import parse_expression
 from .report import analyze
 
@@ -49,8 +48,7 @@ def _cmd_diagram(args) -> int:
     expr = parse_expression(_expression(args.expr))
     doc = analyze(expr, max_steps=args.max_steps)
     if doc.exponent.coords is not None:
-        poly = NewtonPolyhedron.of(doc.exponent.coords.phi_a)
-        svg = render_diagram(doc.exponent.coords.phi_a, poly,
+        svg = render_diagram(doc.exponent.coords.phi_a, doc.adapted_polyhedron,
                              doc.exponent.r_height_detail, title=args.expr)
     else:
         svg = render_diagram(expr.poly, doc.input_polyhedron, None,

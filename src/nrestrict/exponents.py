@@ -63,10 +63,14 @@ def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
                           Fraction(2) / p, m, lh, ac, rh)
 
 
+def _as_jet(f: RootJet | PuiseuxPoly) -> RootJet:
+    return f if isinstance(f, RootJet) else RootJet.from_poly(f)
+
+
 def h_f(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly) -> Fraction:
     """Shear height of a non-flat jet: the r-height of phi after the
     fractional shear by f, measured against f's leading exponent."""
-    jet = f if isinstance(f, RootJet) else RootJet.from_poly(f)
+    jet = _as_jet(f)
     if jet.is_zero():
         raise ValueError("shear height needs a nonzero jet")
     sheared = phi.shear_substitute(jet.to_poly())
@@ -187,15 +191,10 @@ class KnappCertificate:
     delta: Optional[Fraction] = None
 
 
-def knapp_certificate(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
-                      target) -> KnappCertificate:
-    """Certificate for one target: ("edge", l) with the 1-based edge index,
-    ("principal",) for the leading-exponent supporting line, ("horizontal",)
-    for the horizontal face."""
-    jet = f if isinstance(f, RootJet) else RootJet.from_poly(f)
+def _certificate(jet: RootJet, n: NewtonPolyhedron, target) -> KnappCertificate:
+    """Certificate for one target, read off the polyhedron ``n`` of the
+    input sheared by ``jet``."""
     m0 = jet.leading_exponent
-    sheared = phi.shear_substitute(jet.to_poly())
-    n = NewtonPolyhedron.of(sheared)
     kind = target[0]
     if kind == "edge":
         l = target[1]
@@ -224,21 +223,40 @@ def knapp_certificate(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
     raise ValueError(f"unknown target {target!r}")
 
 
-def knapp_certificates_all(phi: PuiseuxPoly,
-                           f: RootJet | PuiseuxPoly) -> list[KnappCertificate]:
-    """All qualifying targets: edges steeper than the jet's leading exponent,
-    the principal supporting line, and the horizontal face when present."""
-    jet = f if isinstance(f, RootJet) else RootJet.from_poly(f)
+def certificates_of_polyhedron(jet: RootJet,
+                               n: NewtonPolyhedron) -> list[KnappCertificate]:
+    """All qualifying targets of the polyhedron ``n`` of the input sheared by
+    ``jet``: edges steeper than the jet's leading exponent, the principal
+    supporting line, and the horizontal face when present."""
     m0 = jet.leading_exponent
-    sheared = phi.shear_substitute(jet.to_poly())
-    n = NewtonPolyhedron.of(sheared)
-    certs = [knapp_certificate(phi, jet, ("principal",))]
+    certs = [_certificate(jet, n, ("principal",))]
     for l, edge in enumerate(n.edges, start=1):
         if edge.a > m0:
-            certs.append(knapp_certificate(phi, jet, ("edge", l)))
+            certs.append(_certificate(jet, n, ("edge", l)))
     if n.horizontal_level >= 1:
-        certs.append(knapp_certificate(phi, jet, ("horizontal",)))
+        certs.append(_certificate(jet, n, ("horizontal",)))
     return certs
+
+
+def _sheared_polyhedron(phi: PuiseuxPoly, jet: RootJet) -> NewtonPolyhedron:
+    return NewtonPolyhedron.of(phi.shear_substitute(jet.to_poly()))
+
+
+def knapp_certificate(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
+                      target) -> KnappCertificate:
+    """Certificate for one target: ("edge", l) with the 1-based edge index,
+    ("principal",) for the leading-exponent supporting line, ("horizontal",)
+    for the horizontal face."""
+    jet = _as_jet(f)
+    return _certificate(jet, _sheared_polyhedron(phi, jet), target)
+
+
+def knapp_certificates_all(phi: PuiseuxPoly,
+                           f: RootJet | PuiseuxPoly) -> list[KnappCertificate]:
+    """All qualifying targets of phi sheared by f (see
+    :func:`certificates_of_polyhedron`)."""
+    jet = _as_jet(f)
+    return certificates_of_polyhedron(jet, _sheared_polyhedron(phi, jet))
 
 
 def knapp_exponent_max(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly) -> Fraction:

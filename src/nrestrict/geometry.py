@@ -148,9 +148,6 @@ class NewtonPolyhedron:
             return False
         return all(e.weight.dot(p) >= 1 for e in self.edges)
 
-    def edge_ratios(self) -> list[Fraction]:
-        return [e.a for e in self.edges]
-
     def supporting_weight_for_ratio(self, a: Fraction) -> Weight:
         """The supporting line with reciprocal slope ``a`` (exact contact)."""
         if a <= 0:
@@ -211,24 +208,6 @@ def kappa_principal_part(phi: PuiseuxPoly, w: Weight) -> PuiseuxPoly:
     if min(values) != 1:
         raise ValueError("line of given weight is not supporting at level 1")
     return phi.terms_on_line(lambda e1, e2: w.k1 * e1 + w.k2 * e2, Fraction(1))
-
-
-def principal_part(phi: PuiseuxPoly) -> tuple[PuiseuxPoly, Face]:
-    """Principal part of phi (terms on the principal face) with the face."""
-    n = NewtonPolyhedron.of(phi)
-    face = n.principal_face()
-    if face.kind == "compact_edge":
-        return kappa_principal_part(phi, face.edge.weight), face
-    if face.kind == "vertex":
-        v = face.vertex
-        return PuiseuxPoly.monomial(phi.coefficient(v[0], int(v[1])), v[0], int(v[1])), face
-    if face.orientation == "horizontal":
-        level = int(n.horizontal_level)
-        return PuiseuxPoly({(e1, e2): c for (e1, e2), c in phi.terms.items()
-                            if e2 == level}), face
-    level1 = n.vertices[0][0]
-    return PuiseuxPoly({(e1, e2): c for (e1, e2), c in phi.terms.items()
-                        if e1 == level1}), face
 
 
 def h_l_of_edge(w: Weight, m: Fraction) -> Fraction:

@@ -122,6 +122,10 @@ def oscillatory_integral_1d(phase: Callable, amp: Callable,
     raise QuadratureError("1-D quadrature did not converge (depth cap)")
 
 
+#: cells evaluated together in one step of the 2-D quadtree
+_CELL_CHUNK = 8192
+
+
 def oscillatory_integral_2d(phase: Callable, amp: Callable,
                             box: tuple[float, float, float, float], lam: float,
                             tau: float = 2 * math.pi, gl_order: int = 8,
@@ -132,6 +136,7 @@ def oscillatory_integral_2d(phase: Callable, amp: Callable,
     frequencies only; the cell budget guards against runaway refinement.
     """
     nodes, weights = _gl(gl_order)
+    w2 = weights[:, None] * weights[None, :]
     probe = np.linspace(0.0, 1.0, 4)
     px, py = np.meshgrid(probe, probe, indexing="ij")
     cells = np.array([box], dtype=float)
@@ -143,30 +148,34 @@ def oscillatory_integral_2d(phase: Callable, amp: Callable,
             raise QuadratureError(
                 "cell budget exceeded in 2-D quadrature; "
                 "use a symbolic reduction or a smaller frequency")
-        x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
-        xs = x0[:, None] + (x1 - x0)[:, None] * px.ravel()[None, :]
-        ys = y0[:, None] + (y1 - y0)[:, None] * py.ravel()[None, :]
-        ph = np.asarray(phase(xs, ys))
-        var = abs(lam) * (ph.max(axis=1) - ph.min(axis=1))
-        fine = var <= tau
-        if fine.any():
-            fx0, fx1 = x0[fine], x1[fine]
-            fy0, fy1 = y0[fine], y1[fine]
-            hx = 0.5 * (fx1 - fx0)
-            hy = 0.5 * (fy1 - fy0)
-            gx = 0.5 * (fx1 + fx0)[:, None] + hx[:, None] * nodes[None, :]
-            gy = 0.5 * (fy1 + fy0)[:, None] + hy[:, None] * nodes[None, :]
-            xx = gx[:, :, None] + 0.0 * gy[:, None, :]
-            yy = 0.0 * gx[:, :, None] + gy[:, None, :]
-            vals = amp(xx, yy) * np.exp(1j * lam * np.asarray(phase(xx, yy)))
-            w2 = weights[:, None] * weights[None, :]
-            total += complex(np.sum(np.tensordot(vals, w2, axes=([1, 2], [0, 1]))
-                                    * hx * hy))
-        coarse = ~fine
-        if not coarse.any():
+        coarse_parts = []
+        # a level is processed in chunks so that the per-node arrays stay
+        # small however many cells the level holds
+        for start in range(0, len(cells), _CELL_CHUNK):
+            chunk = cells[start:start + _CELL_CHUNK]
+            x0, x1, y0, y1 = chunk[:, 0], chunk[:, 1], chunk[:, 2], chunk[:, 3]
+            xs = x0[:, None] + (x1 - x0)[:, None] * px.ravel()[None, :]
+            ys = y0[:, None] + (y1 - y0)[:, None] * py.ravel()[None, :]
+            ph = np.asarray(phase(xs, ys))
+            var = abs(lam) * (ph.max(axis=1) - ph.min(axis=1))
+            fine = var <= tau
+            if fine.any():
+                fx0, fx1 = x0[fine], x1[fine]
+                fy0, fy1 = y0[fine], y1[fine]
+                hx = 0.5 * (fx1 - fx0)
+                hy = 0.5 * (fy1 - fy0)
+                gx = 0.5 * (fx1 + fx0)[:, None] + hx[:, None] * nodes[None, :]
+                gy = 0.5 * (fy1 + fy0)[:, None] + hy[:, None] * nodes[None, :]
+                xx = gx[:, :, None] + 0.0 * gy[:, None, :]
+                yy = 0.0 * gx[:, :, None] + gy[:, None, :]
+                vals = amp(xx, yy) * np.exp(1j * lam * np.asarray(phase(xx, yy)))
+                total += complex(np.sum(
+                    np.tensordot(vals, w2, axes=([1, 2], [0, 1])) * hx * hy))
+            coarse_parts.append(chunk[~fine])
+        coarse = np.concatenate(coarse_parts)
+        if not len(coarse):
             break
-        cx0, cx1 = x0[coarse], x1[coarse]
-        cy0, cy1 = y0[coarse], y1[coarse]
+        cx0, cx1, cy0, cy1 = coarse[:, 0], coarse[:, 1], coarse[:, 2], coarse[:, 3]
         mx = 0.5 * (cx0 + cx1)
         my = 0.5 * (cy0 + cy1)
         cells = np.concatenate([

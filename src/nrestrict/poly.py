@@ -115,18 +115,10 @@ class PuiseuxPoly:
             q = q * e1.denominator // math.gcd(q, e1.denominator)
         return q
 
-    def is_polynomial(self) -> bool:
-        return self.ramification == 1
-
     def degree_x2(self) -> int:
         if not self._terms:
             return -1
         return max(e2 for (_e1, e2) in self._terms)
-
-    def max_e1(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        return max(e1 for (e1, _e2) in self._terms)
 
     def min_e1(self) -> Fraction:
         return min(e1 for (e1, _e2) in self._terms)
@@ -241,21 +233,43 @@ class PuiseuxPoly:
         ``f`` must not depend on x2, must have no constant term and no
         negative exponents.  The result's ramification is the lcm of the
         inputs'; the arithmetic is exact with no truncation.
+
+        This is the classical Taylor shift by Horner's rule over the x2-rows
+        ``phi = sum_k row_k(y1) * y2^k``: ``acc = acc * (y2 + f) + row_k``
+        from the top row down.  Inside the loop the x1 exponents are the
+        integers ``e1 * q`` for the common ramification ``q``.
         """
         if f.depends_on_x2():
             raise ValueError("shear function must depend on x1 only")
         if f.coefficient(0, 0):
             raise ValueError("shear function must vanish at 0")
-        maxdeg = self.degree_x2()
-        # powers (y2 + f)^k built incrementally
-        y2_plus_f = PuiseuxPoly.x2() + f
-        powers = [PuiseuxPoly.constant(1)]
-        for _ in range(max(maxdeg, 0)):
-            powers.append(powers[-1] * y2_plus_f)
-        acc = PuiseuxPoly.zero()
+        if not self._terms:
+            return PuiseuxPoly.zero()
+        q = math.lcm(self.ramification, f.ramification)
+        rows: dict[int, dict[int, Fraction]] = {}
         for (e1, e2), c in self._terms.items():
-            acc = acc + PuiseuxPoly.monomial(c, e1, 0) * powers[e2]
-        return acc
+            rows.setdefault(e2, {})[e1.numerator * (q // e1.denominator)] = c
+        shift = [(e1.numerator * (q // e1.denominator), c)
+                 for (e1, _e2), c in f._terms.items()]
+        # acc[j] is the x1-row of y2^j.  Multiplying by y2 moves row j to
+        # j + 1 as it is: row j is read in full before it becomes the target
+        # of row j + 1's product with f.
+        acc: list[dict[int, Fraction]] = []
+        for k in range(max(rows), -1, -1):
+            nxt = [rows.get(k, {})]
+            for row in acc:
+                target = nxt[-1]
+                for e, c in row.items():
+                    if c:
+                        for g, gc in shift:
+                            key = e + g
+                            target[key] = target.get(key, 0) + c * gc
+                nxt.append(row)
+            acc = nxt
+        out = PuiseuxPoly.__new__(PuiseuxPoly)
+        out._terms = {(Fraction(e, q), e2): c
+                      for e2, row in enumerate(acc) for e, c in row.items() if c}
+        return out
 
     def linear_substitute(self, t: tuple) -> "PuiseuxPoly":
         """Return ``phi(a*y1 + b*y2, c*y1 + d*y2)`` for T = ((a, b), (c, d)).
@@ -289,18 +303,6 @@ class PuiseuxPoly:
         if self.ramification != 1:
             raise ValueError("cannot swap variables with fractional powers")
         return PuiseuxPoly({(Fraction(e2), int(e1)): c
-                            for (e1, e2), c in self._terms.items()})
-
-    def negate_x1(self) -> "PuiseuxPoly":
-        """Substitute x1 -> -x1 (integer exponents only)."""
-        if self.ramification != 1:
-            raise ValueError("cannot negate x1 with fractional powers")
-        return PuiseuxPoly({(e1, e2): (c if int(e1) % 2 == 0 else -c)
-                            for (e1, e2), c in self._terms.items()})
-
-    def scale_x2(self, s) -> "PuiseuxPoly":
-        s = _as_fraction(s)
-        return PuiseuxPoly({(e1, e2): c * s ** e2
                             for (e1, e2), c in self._terms.items()})
 
     # -- calculus -----------------------------------------------------
@@ -340,17 +342,6 @@ class PuiseuxPoly:
             total += float(c) * x1 ** float(e1) * x2 ** e2
         return total
 
-    def evaluate_exact(self, x1, x2) -> Fraction:
-        """Exact value at a rational point (integer exponents only)."""
-        if self.ramification != 1:
-            raise ValueError("exact evaluation needs integer exponents")
-        x1 = _as_fraction(x1)
-        x2 = _as_fraction(x2)
-        total = Fraction(0)
-        for (e1, e2), c in self._terms.items():
-            total += c * x1 ** int(e1) * x2 ** e2
-        return total
-
     def restrict_x1(self, sign: int = 1) -> list[Fraction]:
         """Coefficient list (by x2-degree) of ``phi(sign*1, t)``.
 
@@ -388,21 +379,3 @@ class PuiseuxPoly:
         """Subpolynomial of terms with ``dot(e1, e2) == level``."""
         return PuiseuxPoly({(e1, e2): c for (e1, e2), c in self._terms.items()
                             if dot(e1, e2) == level})
-
-
-def shear_substitute(phi: PuiseuxPoly, f: PuiseuxPoly) -> PuiseuxPoly:
-    """Functional form of :meth:`PuiseuxPoly.shear_substitute`."""
-    return phi.shear_substitute(f)
-
-
-def linear_substitute(phi: PuiseuxPoly, t: tuple) -> PuiseuxPoly:
-    """Functional form of :meth:`PuiseuxPoly.linear_substitute`."""
-    return phi.linear_substitute(t)
-
-
-def partial_derivative(phi: PuiseuxPoly, axis: int, order: int = 1) -> PuiseuxPoly:
-    return phi.partial_derivative(axis, order)
-
-
-def evaluate_float(phi: PuiseuxPoly, point: tuple[float, float]) -> float:
-    return phi.evaluate_float(point)

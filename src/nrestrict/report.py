@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .adapted import classify_singularity, is_adapted
+from .adapted import classify_singularity
 from .errors import AlgebraicRootHalt
-from .exponents import (ExponentReport, critical_exponent,
-                        knapp_certificates_all)
+from .exponents import (ExponentReport, certificates_of_polyhedron,
+                        critical_exponent)
 from .geometry import NewtonPolyhedron
 from .parser import InputExpr, render
 from .poly import PuiseuxPoly
@@ -120,7 +120,7 @@ class ReportDocument:
             "p_c_prime": _frac(rep.p_c_prime),
             "theta": _frac(rep.theta),
             "source": rep.source,
-            "adapted": bool(is_adapted(self.expr.poly).adapted),
+            "adapted": bool(rep.linear.input_verdict.adapted),
             "adaptedness": {
                 "adapted": verdict.adapted,
                 "criterion": verdict.criterion,
@@ -186,7 +186,9 @@ def analyze(expr: InputExpr, max_steps: int = 64,
                                               selection, max_levels=max_steps)
             except AlgebraicRootHalt as halt:
                 notes.append(f"fine splitting halted: {halt}")
-        certs = knapp_certificates_all(rep.linear.transformed, rep.coords.psi)
+        # phi_a is the transformed input sheared by psi, so its polyhedron
+        # is the one the certificates are read off
+        certs = certificates_of_polyhedron(rep.coords.psi, adapted_poly)
     singularity = None
     if rep.h_lin < 2 and not rep.linear.adapted_linear_exists:
         try:

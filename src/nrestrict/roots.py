@@ -406,8 +406,3 @@ def squarefree_real_roots(p: UniPoly, sign_of_variable: str = "+") -> list[RootR
     records.sort(key=lambda r: r.value if r.value is not None
                  else (r.interval[0] + r.interval[1]) / 2)
     return records
-
-
-def real_root_records_of_coeffs(coeffs: list[Fraction],
-                                sign_of_variable: str = "+") -> list[RootRecord]:
-    return squarefree_real_roots(UniPoly(coeffs), sign_of_variable)

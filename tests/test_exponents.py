@@ -4,9 +4,13 @@ import pytest
 
 from nrestrict.adapted import classify_singularity
 from nrestrict.exponents import (critical_exponent, h_f, h_r_tilde_sample,
-                                 knapp_certificate, knapp_exponent_max)
+                                 knapp_certificate, knapp_certificates_all,
+                                 knapp_exponent_max)
 from nrestrict.parser import parse_expression
+from nrestrict.report import analyze
 from nrestrict.splitting import RootJet
+
+from make_golden import ACCEPTANCE
 
 
 def P(text):
@@ -174,3 +178,28 @@ class TestKnapp:
         for terms in [((F(1), F(1)),), ((F(1), F(2)), (F(1), F(3))),
                       ((F(1), F(2)), (F(1), F(7, 2)))]:
             assert knapp_exponent_max(phi, RootJet(terms)) <= rep.p_c_prime
+
+
+class TestCertificatesFromAdaptedPolyhedron:
+    """analyze reads the certificates off phi_a's polyhedron; both routes
+    through a fresh shear of the transformed input must agree with it."""
+
+    def test_acceptance_inputs(self):
+        checked = 0
+        for text in ACCEPTANCE:
+            doc = analyze(parse_expression(text))
+            rep = doc.exponent
+            if rep.coords is None:
+                continue
+            psi = rep.coords.psi
+            assert rep.coords.phi_a == \
+                rep.linear.transformed.shear_substitute(psi.to_poly()), text
+            assert doc.certificates == \
+                knapp_certificates_all(rep.linear.transformed, psi), text
+            for cert in doc.certificates:
+                target = ((cert.target, cert.edge_index)
+                          if cert.target == "edge" else (cert.target,))
+                assert cert == knapp_certificate(rep.linear.transformed, psi,
+                                                 target), text
+            checked += 1
+        assert checked == len(ACCEPTANCE)

@@ -137,3 +137,51 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_swap_involution(self, phi):
         assert phi.swap_variables().swap_variables() == phi
+
+
+def _sympy_expr(p, x1, x2):
+    import sympy
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * x1 ** sympy.Rational(e1.numerator, e1.denominator)
+                       * x2 ** e2 for (e1, e2), c in p.items()])
+
+
+fractional_polys = st.builds(
+    lambda terms: PuiseuxPoly({(F(num, den), e2): F(c)
+                               for (c, num, den, e2) in terms}),
+    st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.integers(0, 6),
+                       st.sampled_from([1, 2, 3]), st.integers(0, 4)),
+             min_size=1, max_size=5))
+
+fractional_jets = st.builds(
+    lambda terms: PuiseuxPoly({(F(num, den), 0): F(c, d)
+                               for (c, d, num, den) in terms}),
+    st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                       st.integers(1, 7), st.sampled_from([1, 2, 3])),
+             min_size=1, max_size=3))
+
+
+class TestShearAgainstSympy:
+    """The Horner shear agrees with sympy's expansion of phi(x1, x2 + f)."""
+
+    def _check(self, phi, f):
+        sympy = pytest.importorskip("sympy")
+        x1, x2 = sympy.symbols("x1 x2", positive=True)
+        want = sympy.expand(_sympy_expr(phi, x1, x2).subs(
+            x2, x2 + _sympy_expr(f, x1, x2)))
+        got = _sympy_expr(phi.shear_substitute(f), x1, x2)
+        assert sympy.expand(got - want) == 0
+
+    @given(small_polys, small_jets)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_exponents(self, phi, f):
+        self._check(phi, f)
+
+    @given(fractional_polys, fractional_jets)
+    @settings(max_examples=60, deadline=None)
+    def test_fractional_exponents(self, phi, f):
+        self._check(phi, f)
+
+    def test_ladder_rung(self):
+        self._check(P("(x2 - x1^2 - x1^3)^4*(x2 - x1^2 - x1^4) + x1^23"),
+                    P("x1^2 + x1^3"))
