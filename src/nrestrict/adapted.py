@@ -38,32 +38,41 @@ def _shear_matrix(b: Fraction) -> Matrix:
 
 
 def circle_vanishing_order(p: PuiseuxPoly, w: Weight) -> int:
-    """Maximal vanishing order of a kappa-homogeneous ``p`` on the unit circle.
+    """Maximal vanishing order of a kappa-homogeneous ``p`` on the unit circle."""
+    return _circle_roots(p, w)[0]
+
+
+def _circle_roots(p: PuiseuxPoly, w: Weight) -> tuple[int, Optional[RootRecord]]:
+    """Circle order of a kappa-homogeneous ``p`` and its off-axis root of
+    highest multiplicity, from one isolation per restriction.
 
     Off-axis zeros come from real roots of p(1, t) and (for integer
     exponents) p(-1, t); the axis points (+-1, 0) and (0, +-1) contribute the
-    minimal e2 respectively minimal e1 of the support.
+    minimal e2 respectively minimal e1 of the support.  The ``+`` side wins
+    ties: with an integer weight ratio the ``-`` side roots mirror the ``+``
+    side roots with the same multiplicities.
     """
     values = {w.k1 * e1 + w.k2 * e2 for (e1, e2) in p.support()}
     if len(values) > 1:
         raise ValueError("principal part is not kappa-homogeneous")
-    best = 0
-    restrictions = [p.restrict_x1(1)]
+    best: Optional[RootRecord] = None
+    sides = [("+", 1)]
     if p.ramification == 1:
-        restrictions.append(p.restrict_x1(-1))
-    for coeffs in restrictions:
-        u = UniPoly(coeffs)
+        sides.append(("-", -1))
+    for label, sign in sides:
+        u = UniPoly(p.restrict_x1(sign))
         if u.is_zero():
             raise InternalInvariantError("homogeneous part restricts to zero")
-        for rec in squarefree_real_roots(u):
-            best = max(best, rec.multiplicity)
+        for rec in squarefree_real_roots(u, sign_of_variable=label):
+            if best is None or rec.multiplicity > best.multiplicity:
+                best = rec
+    order = 0 if best is None else best.multiplicity
     # axis points: orders of vanishing along the coordinate restrictions
-    best = max(best, p.min_e2())
-    e1s = [e1 for (e1, _e2) in p.support()]
-    min_e1 = min(e1s)
+    order = max(order, p.min_e2())
+    min_e1 = min(e1 for (e1, _e2) in p.support())
     if min_e1.denominator == 1:
-        best = max(best, int(min_e1))
-    return best
+        order = max(order, int(min_e1))
+    return order, best
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,7 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     if face.kind == "unbounded_edge":
         return AdaptednessVerdict(True, "c", None, d, face, None, None)
     w = face.edge.weight
-    pr = kappa_principal_part(phi, w)
-    m_pr = circle_vanishing_order(pr, w)
+    m_pr, witness = _circle_roots(kappa_principal_part(phi, w), w)
     ratio = w.a
     shortcut = ratio.denominator != 1 and (1 / ratio).denominator != 1
     if shortcut and m_pr >= d:
@@ -103,21 +111,7 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
             "non-integer weight ratio must force circle order < distance")
     if m_pr <= d:
         return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, shortcut)
-    witness = _max_multiplicity_root(pr)
     return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, shortcut)
-
-
-def _max_multiplicity_root(pr: PuiseuxPoly) -> Optional[RootRecord]:
-    best: Optional[RootRecord] = None
-    sides = [("+", 1)]
-    if pr.ramification == 1:
-        sides.append(("-", -1))
-    for label, sign in sides:
-        u = UniPoly(pr.restrict_x1(sign))
-        for rec in squarefree_real_roots(u, sign_of_variable=label):
-            if best is None or rec.multiplicity > best.multiplicity:
-                best = rec
-    return best
 
 
 @dataclass(frozen=True)
@@ -179,23 +173,32 @@ def _equal_weight_shear(cur: PuiseuxPoly, t: Matrix,
                         verdict: AdaptednessVerdict) -> tuple[PuiseuxPoly, Matrix]:
     """One Varchenko step at weight ratio one.
 
-    The principal part is homogeneous of degree 2d; a circle root of
-    multiplicity > d exists, is unique, and shows up in p(1, t).
+    The principal part is homogeneous of degree 2d; the verdict's witness is
+    its unique circle root of multiplicity > d.
     """
-    pr = kappa_principal_part(cur, verdict.weight)
-    d = verdict.d
-    u = UniPoly(pr.restrict_x1(1))
-    for rec in squarefree_real_roots(u):
-        if rec.multiplicity > d:
-            if not rec.is_rational:
-                raise AlgebraicRootHalt(rec.interval, _witness_factor(u, rec),
-                                        rec.multiplicity,
-                                        context="linear height shear")
-            b = rec.value
-            sheared = cur.shear_substitute(PuiseuxPoly.monomial(b, 1, 0))
-            return sheared, _matmul(t, _shear_matrix(b))
-    raise InternalInvariantError(
-        "no circle root exceeded the distance on a non-adapted equal-weight face")
+    b = _shear_root(cur, verdict, "linear height shear")
+    sheared = cur.shear_substitute(PuiseuxPoly.monomial(b, 1, 0))
+    return sheared, _matmul(t, _shear_matrix(b))
+
+
+def _shear_root(phi: PuiseuxPoly, verdict: AdaptednessVerdict,
+                context: str) -> Fraction:
+    """The root coefficient the next shear of a non-adapted ``phi`` kills.
+
+    It is the verdict's witness: the circle root of multiplicity > d, unique
+    because the principal edge crosses the bisectrix, and found on the ``+``
+    side.  An irrational witness halts with its square-free factor of
+    p(1, t).
+    """
+    rec = verdict.witness
+    if rec is None or rec.multiplicity <= verdict.d or rec.sign_of_variable != "+":
+        raise InternalInvariantError(
+            "non-adapted verdict has no + side circle root exceeding the distance")
+    if not rec.is_rational:
+        u = UniPoly(kappa_principal_part(phi, verdict.weight).restrict_x1(1))
+        raise AlgebraicRootHalt(rec.interval, _witness_factor(u, rec),
+                                rec.multiplicity, context=context)
+    return rec.value
 
 
 def _witness_factor(u: UniPoly, rec: RootRecord) -> UniPoly:
@@ -226,7 +229,8 @@ def height(phi: PuiseuxPoly, max_steps: int = 64) -> tuple[Fraction, "object"]:
     lh = linear_height(phi)
     if lh.verdict.adapted:
         return lh.h_lin, None
-    ac = adapted_coordinates(lh.transformed, max_steps=max_steps)
+    ac = adapted_coordinates(lh.transformed, max_steps=max_steps,
+                             verdict=lh.verdict)
     return ac.h, ac
 
 
@@ -258,7 +262,13 @@ def classify_singularity(phi: PuiseuxPoly, series_order: int | None = None,
     """
     if phi.ramification != 1:
         raise ValueError("classification needs an integer-exponent polynomial")
-    lh = linear_height(phi)
+    return classify_linear(linear_height(phi), series_order, _expected_d)
+
+
+def classify_linear(lh: LinearHeightReport, series_order: int | None = None,
+                    _expected_d: bool = True) -> SingularityClass:
+    """:func:`classify_singularity` from the linear-height report the caller
+    already holds."""
     if lh.h_lin >= 2:
         raise ValueError(f"linear height {lh.h_lin} is not < 2")
     if lh.adapted_linear_exists:

@@ -3,8 +3,7 @@
 Subcommands: analyze, diagram, knapp, decay, trace.  JSON goes to stdout or
 ``--json PATH``; diagrams and plots to ``--svg PATH``.  Exit codes: 0 success,
 1 usage or parse error, 2 algebraic-root halt, 3 internal invariant
-violation, 4 quadrature failure.  The environment variable NRESTRICT_THREADS
-sets the worker count for the frequency sweeps.
+violation, 4 quadrature failure.
 """
 
 from __future__ import annotations

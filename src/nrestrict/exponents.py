@@ -56,7 +56,8 @@ def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
         return ExponentReport(p, "adapted_2h_plus_2", h, lh.h_lin, h,
                               Fraction(2) / p, lh.m, lh, None, None)
     m = lh.m
-    ac = adapted_coordinates(lh.transformed, max_steps=max_steps)
+    ac = adapted_coordinates(lh.transformed, max_steps=max_steps,
+                             verdict=lh.verdict)
     rh = r_height(ac.phi_a, m)
     p = 2 * rh.value + 2
     return ExponentReport(p, "r_height_2hr_plus_2", ac.h, lh.h_lin, rh.value,
@@ -143,7 +144,7 @@ def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
         lh = linear_height(phi)
         if lh.transformed != phi:
             raise ValueError("sampling expects linearly adapted input")
-        ac = adapted_coordinates(phi, max_steps=max_steps)
+        ac = adapted_coordinates(phi, max_steps=max_steps, verdict=verdict)
         psi = ac.psi
         bound = r_height(ac.phi_a, lh.m).value
         kind = "r_height"

@@ -15,8 +15,6 @@ results are reproducible run to run.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -50,22 +48,6 @@ def bump(z):
     c = np.cos(0.5 * np.pi * z[inside])
     out[inside] = c ** 4
     return out
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NRESTRICT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn: Callable, items: Sequence):
-    """Map preserving input order; thread count from NRESTRICT_THREADS."""
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +246,6 @@ def _make_fit(phase_desc: str, lams, mags, expected, tol, mode="match",
 # van der Corput and Airy probes
 
 
-def _poly_eval(coeffs: Sequence[float]) -> Callable:
-    arr = np.asarray(coeffs, dtype=float)
-
-    def f(x):
-        acc = np.zeros_like(np.asarray(x, dtype=float))
-        for c in arr[::-1]:
-            acc = acc * x + c
-        return acc
-
-    return f
-
-
-def _poly_derivative(coeffs: Sequence[float], order: int) -> list[float]:
-    cs = list(map(float, coeffs))
-    for _ in range(order):
-        cs = [i * c for i, c in enumerate(cs)][1:]
-    return cs or [0.0]
-
-
 def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
                        interval: tuple[float, float] = (0.0, 1.0),
                        amp: Callable | None = None,
@@ -300,20 +263,21 @@ def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
     if m < 1:
         raise ValueError("derivative order must be >= 1")
     lo, hi = interval
-    dm = _poly_eval(_poly_derivative(phase_coeffs, m))
+    f = PuiseuxPoly({(i, 0): Fraction(c) for i, c in enumerate(phase_coeffs)})
+    dm = _poly_xy_eval(f.partial_derivative(1, m))
     samples = np.linspace(lo, hi, 4097)
-    if np.min(np.abs(dm(samples))) < 1.0 - 1e-9:
+    if np.min(np.abs(dm(samples, 0.0))) < 1.0 - 1e-9:
         raise ValueError(f"|f^({m})| >= 1 fails on the interval")
-    phase = _poly_eval(phase_coeffs)
+    f_xy = _poly_xy_eval(f)
+    phase = lambda x: f_xy(x, 0.0)
     if amp is None:
         amp = lambda x: np.ones_like(np.asarray(x, dtype=float))
     if lams is None:
         lams = lambda_grid(1e2, 1e5, 40)
     if math.log10(lams[-1] / lams[0]) < 3 - 1e-9:
         raise ValueError("frequency grid must span at least three decades")
-    mags = _map_ordered(
-        lambda lam: abs(oscillatory_integral_1d(phase, amp, lo, hi, lam, tau)),
-        list(lams))
+    mags = [abs(oscillatory_integral_1d(phase, amp, lo, hi, lam, tau))
+            for lam in lams]
     if expected is None:
         expected = 1.0 / m
     return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, expected, tolerance)
@@ -392,10 +356,9 @@ def airy_scaling_check(u: float, b: float = 1.0, deg: int = 3,
         return b * t ** deg - u * t
 
     amp = lambda t: smooth_plateau(t / half_width, plateau)
-    mags = _map_ordered(
-        lambda lam: abs(oscillatory_integral_1d(
-            phase, amp, -half_width, half_width, lam, tau=math.pi)),
-        list(lams))
+    mags = [abs(oscillatory_integral_1d(phase, amp, -half_width, half_width,
+                                        lam, tau=math.pi))
+            for lam in lams]
     fit = _make_fit(f"{b}*t^{deg} - {u}*t", lams, mags, expected,
                     tol, mode, residual_cap=0.02 if mode == "match" else 10.0)
     fit.meta["regime"] = regime
@@ -432,33 +395,6 @@ def airy_prefactor_scan(us: Sequence[float], lam0: float = 3e4, b: float = 1.0,
 
 # ---------------------------------------------------------------------------
 # surface-measure decay
-
-
-def _poly_to_float_x2(p: PuiseuxPoly) -> Callable:
-    """Vectorized evaluator for a pure-x2 Puiseux polynomial."""
-    pairs = sorted((int(e2), float(c)) for (e1, e2), c in p.terms.items())
-
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        acc = np.zeros_like(y)
-        for e2, c in pairs:
-            acc = acc + c * y ** e2
-        return acc
-
-    return f
-
-
-def _poly_to_float_x1(p: PuiseuxPoly) -> Callable:
-    pairs = sorted((float(e1), float(c)) for (e1, e2), c in p.terms.items())
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        acc = np.zeros_like(x)
-        for e1, c in pairs:
-            acc = acc + c * x ** e1
-        return acc
-
-    return f
 
 
 def _drop_constant(p: PuiseuxPoly) -> PuiseuxPoly:
@@ -500,21 +436,21 @@ def surface_decay_fit(phi: PuiseuxPoly,
 
     reduced = _reduce_phase(phase_poly, half_width)
     if reduced is not None:
-        mags = _map_ordered(lambda lam: reduced(lam, tau), list(lams))
+        mags = [reduced(lam, tau) for lam in lams]
         return _make_fit(desc, lams, mags, expected, tolerance)
 
     # fallback: direct 2-D quadrature (moderate lam only)
     fphi = _poly_xy_eval(phase_poly)
     amp = lambda x, y: bump(x / half_width) * bump(y / half_width)
-    mags = _map_ordered(
-        lambda lam: abs(oscillatory_integral_2d(
-            fphi, amp, (-half_width, half_width, -half_width, half_width),
-            lam, tau=2 * math.pi)),
-        list(lams))
+    box = (-half_width, half_width, -half_width, half_width)
+    mags = [abs(oscillatory_integral_2d(fphi, amp, box, lam, tau=2 * math.pi))
+            for lam in lams]
     return _make_fit(desc, lams, mags, expected, tolerance)
 
 
 def _poly_xy_eval(p: PuiseuxPoly) -> Callable:
+    """Vectorized float evaluator ``f(x, y)``; one-variable uses pass 0.0 for
+    the other variable (``0.0 ** 0 == 1.0``)."""
     terms = sorted((float(e1), int(e2), float(c))
                    for (e1, e2), c in p.terms.items())
 
@@ -552,7 +488,7 @@ def _reduce_phase(phase_poly: PuiseuxPoly, hw: float) -> Optional[Callable]:
             verdict = is_adapted(phase_poly)
             if not verdict.adapted and verdict.weight is not None \
                     and verdict.weight.a.denominator == 1 and verdict.weight.a >= 2:
-                ac = adapted_coordinates(phase_poly)
+                ac = adapted_coordinates(phase_poly, verdict=verdict)
                 if not ac.phi_a.depends_on_x1():
                     return _pure_x2_reduction(ac.phi_a, ac.psi.to_poly(), hw)
         except AlgebraicRootHalt:
@@ -564,7 +500,8 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
                        hw: float) -> Callable:
     """Amplitude for int exp(i lam P(y2)) * G(y2): G integrates the cutoff
     along y1 over the sheared box (the shear has unit Jacobian)."""
-    phase = _poly_to_float_x2(pure)
+    f_xy = _poly_xy_eval(pure)
+    phase = lambda y: f_xy(0.0, y)
     if jet is None or not jet:
         mass = float(_trapezoid(bump(np.linspace(-1, 1, 2049)), dx=2 / 2048)) * hw
 
@@ -574,9 +511,9 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
         g_fn = amp_plain
         y_max = hw
     else:
-        jf = _poly_to_float_x1(jet)
+        jf = _poly_xy_eval(jet)
         y1 = np.linspace(-hw, hw, 1025)
-        psi_vals = jf(np.abs(y1)) if jet.ramification > 1 else jf(y1)
+        psi_vals = jf(np.abs(y1) if jet.ramification > 1 else y1, 0.0)
         pad = float(np.max(np.abs(psi_vals)))
         y_max = hw + pad
         grid = np.linspace(-y_max, y_max, 4097)
@@ -600,8 +537,9 @@ def _separable_reduction(phase_poly: PuiseuxPoly, hw: float) -> Callable:
                      if e2 == 0})
     v = PuiseuxPoly({(e1, e2): c for (e1, e2), c in phase_poly.terms.items()
                      if e2 != 0})
-    fu = _poly_to_float_x1(u) if u else (lambda x: np.zeros_like(np.asarray(x)))
-    fv = _poly_to_float_x2(v) if v else (lambda y: np.zeros_like(np.asarray(y)))
+    u_xy, v_xy = _poly_xy_eval(u), _poly_xy_eval(v)
+    fu = lambda x: u_xy(x, 0.0)
+    fv = lambda y: v_xy(0.0, y)
     w = lambda x: bump(np.asarray(x) / hw)
 
     def run(lam: float, tau: float) -> float:
@@ -1049,19 +987,3 @@ def knapp_box_probe(phi: PuiseuxPoly, cert, ks: Sequence[int] = range(16, 121, 8
     return {"beta": beta, "residual": resid, "sups": sups,
             "eps": list(map(float, eps)), "min_ratio": min(ratios),
             "max_ratio": max(ratios)}
-
-
-def critical_value_identity_check(f_coeffs: Sequence[float],
-                                  zetas: Sequence[float]) -> float:
-    """Max deviation of phi(crit point) from f(zeta) for the mixed phase
-    xi*eta + f(xi) - eta*zeta, whose unique critical point is
-    (zeta, -f'(zeta))."""
-    f = _poly_eval(f_coeffs)
-    fp = _poly_eval(_poly_derivative(f_coeffs, 1))
-    worst = 0.0
-    for z in zetas:
-        xi = float(z)
-        eta = -fp(np.asarray(xi)).item()
-        value = xi * eta + f(np.asarray(xi)).item() - eta * xi
-        worst = max(worst, abs(value - f(np.asarray(xi)).item()))
-    return worst

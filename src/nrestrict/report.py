@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .adapted import classify_singularity
+from .adapted import classify_linear
 from .errors import AlgebraicRootHalt
 from .exponents import (ExponentReport, certificates_of_polyhedron,
                         critical_exponent)
@@ -192,7 +192,7 @@ def analyze(expr: InputExpr, max_steps: int = 64,
     singularity = None
     if rep.h_lin < 2 and not rep.linear.adapted_linear_exists:
         try:
-            singularity = classify_singularity(phi, series_order=series_order)
+            singularity = classify_linear(rep.linear, series_order=series_order)
         except AlgebraicRootHalt as halt:
             notes.append(f"classification halted: {halt}")
     return ReportDocument(expr, rep, n_input, adapted_poly, selection, forest,

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adapted import AdaptednessVerdict, is_adapted
+from .adapted import AdaptednessVerdict, _shear_root, _witness_factor, is_adapted
 from .errors import AlgebraicRootHalt, InternalInvariantError
 from .geometry import (EdgeData, NewtonPolyhedron, Weight,
                        kappa_principal_part)
 from .poly import PuiseuxPoly
 from .roots import RootRecord, UniPoly, squarefree_real_roots
-from .adapted import _witness_factor
 
 
 @dataclass(frozen=True)
@@ -90,69 +89,47 @@ class AdaptedCoordinates:
     shear_exponents: tuple[Fraction, ...]  # exponent added at each step
 
 
-def adapted_coordinates(phi: PuiseuxPoly, max_steps: int = 64) -> AdaptedCoordinates:
+def adapted_coordinates(phi: PuiseuxPoly, max_steps: int = 64,
+                        verdict: Optional[AdaptednessVerdict] = None
+                        ) -> AdaptedCoordinates:
     """Shear to adapted coordinates; returns the principal root jet psi,
     the adapted expression phi_a = phi(x1, x2 + psi(x1)) and the height.
 
     Expects linearly adapted input (so every shear exponent is an integer and
     the jet is a polynomial); already-adapted input returns psi = 0
-    immediately.  Irrational root coefficients raise
-    :class:`AlgebraicRootHalt`; polynomial inputs terminate well within the
-    step budget, so exceeding it is an internal error.
+    immediately.  ``verdict`` is ``is_adapted(phi)`` when the caller already
+    holds it; each shear kills the witness of the current verdict.
+    Irrational root coefficients raise :class:`AlgebraicRootHalt`; polynomial
+    inputs terminate well within the step budget, so exceeding it is an
+    internal error.
     """
     if not phi.vanishes_to_second_order():
         raise ValueError("adapted coordinates need a critical point at the "
                          "origin (no constant or linear terms)")
     cur = phi
+    if verdict is None:
+        verdict = is_adapted(cur)
     jet = PuiseuxPoly.zero()
     exponents: list[Fraction] = []
     last_a: Fraction | None = None
     for _ in range(max_steps):
-        verdict = is_adapted(cur)
         if verdict.adapted:
             return AdaptedCoordinates(RootJet.from_poly(jet), cur, verdict.d,
                                       verdict, tuple(exponents))
-        w = verdict.weight
-        a = w.a
+        a = verdict.weight.a
         if a.denominator != 1:
             raise InternalInvariantError(
                 f"non-adapted face with non-integer ratio {a}")
         if last_a is not None and a <= last_a:
             raise InternalInvariantError("shear exponents failed to increase")
-        root = _distance_exceeding_root(cur, w, verdict.d,
-                                        allow_negative_side=True)
-        if not root.is_rational:
-            u = UniPoly(kappa_principal_part(cur, w).restrict_x1(1))
-            raise AlgebraicRootHalt(root.interval, _witness_factor(u, root),
-                                    root.multiplicity,
-                                    context="adapted-coordinate shear")
-        term = PuiseuxPoly.monomial(root.value, a, 0)
+        b = _shear_root(cur, verdict, "adapted-coordinate shear")
+        term = PuiseuxPoly.monomial(b, a, 0)
         jet = jet + term
         cur = cur.shear_substitute(term)
+        verdict = is_adapted(cur)
         exponents.append(a)
         last_a = a
     raise InternalInvariantError("adapted-coordinate construction exceeded budget")
-
-
-def _distance_exceeding_root(phi: PuiseuxPoly, w: Weight, d: Fraction,
-                             allow_negative_side: bool) -> RootRecord:
-    """The unique real root of the principal part with multiplicity > d.
-
-    A polynomial shear term b*x1^a shows up as the root t = b of p(1, t), so
-    scanning the positive side suffices; uniqueness follows from the edge
-    crossing the bisectrix.
-    """
-    pr = kappa_principal_part(phi, w)
-    u = UniPoly(pr.restrict_x1(1))
-    best: Optional[RootRecord] = None
-    for rec in squarefree_real_roots(u):
-        if rec.multiplicity > d and (best is None
-                                     or rec.multiplicity > best.multiplicity):
-            best = rec
-    if best is None:
-        raise InternalInvariantError(
-            "criterion (a) failed but no circle root exceeds the distance")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +181,8 @@ class SplitStep:
     a: Optional[Fraction]
     root: Optional[Fraction]           # rational root coefficient (None: no root)
     multiplicity: Optional[int]
-    case: str                          # Case1_no_root | Case2_grad_nonzero |
-    #                                    Case3_shear | CaseA_stop | CaseB_continue
+    case: str                          # Case1_no_root | Case3_shear |
+    #                                    CaseA_stop | CaseB_continue
     post_vertex: Optional[tuple[Fraction, int]] = None  # (A'_l, B'_l = M_l)
 
 
@@ -343,34 +320,28 @@ def _classify_simple(pr: PuiseuxPoly, rec: RootRecord) -> str:
     """Gradient classification at v = (1, c0) for a simple root.
 
     A simple root of the restriction has nonzero t-derivative there, which is
-    exactly the x2-partial, so Case 1 holds; the exact evaluation below is a
-    consistency check for rational roots.
+    exactly the x2-partial, so Case 1 holds; the exact evaluation below checks
+    that for rational roots.
     """
     if rec.is_rational:
         d2 = pr.partial_derivative(2, 1)
-        val = UniPoly(d2.restrict_x1(1)).evaluate(rec.value) if d2 else Fraction(0)
-        if val:
-            return "Case1_no_root"
-        d1 = pr.partial_derivative(1, 1)
-        v1 = UniPoly(d1.restrict_x1(1)).evaluate(rec.value) if d1 else Fraction(0)
-        if v1:
-            return "Case2_grad_nonzero"
-        raise InternalInvariantError("simple root with vanishing gradient")
+        if not d2 or not UniPoly(d2.restrict_x1(1)).evaluate(rec.value):
+            raise InternalInvariantError("simple root with vanishing x2-partial")
     return "Case1_no_root"
 
 
 def condition_r_check(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
-                      b: int) -> tuple[bool, PuiseuxPoly]:
+                      b: int) -> PuiseuxPoly:
     """Factor off ``(x2 - f(x1))^b`` in the sheared frame.
 
     ``b`` must be the maximal integer with the support of the sheared
     polynomial on or above level b; exact division is then a term shift.
-    Polynomial inputs always factor (real-analytic case), so the check is a
-    divisibility confirmation plus the cofactor.
+    Polynomial inputs always factor (real-analytic case), so the result is
+    the cofactor; a non-maximal ``b`` raises ValueError.
     """
     fp = f.to_poly() if isinstance(f, RootJet) else f
     sheared = phi.shear_substitute(fp)
     b_max = sheared.min_e2()
     if b != b_max:
         raise ValueError(f"b = {b} is not maximal (support floor is {b_max})")
-    return True, sheared.shift_e2(-b)
+    return sheared.shift_e2(-b)

@@ -3,10 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from nrestrict import adapted, exponents, splitting
 from nrestrict.adapted import (circle_vanishing_order, classify_singularity,
                                height, is_adapted, linear_height)
-from nrestrict.geometry import NewtonPolyhedron, Weight
+from nrestrict.geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from nrestrict.parser import parse_expression
+from nrestrict.report import analyze
+from nrestrict.roots import UniPoly, squarefree_real_roots
+
+from make_golden import ACCEPTANCE
 
 
 def P(text):
@@ -66,6 +71,66 @@ class TestIsAdapted:
     def test_vertex_criterion_b(self):
         v = is_adapted(P("x1*x2"))
         assert v.adapted and v.criterion == "b"
+
+
+def _record_judgements(monkeypatch):
+    """Wrap ``is_adapted`` and ``linear_height`` in every pipeline module
+    that calls them; returns the (polynomial, verdict) log and the
+    linear-height call log."""
+    judged, linear = [], []
+    real_is_adapted, real_linear_height = adapted.is_adapted, adapted.linear_height
+
+    def spy_is_adapted(phi):
+        verdict = real_is_adapted(phi)
+        judged.append((phi, verdict))
+        return verdict
+
+    def spy_linear_height(phi, *args, **kwargs):
+        linear.append(phi)
+        return real_linear_height(phi, *args, **kwargs)
+
+    for mod in (adapted, splitting, exponents):
+        if hasattr(mod, "is_adapted"):
+            monkeypatch.setattr(mod, "is_adapted", spy_is_adapted)
+        if hasattr(mod, "linear_height"):
+            monkeypatch.setattr(mod, "linear_height", spy_linear_height)
+    return judged, linear
+
+
+class TestShearWitness:
+    """``is_adapted`` alone picks the circle root each shear kills."""
+
+    def test_witness_is_the_positive_side_root_exceeding_d(self, monkeypatch):
+        judged, _linear = _record_judgements(monkeypatch)
+        for text in ACCEPTANCE:
+            analyze(parse_expression(text))
+        shear_steps = 0
+        for phi, verdict in judged:
+            if verdict.adapted:
+                assert verdict.witness is None
+                continue
+            assert verdict.witness.multiplicity > verdict.d
+            if verdict.weight.a.denominator != 1:
+                continue  # linear_height swaps; no shear reads this witness
+            # reference: the distance-exceeding root of p(1, t), isolated here
+            pr = kappa_principal_part(phi, verdict.weight)
+            best = None
+            for rec in squarefree_real_roots(UniPoly(pr.restrict_x1(1))):
+                if rec.multiplicity > verdict.d and (
+                        best is None or rec.multiplicity > best.multiplicity):
+                    best = rec
+            assert verdict.witness == best
+            shear_steps += 1
+        assert shear_steps > len(ACCEPTANCE) // 2
+
+    def test_analyze_judges_each_polynomial_once(self, monkeypatch):
+        judged, linear = _record_judgements(monkeypatch)
+        for text in ACCEPTANCE:
+            del judged[:], linear[:]
+            analyze(parse_expression(text))
+            polys = [phi for phi, _verdict in judged]
+            assert len(polys) == len(set(polys)), text
+            assert len(linear) == 1, text
 
 
 class TestHeight:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from nrestrict.exponents import critical_exponent, knapp_certificates_all
-from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, bump,
+from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, _poly_xy_eval,
+                                bump,
                                 airy_prefactor_scan, airy_scaling_check,
-                                critical_value_identity_check,
                                 dominance_decay, dominance_probe,
                                 knapp_box_probe, lambda_grid, log_log_fit,
                                 oscillatory_integral_1d, oscillatory_sum_bound,
@@ -15,6 +15,7 @@ from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, bump,
                                 reference_double_trial, smooth_plateau,
                                 surface_decay_fit, van_der_corput_fit)
 from nrestrict.parser import parse_expression
+from nrestrict.poly import PuiseuxPoly
 
 
 def P(text):
@@ -225,18 +226,22 @@ class TestKnappBox:
         assert abs(res["beta"] - 1.0) <= 0.05
 
 
-class TestCriticalValueIdentity:
-    def test_examples(self):
-        assert critical_value_identity_check([0, 0, 1], [0.3]) == 0.0
-        assert critical_value_identity_check([0, -1, 0, 1], [1.1]) < 1e-12
-
-    def test_random_quintics(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            coeffs = rng.uniform(-2, 2, 6)
-            dev = critical_value_identity_check(coeffs,
-                                                rng.uniform(-1.5, 1.5, 100))
-            assert dev < 1e-12
+class TestFloatEvaluator:
+    def test_one_variable_use_is_bit_identical(self):
+        # the one-variable evaluators this replaced summed c * t**e in
+        # sorted exponent order; 0.0 ** 0 == 1.0 keeps every bit
+        pts = np.linspace(0.0, 0.9, 37)
+        for terms, axis in [({(0, 2): 3, (0, 5): F(-1, 7)}, 2),
+                            ({(2, 0): 1, (3, 0): F(-2, 3)}, 1),
+                            ({(F(3, 2), 0): 1, (F(7, 3), 0): F(5, 2)}, 1)]:
+            p = PuiseuxPoly(terms)
+            f = _poly_xy_eval(p)
+            got = f(0.0, pts) if axis == 2 else f(pts, 0.0)
+            want = np.zeros_like(pts)
+            for (e1, e2), c in sorted(p.terms.items()):
+                e = e2 if axis == 2 else float(e1)
+                want = want + float(c) * pts ** e
+            assert np.array_equal(got, want), terms
 
 
 class TestLogLogFit:
@@ -247,13 +252,3 @@ class TestLogLogFit:
         assert exp == pytest.approx(0.37, abs=1e-9)
         assert resid < 1e-12
 
-
-class TestThreadDeterminism:
-    def test_results_independent_of_thread_count(self, monkeypatch):
-        lams = lambda_grid(1e2, 1e4, 10)
-        monkeypatch.setenv("NRESTRICT_THREADS", "1")
-        a = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 0, 1), lams=lams)
-        monkeypatch.setenv("NRESTRICT_THREADS", "4")
-        b = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 0, 1), lams=lams)
-        assert a.magnitudes == b.magnitudes
-        assert a.fitted_exponent == b.fitted_exponent

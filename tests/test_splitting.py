@@ -169,18 +169,18 @@ class TestConditionR:
     def test_example_12_2(self):
         phi = P(EX122)
         jet = RootJet(((F(1), F(2)), (F(1), F(4))))
-        holds, cof = condition_r_check(phi, jet, 3)
-        assert holds and cof == P("x2 - x1^3 + x1^4")
+        cof = condition_r_check(phi, jet, 3)
+        assert cof == P("x2 - x1^3 + x1^4")
 
     def test_square_cofactor_one(self):
-        holds, cof = condition_r_check(P("(x2 - x1^2)^2"),
-                                       RootJet(((F(1), F(2)),)), 2)
-        assert holds and cof == PuiseuxPoly.constant(1)
+        cof = condition_r_check(P("(x2 - x1^2)^2"),
+                                RootJet(((F(1), F(2)),)), 2)
+        assert cof == PuiseuxPoly.constant(1)
 
     def test_vacuous_at_level_zero(self):
-        holds, cof = condition_r_check(P("(x2 - x1^2)^2 + x1^5"),
-                                       RootJet(((F(1), F(2)),)), 0)
-        assert holds and cof == P("x2^2 + x1^5")
+        cof = condition_r_check(P("(x2 - x1^2)^2 + x1^5"),
+                                RootJet(((F(1), F(2)),)), 0)
+        assert cof == P("x2^2 + x1^5")
 
     def test_rejects_non_maximal_level(self):
         with pytest.raises(ValueError):
