@@ -176,47 +176,27 @@ def _equal_weight_shear(cur: PuiseuxPoly, t: Matrix,
     The principal part is homogeneous of degree 2d; the verdict's witness is
     its unique circle root of multiplicity > d.
     """
-    b = _shear_root(cur, verdict, "linear height shear")
+    b = _shear_root(verdict, "linear height shear")
     sheared = cur.shear_substitute(PuiseuxPoly.monomial(b, 1, 0))
     return sheared, _matmul(t, _shear_matrix(b))
 
 
-def _shear_root(phi: PuiseuxPoly, verdict: AdaptednessVerdict,
-                context: str) -> Fraction:
-    """The root coefficient the next shear of a non-adapted ``phi`` kills.
+def _shear_root(verdict: AdaptednessVerdict, context: str) -> Fraction:
+    """The root coefficient the next shear of a non-adapted polynomial kills.
 
     It is the verdict's witness: the circle root of multiplicity > d, unique
     because the principal edge crosses the bisectrix, and found on the ``+``
     side.  An irrational witness halts with its square-free factor of
-    p(1, t).
+    p(1, t), which the record carries.
     """
     rec = verdict.witness
     if rec is None or rec.multiplicity <= verdict.d or rec.sign_of_variable != "+":
         raise InternalInvariantError(
             "non-adapted verdict has no + side circle root exceeding the distance")
     if not rec.is_rational:
-        u = UniPoly(kappa_principal_part(phi, verdict.weight).restrict_x1(1))
-        raise AlgebraicRootHalt(rec.interval, _witness_factor(u, rec),
-                                rec.multiplicity, context=context)
+        raise AlgebraicRootHalt(rec.interval, rec.factor, rec.multiplicity,
+                                context=context)
     return rec.value
-
-
-def _witness_factor(u: UniPoly, rec: RootRecord) -> UniPoly:
-    """Square-free factor (rational roots removed) vanishing on the interval."""
-    from .roots import UniPoly as _U
-    from .roots import rational_roots, yun_squarefree
-
-    for factor, mult in yun_squarefree(u):
-        if mult != rec.multiplicity:
-            continue
-        work = factor
-        for r in rational_roots(factor):
-            work = work.divmod(_U.from_root(r))[0]
-        if work.degree() > 0:
-            lo, hi = rec.interval
-            if work.evaluate(lo) * work.evaluate(hi) <= 0:
-                return work
-    return u
 
 
 def height(phi: PuiseuxPoly, max_steps: int = 64) -> tuple[Fraction, "object"]:

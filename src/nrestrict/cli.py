@@ -9,6 +9,7 @@ violation, 4 quadrature failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -100,6 +101,7 @@ def _cmd_decay(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nrestrict",

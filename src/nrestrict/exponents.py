@@ -135,13 +135,17 @@ def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
     input the samples stay at or below the distance.  This is a consistency
     sampler, not a certified supremum.
     """
-    verdict = is_adapted(phi)
+    # linear_height judges phi first, but rejects ramified input, which the
+    # adapted branch accepts
+    lh = linear_height(phi) if phi.ramification == 1 else None
+    verdict = lh.input_verdict if lh is not None else is_adapted(phi)
     if verdict.adapted:
         bound = verdict.d
         kind = "distance"
         psi = None
     else:
-        lh = linear_height(phi)
+        if lh is None:
+            raise ValueError("linear height needs an integer-exponent polynomial")
         if lh.transformed != phi:
             raise ValueError("sampling expects linearly adapted input")
         ac = adapted_coordinates(phi, max_steps=max_steps, verdict=verdict)

@@ -1,12 +1,16 @@
 """Floating-point verification of decay laws and sum bounds at desk scale.
 
-Quadrature strategy: adaptive dyadic subdivision of the support until the
-phase varies by less than a fixed budget per cell, then fixed-order
-Gauss-Legendre per cell; no Filon/Levin machinery.  The two-variable surface
-probe first tries exact symbolic reductions (pure-x2 phase after the adapted
-shear, or a separable phase with the tensor cutoff); the direct 2-D tree is
-kept as a fallback for moderate frequencies and raises once its cell budget
-is exceeded.
+Quadrature strategy: one cell tree serves 1-D and 2-D integrals.  It
+subdivides the box dyadically until the phase varies by less than a fixed
+budget per cell, then applies fixed-order tensor Gauss-Legendre per cell; no
+Filon/Levin machinery.  The two-variable surface probe first tries exact
+symbolic reductions (pure-x2 phase after the adapted shear, or a separable
+phase with the tensor cutoff); the direct 2-D tree is kept as a fallback for
+moderate frequencies and raises once its cell budget is exceeded.
+
+Sum strategy: one sweep serves single and double oscillatory sums.  It
+buckets the coefficients by integerized frequency, a single sum being the
+double sum with its second index fixed at 0, then sweeps the t sample.
 
 All randomized trials take explicit seeds and reduce in fixed index order, so
 results are reproducible run to run.
@@ -14,6 +18,7 @@ results are reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,110 +67,102 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
+#: cells evaluated together in one step of the cell tree
+_CELL_CHUNK = 8192
+
+
 def oscillatory_integral_1d(phase: Callable, amp: Callable,
                             lo: float, hi: float, lam: float,
                             tau: float = math.pi, gl_order: int = 16,
                             max_cells: int = 4_000_000) -> complex:
     """integral of exp(i*lam*phase(s)) * amp(s) over [lo, hi].
 
-    Cells are bisected until the sampled phase variation is below ``tau``
-    radians, then integrated with fixed-order Gauss-Legendre.  ``phase`` and
-    ``amp`` must accept numpy arrays.
+    Cells are bisected until the phase, probed at 7 points, varies by at
+    most ``tau`` radians, then integrated with fixed-order Gauss-Legendre.
+    ``phase`` and ``amp`` must accept numpy arrays.
     """
-    nodes, weights = _gl(gl_order)
-    probe = np.linspace(0.0, 1.0, 7)
-    cells = np.array([[lo, hi]], dtype=float)
-    total = 0.0 + 0.0j
-    processed = 0
-    for _depth in range(80):
-        if cells.size == 0:
-            return total
-        processed += len(cells)
-        if processed > max_cells:
-            raise QuadratureError("cell budget exceeded in 1-D quadrature")
-        los, his = cells[:, 0], cells[:, 1]
-        pts = los[:, None] + (his - los)[:, None] * probe[None, :]
-        ph = np.asarray(phase(pts))
-        var = abs(lam) * (ph.max(axis=1) - ph.min(axis=1))
-        fine = var <= tau
-        if fine.any():
-            flo, fhi = los[fine], his[fine]
-            half = 0.5 * (fhi - flo)
-            x = 0.5 * (fhi + flo)[:, None] + half[:, None] * nodes[None, :]
-            vals = amp(x) * np.exp(1j * lam * np.asarray(phase(x)))
-            total += complex(np.sum((vals @ weights) * half))
-        coarse = ~fine
-        if not coarse.any():
-            return total
-        clo, chi = los[coarse], his[coarse]
-        mid = 0.5 * (clo + chi)
-        cells = np.concatenate(
-            [np.stack([clo, mid], axis=1), np.stack([mid, chi], axis=1)])
-    raise QuadratureError("1-D quadrature did not converge (depth cap)")
-
-
-#: cells evaluated together in one step of the 2-D quadtree
-_CELL_CHUNK = 8192
+    return _cell_tree(phase, amp, (lo, hi), lam, tau, gl_order, max_cells, 7)
 
 
 def oscillatory_integral_2d(phase: Callable, amp: Callable,
                             box: tuple[float, float, float, float], lam: float,
                             tau: float = 2 * math.pi, gl_order: int = 8,
                             max_cells: int = 400_000) -> complex:
-    """Direct 2-D analogue of the 1-D rule (quadtree refinement).
+    """Direct 2-D analogue of the 1-D rule over ``box = (x0, x1, y0, y1)``:
+    quadtree refinement with a 4x4 phase probe per cell.
 
     Cost grows like lam^2, so this is the fallback path for moderate
     frequencies only; the cell budget guards against runaway refinement.
     """
+    return _cell_tree(phase, amp, box, lam, tau, gl_order, max_cells, 4)
+
+
+def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
+               lam: float, tau: float, gl_order: int, max_cells: int,
+               probes: int) -> complex:
+    """integral of exp(i*lam*phase) * amp over the axis-aligned box
+    ``(lo_0, hi_0, ..., lo_dim-1, hi_dim-1)``; ``phase`` and ``amp`` take
+    one coordinate array per axis.
+
+    Each cell probes the phase on a tensor grid of ``probes`` points per
+    axis.  A cell whose probed variation times |lam| is at most ``tau`` is
+    integrated with tensor Gauss-Legendre; every other cell splits into
+    2^dim children.  A level is processed in chunks of ``_CELL_CHUNK`` cells,
+    so the per-node arrays stay small however many cells it holds.
+    """
+    dim = len(box) // 2
     nodes, weights = _gl(gl_order)
-    w2 = weights[:, None] * weights[None, :]
-    probe = np.linspace(0.0, 1.0, 4)
-    px, py = np.meshgrid(probe, probe, indexing="ij")
+    probe = _tensor_grid(np.linspace(0.0, 1.0, probes), dim)
+    node = _tensor_grid(nodes, dim)
+    w = np.prod(_tensor_grid(weights, dim), axis=0)
     cells = np.array([box], dtype=float)
     total = 0.0 + 0.0j
     processed = 0
-    while cells.size:
+    for _depth in range(80):
         processed += len(cells)
         if processed > max_cells:
             raise QuadratureError(
-                "cell budget exceeded in 2-D quadrature; "
+                f"cell budget exceeded in {dim}-D quadrature; "
                 "use a symbolic reduction or a smaller frequency")
-        coarse_parts = []
-        # a level is processed in chunks so that the per-node arrays stay
-        # small however many cells the level holds
+        coarse = []
         for start in range(0, len(cells), _CELL_CHUNK):
             chunk = cells[start:start + _CELL_CHUNK]
-            x0, x1, y0, y1 = chunk[:, 0], chunk[:, 1], chunk[:, 2], chunk[:, 3]
-            xs = x0[:, None] + (x1 - x0)[:, None] * px.ravel()[None, :]
-            ys = y0[:, None] + (y1 - y0)[:, None] * py.ravel()[None, :]
-            ph = np.asarray(phase(xs, ys))
-            var = abs(lam) * (ph.max(axis=1) - ph.min(axis=1))
-            fine = var <= tau
+            lo, hi = chunk[:, 0::2], chunk[:, 1::2]
+            ph = np.asarray(phase(*[lo[:, d, None] + (hi - lo)[:, d, None]
+                                    * probe[d] for d in range(dim)]))
+            fine = abs(lam) * (ph.max(axis=1) - ph.min(axis=1)) <= tau
             if fine.any():
-                fx0, fx1 = x0[fine], x1[fine]
-                fy0, fy1 = y0[fine], y1[fine]
-                hx = 0.5 * (fx1 - fx0)
-                hy = 0.5 * (fy1 - fy0)
-                gx = 0.5 * (fx1 + fx0)[:, None] + hx[:, None] * nodes[None, :]
-                gy = 0.5 * (fy1 + fy0)[:, None] + hy[:, None] * nodes[None, :]
-                xx = gx[:, :, None] + 0.0 * gy[:, None, :]
-                yy = 0.0 * gx[:, :, None] + gy[:, None, :]
-                vals = amp(xx, yy) * np.exp(1j * lam * np.asarray(phase(xx, yy)))
-                total += complex(np.sum(
-                    np.tensordot(vals, w2, axes=([1, 2], [0, 1])) * hx * hy))
-            coarse_parts.append(chunk[~fine])
-        coarse = np.concatenate(coarse_parts)
-        if not len(coarse):
-            break
-        cx0, cx1, cy0, cy1 = coarse[:, 0], coarse[:, 1], coarse[:, 2], coarse[:, 3]
-        mx = 0.5 * (cx0 + cx1)
-        my = 0.5 * (cy0 + cy1)
-        cells = np.concatenate([
-            np.stack([cx0, mx, cy0, my], axis=1),
-            np.stack([mx, cx1, cy0, my], axis=1),
-            np.stack([cx0, mx, my, cy1], axis=1),
-            np.stack([mx, cx1, my, cy1], axis=1)])
-    return total
+                half = 0.5 * (hi[fine] - lo[fine])
+                mid = 0.5 * (hi[fine] + lo[fine])
+                x = [mid[:, d, None] + half[:, d, None] * node[d]
+                     for d in range(dim)]
+                vals = amp(*x) * np.exp(1j * lam * np.asarray(phase(*x)))
+                total += complex(np.sum((vals @ w) * np.prod(half, axis=1)))
+            coarse.append(chunk[~fine])
+        cells = np.concatenate(coarse)
+        if not len(cells):
+            return total
+        cells = _split(cells)
+    raise QuadratureError(f"{dim}-D quadrature did not converge (depth cap)")
+
+
+def _tensor_grid(points: np.ndarray, dim: int) -> list[np.ndarray]:
+    """The grid points^dim as one flat coordinate array per axis."""
+    return [g.ravel() for g in np.meshgrid(*[points] * dim, indexing="ij")]
+
+
+def _split(cells: np.ndarray) -> np.ndarray:
+    """The 2^dim children of each cell, every axis halved at its midpoint;
+    the first axis varies fastest over the children."""
+    dim = cells.shape[1] // 2
+    mid = 0.5 * (cells[:, 0::2] + cells[:, 1::2])
+    children = []
+    for upper in itertools.product((0, 1), repeat=dim):
+        child = cells.copy()
+        for d, u in enumerate(reversed(upper)):
+            child[:, 2 * d + 1 - u] = mid[:, d]   # lower half: hi = mid
+        children.append(child)
+    return np.concatenate(children)
 
 
 # ---------------------------------------------------------------------------
@@ -628,22 +625,18 @@ def _rho_freqs(trial: SumBoundTrial) -> list[float]:
     return freqs
 
 
-def _rho_double(trial: SumBoundTrial, t: np.ndarray) -> np.ndarray:
-    acc = np.ones_like(t, dtype=float)
+def _rho_double(trial: SumBoundTrial,
+                t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The resonance denominator and its smallest single factor: zeros of the
+    denominator are avoided factor by factor, not just in the product."""
+    prod = np.ones_like(t, dtype=float)
+    low = np.full_like(t, np.inf, dtype=float)
     for nu in range(1, trial.rho_depth + 1):
         for f in _rho_freqs(trial):
-            acc = acc * np.abs(np.exp(1j * LN2 * f * nu * t) - 1.0)
-    return acc
-
-
-def _rho_double_min_factor(trial: SumBoundTrial, t: np.ndarray) -> np.ndarray:
-    """Smallest single resonance factor: zeros of the denominator are
-    avoided factor by factor, not just in the product."""
-    acc = np.full_like(t, np.inf, dtype=float)
-    for nu in range(1, trial.rho_depth + 1):
-        for f in _rho_freqs(trial):
-            acc = np.minimum(acc, np.abs(np.exp(1j * LN2 * f * nu * t) - 1.0))
-    return acc
+            factor = np.abs(np.exp(1j * LN2 * f * nu * t) - 1.0)
+            prod = prod * factor
+            low = np.minimum(low, factor)
+    return prod, low
 
 
 def _masked_bump_values(trial: SumBoundTrial, exps: list[np.ndarray],
@@ -663,13 +656,6 @@ def _masked_bump_values(trial: SumBoundTrial, exps: list[np.ndarray],
     return np.where(mask, vals, 0.0)
 
 
-def _coeffs_single(trial: SumBoundTrial, m: int) -> np.ndarray:
-    ls = np.arange(m + 1, dtype=float)
-    exps = [float(b[0]) * ls + la
-            for b, la in zip(trial.betas, trial.log2_a)]
-    return _masked_bump_values(trial, exps, (m + 1,))
-
-
 def _sup_over_t(freqs: np.ndarray, coeffs: np.ndarray, ts: np.ndarray,
                 denom: np.ndarray, chunk: int = 256, top_k: int = 8) -> float:
     """Sup proxy over the t sample of |sum_j coeffs_j 2^(i freq_j t)| * denom.
@@ -678,50 +664,59 @@ def _sup_over_t(freqs: np.ndarray, coeffs: np.ndarray, ts: np.ndarray,
     integrand is quasi-periodic in t, and a lone extreme draw would make the
     level-to-level trend comparison needlessly noisy.
     """
-    tops: list[float] = []
+    vals = np.empty(len(ts))
     for start in range(0, len(ts), chunk):
-        tc = ts[start:start + chunk]
-        phases = np.exp(1j * LN2 * np.outer(tc, freqs))
-        vals = np.abs(phases @ coeffs) * denom[start:start + chunk]
-        tops.extend(np.partition(vals, -min(top_k, len(vals)))[-top_k:])
-        tops = sorted(tops, reverse=True)[:top_k]
-    return float(np.mean(tops)) if tops else 0.0
+        phases = np.exp(1j * LN2 * np.outer(ts[start:start + chunk], freqs))
+        vals[start:start + chunk] = np.abs(phases @ coeffs)
+    vals *= denom
+    k = min(top_k, len(vals))
+    return float(np.mean(np.partition(vals, -k)[-k:])) if k else 0.0
 
 
-def _f_single_sup(trial: SumBoundTrial, m: int, ts: np.ndarray,
-                  denom: np.ndarray) -> float:
-    h = _coeffs_single(trial, m)
-    live = np.nonzero(h)[0]
-    if live.size == 0:
-        return 0.0
-    alpha = float(trial.alphas[0])
-    return _sup_over_t(alpha * live.astype(float), h[live], ts, denom)
+#: index-grid cells bucketed together in one step of the sum sweep; a single
+#: trial (one column) stays one vectorized pass up to m = 2^21 - 1
+_SWEEP_CELLS = 2 ** 21
 
 
-def _f_double_sup(trial: SumBoundTrial, m: int, ts: np.ndarray,
-                  denom: np.ndarray, chunk: int = 512) -> float:
-    """Bucket the double sum by the integerized alpha frequency, then sweep t."""
-    a1, a2 = trial.alphas
-    q = (a1.denominator * a2.denominator
-         // math.gcd(a1.denominator, a2.denominator))
-    p1 = int(a1 * q)
-    p2 = int(a2 * q)
-    offset = min(0, p1 * m) + min(0, p2 * m)
-    size = abs(p1) * m + abs(p2) * m + 1
-    w = np.zeros(size)
-    m2 = np.arange(m + 1, dtype=float)
-    for start in range(0, m + 1, chunk):
-        m1 = np.arange(start, min(start + chunk, m + 1), dtype=float)
-        exps = [float(b1) * m1[:, None] + float(b2) * m2[None, :] + la
-                for (b1, b2), la in zip(trial.betas, trial.log2_a)]
-        vals = _masked_bump_values(trial, exps, (len(m1), len(m2)))
-        idx = (p1 * m1[:, None] + p2 * m2[None, :]).astype(np.int64) - offset
-        w += np.bincount(idx.ravel(), weights=vals.ravel(), minlength=size)
-    live = np.nonzero(w)[0]
-    if live.size == 0:
-        return 0.0
-    freqs = (live.astype(float) + offset) / q
-    return _sup_over_t(freqs, w[live], ts, denom)
+def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
+                denom: np.ndarray) -> list[float]:
+    """The t-sweep sup proxy of each level's sum (see ``_sup_over_t``).
+
+    Level m sums the masked bump coefficients over the index grid
+    [0, m]^2; a single trial is the double sum with its second index fixed
+    at 0 (alpha2 = beta2 = 0).  The coefficients are bucketed by their
+    frequency alpha . (m1, m2) in units of g / q, where alpha = (p1, p2) g / q
+    with coprime integers p1, p2; a single trial's buckets hold one index
+    each.
+    """
+    a1, a2 = (*trial.alphas, Fraction(0))[:2]
+    q = math.lcm(a1.denominator, a2.denominator)
+    g = math.gcd(int(a1 * q), int(a2 * q)) or 1
+    p1 = int(a1 * q) // g
+    p2 = int(a2 * q) // g
+    betas = [(float(b[0]), float(b[1]) if len(b) > 1 else 0.0, la)
+             for b, la in zip(trial.betas, trial.log2_a)]
+    sups = []
+    for m in levels:
+        offset = min(0, p1 * m) + min(0, p2 * m)
+        size = abs(p1) * m + abs(p2) * m + 1
+        m2 = np.arange(m + 1 if trial.kind == "double" else 1, dtype=float)
+        rows = max(1, _SWEEP_CELLS // len(m2))
+        w = 0.0
+        for start in range(0, m + 1, rows):
+            m1 = np.arange(start, min(start + rows, m + 1), dtype=float)[:, None]
+            exps = [b1 * m1 + b2 * m2 + la for b1, b2, la in betas]
+            vals = _masked_bump_values(trial, exps,
+                                       (len(m1), len(m2))).ravel()
+            cell = np.flatnonzero(vals != 0)   # faster than a float scan
+            i1, i2 = np.divmod(cell, len(m2))
+            idx = p1 * (i1 + start) + (p2 * i2 - offset)
+            w = w + np.bincount(idx, weights=vals[cell], minlength=size)
+        live = np.flatnonzero(w != 0)
+        freqs = (live.astype(float) + offset) * g / q
+        sups.append(_sup_over_t(freqs, w[live], ts, denom) if live.size
+                    else 0.0)
+    return sups
 
 
 @dataclass
@@ -762,17 +757,13 @@ def oscillatory_sum_bound(trial: SumBoundTrial,
         denom = _denominator_single(float(trial.alphas[0]), ts)
         keep = denom >= 0.1
     else:
-        denom = _rho_double(trial, ts)
-        keep = _rho_double_min_factor(trial, ts) >= 0.1
+        denom, low = _rho_double(trial, ts)
+        keep = low >= 0.1
     ts, denom = ts[keep][:t_count], denom[keep][:t_count]
     if len(ts) < max(8, t_count // 8):
         raise ValueError("could not sample enough t away from denominator zeros")
     norm = _norm_of(trial)
-    ratios = []
-    for m in levels:
-        sup = (_f_single_sup(trial, m, ts, denom) if trial.kind == "single"
-               else _f_double_sup(trial, m, ts, denom))
-        ratios.append(sup / norm)
+    ratios = [sup / norm for sup in _level_sups(trial, levels, ts, denom)]
     running = []
     acc = 0.0
     for r in ratios:

@@ -9,7 +9,7 @@ pairwise disjoint.  No floating point enters the symbolic path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -335,12 +335,18 @@ def refine_interval(p: UniPoly, lo: Fraction, hi: Fraction,
 
 @dataclass(frozen=True)
 class RootRecord:
-    """One real root: exact value or isolating interval, with multiplicity."""
+    """One real root: exact value or isolating interval, with multiplicity.
+
+    An irrational root also carries ``factor``, the square-free factor of its
+    multiplicity with the rational roots divided out; it vanishes on the
+    interval and takes no part in record equality.
+    """
 
     multiplicity: int
     value: Optional[Fraction] = None
     interval: Optional[tuple[Fraction, Fraction]] = None
     sign_of_variable: str = "+"
+    factor: Optional[UniPoly] = field(default=None, compare=False, repr=False)
 
     @property
     def is_rational(self) -> bool:
@@ -402,7 +408,7 @@ def squarefree_real_roots(p: UniPoly, sign_of_variable: str = "+") -> list[RootR
                     changed = True
     for f, lo, hi, mult in pending:
         records.append(RootRecord(multiplicity=mult, interval=(lo, hi),
-                                  sign_of_variable=sign_of_variable))
+                                  sign_of_variable=sign_of_variable, factor=f))
     records.sort(key=lambda r: r.value if r.value is not None
                  else (r.interval[0] + r.interval[1]) / 2)
     return records

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adapted import AdaptednessVerdict, _shear_root, _witness_factor, is_adapted
+from .adapted import AdaptednessVerdict, _shear_root, is_adapted
 from .errors import AlgebraicRootHalt, InternalInvariantError
 from .geometry import (EdgeData, NewtonPolyhedron, Weight,
                        kappa_principal_part)
@@ -122,7 +122,7 @@ def adapted_coordinates(phi: PuiseuxPoly, max_steps: int = 64,
                 f"non-adapted face with non-integer ratio {a}")
         if last_a is not None and a <= last_a:
             raise InternalInvariantError("shear exponents failed to increase")
-        b = _shear_root(cur, verdict, "adapted-coordinate shear")
+        b = _shear_root(verdict, "adapted-coordinate shear")
         term = PuiseuxPoly.monomial(b, a, 0)
         jet = jet + term
         cur = cur.shear_substitute(term)
@@ -274,7 +274,7 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
     for rec in shear_roots:
         prefix = steps + tuple(level_steps)
         if not rec.is_rational:
-            halt = AlgebraicRootHalt(rec.interval, _witness_factor(u, rec),
+            halt = AlgebraicRootHalt(rec.interval, rec.factor,
                                      rec.multiplicity, context="fine splitting")
             out.append(SplittingTrace(prefix + (SplitStep(
                 level, w, a, None, rec.multiplicity, "Case3_shear"),),

@@ -2,10 +2,11 @@
 
 ``golden.json`` maps ``"<command>|<expression>"`` to ``"<exit code>:<sha256>"``
 for the ``analyze``, ``knapp``, ``trace`` and ``diagram`` subcommands of
-``nrestrict.cli.main``, over the 26 acceptance inputs and the first ladder
-rungs.  The digest is of the written output file on exit 0 and of stderr
-otherwise.  ``tests/test_golden.py`` recomputes every entry and requires the
-bytes to be unchanged.
+``nrestrict.cli.main``, over the 26 acceptance inputs, the first ladder rungs
+and one input whose reports carry an algebraic-root halt.  The digest is of
+the written output file on exit 0 and of stderr otherwise.
+``tests/test_golden.py`` recomputes every entry and requires the bytes to be
+unchanged.
 
 Regenerate the file only when an output change is intended::
 
@@ -35,7 +36,10 @@ ACCEPTANCE = ([EX122] + [f"(x2 - x1^{m})^{n}" for m, n in POWER_CASES]
 LADDER = [f"(x2 - x1^2 - x1^3)^{n}*(x2 - x1^2 - x1^4) + x1^({4 * n + 7})"
           for n in (2, 4, 6, 8)]
 
-INPUTS = ACCEPTANCE + LADDER
+#: irrational multiple roots: the reports carry an algebraic-root halt record
+HALT = ["((x2 - x1^2)^2 - 2*x1^6)^2"]
+
+INPUTS = ACCEPTANCE + LADDER + HALT
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden.json")

@@ -11,6 +11,7 @@ from nrestrict.report import analyze
 from nrestrict.splitting import RootJet
 
 from make_golden import ACCEPTANCE
+from test_adapted import _record_judgements
 
 
 def P(text):
@@ -129,6 +130,20 @@ class TestJetSampling:
         assert samp.sup_found == samp.bound == 4
         assert len(samp.samples) >= 50
         assert all(s.value <= samp.bound for s in samp.samples)
+
+    def test_nonadapted_input_is_judged_once(self, monkeypatch):
+        judged, _linear = _record_judgements(monkeypatch)
+        samp = h_r_tilde_sample(P("(x2 - x1^2)^2 + x1^5"))
+        assert samp.bound_kind == "r_height"
+        polys = [phi for phi, _verdict in judged]
+        assert len(polys) == len(set(polys))
+
+    def test_rejected_inputs_keep_their_errors(self):
+        with pytest.raises(ValueError, match="integer-exponent"):
+            h_r_tilde_sample(P("(x2 - x1^2)^2 + x1^(9/2)"))
+        with pytest.raises(ValueError, match="linearly adapted"):
+            h_r_tilde_sample(P("(x2 + 2*x1 - x1^2)^2 + x1^5"))
+        assert h_r_tilde_sample(P("x1^(3/2) + x2^2")).bound_kind == "distance"
 
     def test_adapted_compact_face(self):
         samp = h_r_tilde_sample(P("x1^4 + x2^2"))

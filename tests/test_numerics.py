@@ -1,16 +1,22 @@
+import importlib.util
 import math
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from nrestrict import numerics
+from nrestrict.errors import QuadratureError
 from nrestrict.exponents import critical_exponent, knapp_certificates_all
-from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, _poly_xy_eval,
-                                bump,
+from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, _level_sups,
+                                _masked_bump_values, _poly_xy_eval,
+                                _sup_over_t, bump,
                                 airy_prefactor_scan, airy_scaling_check,
                                 dominance_decay, dominance_probe,
                                 knapp_box_probe, lambda_grid, log_log_fit,
-                                oscillatory_integral_1d, oscillatory_sum_bound,
+                                oscillatory_integral_1d,
+                                oscillatory_integral_2d, oscillatory_sum_bound,
                                 random_double_trial, random_single_trial,
                                 reference_double_trial, smooth_plateau,
                                 surface_decay_fit, van_der_corput_fit)
@@ -50,6 +56,27 @@ class TestQuadrature:
                 lambda s: s ** 3, lambda s: bump(s), -1.0, 1.0, lam,
                 tau=math.pi / 2))
             assert abs(a - b) <= 0.01 * max(a, 1e-12)
+
+    def test_separable_2d_is_product_of_1d(self):
+        # one cell tree serves both entry points: for a separable phase and a
+        # tensor amplitude the 2-D integral factorizes into two 1-D ones
+        for lam in (50.0, 200.0):
+            ix = oscillatory_integral_1d(lambda x: x * x, bump, -1.0, 1.0, lam)
+            iy = oscillatory_integral_1d(lambda y: y ** 3 - y / 2, bump,
+                                         -1.0, 1.0, lam)
+            i2 = oscillatory_integral_2d(
+                lambda x, y: x * x + y ** 3 - y / 2,
+                lambda x, y: bump(x) * bump(y), (-1.0, 1.0, -1.0, 1.0), lam)
+            assert abs(i2 - ix * iy) <= 1e-6 * abs(ix * iy), lam
+
+    def test_cell_budget_names_the_dimension(self):
+        with pytest.raises(QuadratureError, match="1-D"):
+            oscillatory_integral_1d(lambda s: s * s, bump, -1.0, 1.0, 1e5,
+                                    max_cells=10)
+        with pytest.raises(QuadratureError, match="2-D"):
+            oscillatory_integral_2d(lambda x, y: x * x + y * y,
+                                    lambda x, y: bump(x) * bump(y),
+                                    (-1.0, 1.0, -1.0, 1.0), 1e4, max_cells=10)
 
 
 class TestVanDerCorput:
@@ -160,6 +187,26 @@ class TestSumBounds:
                                     levels=[2 ** k for k in range(6, 11)])
         assert res.max_growth <= 1.10
 
+    def test_single_sweep_matches_per_index_sum(self):
+        # the bucketed sweep runs a single trial as a double sum with its
+        # second index fixed at 0; one index per frequency is the direct sum
+        ts = np.linspace(0.2, 6.0, 96)
+        for i in range(4):
+            trial = random_single_trial(1000 + i)
+            alpha = float(trial.alphas[0])
+            denom = np.abs(np.exp(1j * numerics.LN2 * alpha * ts) - 1.0)
+            levels = (1024, 4096)
+            got = _level_sups(trial, levels, ts, denom)
+            for m, sup in zip(levels, got):
+                ls = np.arange(m + 1, dtype=float)
+                exps = [float(b[0]) * ls + la
+                        for b, la in zip(trial.betas, trial.log2_a)]
+                h = _masked_bump_values(trial, exps, (m + 1,))
+                live = np.nonzero(h)[0]
+                want = (_sup_over_t(alpha * live, h[live], ts, denom)
+                        if live.size else 0.0)
+                assert sup == pytest.approx(want, rel=1e-9, abs=1e-12), (i, m)
+
     def test_reference_vectors_satisfy_independence(self):
         trial = reference_double_trial()
         a1, a2 = trial.alphas
@@ -252,3 +299,22 @@ class TestLogLogFit:
         assert exp == pytest.approx(0.37, abs=1e-9)
         assert resid < 1e-12
 
+
+class TestNumpyFloor:
+    def test_trapz_fallback_when_trapezoid_is_missing(self, monkeypatch):
+        # simulates numpy 1.24-1.26, which has ``trapz`` and no ``trapezoid``,
+        # by loading a separate copy of the module against a patched numpy;
+        # this is not a run on numpy 1.x itself
+        def trapz(*args, **kwargs):
+            raise AssertionError("not called")
+
+        monkeypatch.delattr(np, "trapezoid", raising=False)
+        monkeypatch.setattr(np, "trapz", trapz, raising=False)
+        name = "nrestrict._numerics_numpy_floor"
+        spec = importlib.util.spec_from_file_location(name, numerics.__file__)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        assert module._trapezoid is trapz
+        assert module is not numerics
+        assert numerics._trapezoid is not trapz
