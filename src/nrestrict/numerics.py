@@ -3,10 +3,15 @@
 Quadrature strategy: one cell tree serves 1-D and 2-D integrals.  It
 subdivides the box dyadically until the phase varies by less than a fixed
 budget per cell, then applies fixed-order tensor Gauss-Legendre per cell; no
-Filon/Levin machinery.  The two-variable surface probe first tries exact
-symbolic reductions (pure-x2 phase after the adapted shear, or a separable
-phase with the tensor cutoff); the direct 2-D tree is kept as a fallback for
-moderate frequencies and raises once its cell budget is exceeded.
+Filon/Levin machinery.  A decay fit builds one tree per frequency ladder
+(``lam`` may be an array): the tree is refined as for the largest |lam|, and a
+cell counts toward each lam exactly when a run at that lam alone would
+integrate it, that is when its own probed variation is fine at lam and the
+smallest variation among its strict ancestors is not.  The two-variable
+surface probe first tries exact symbolic reductions (pure-x2 phase after the
+adapted shear, or a separable phase with the tensor cutoff); the direct 2-D
+tree is kept as a fallback for moderate frequencies and raises once its cell
+budget is exceeded.  Each surface fit records the path it took in ``meta``.
 
 Sum strategy: one sweep serves single and double oscillatory sums.  It
 buckets the coefficients by integerized frequency, a single sum being the
@@ -72,24 +77,31 @@ _CELL_CHUNK = 8192
 
 
 def oscillatory_integral_1d(phase: Callable, amp: Callable,
-                            lo: float, hi: float, lam: float,
+                            lo: float, hi: float,
+                            lam: float | Sequence[float],
                             tau: float = math.pi, gl_order: int = 16,
-                            max_cells: int = 4_000_000) -> complex:
+                            max_cells: int = 4_000_000) -> complex | np.ndarray:
     """integral of exp(i*lam*phase(s)) * amp(s) over [lo, hi].
 
     Cells are bisected until the phase, probed at 7 points, varies by at
-    most ``tau`` radians, then integrated with fixed-order Gauss-Legendre.
-    ``phase`` and ``amp`` must accept numpy arrays.
+    most ``tau / |lam|``, then integrated with fixed-order Gauss-Legendre.
+    ``phase`` and ``amp`` must accept numpy arrays.  A scalar ``lam`` gives a
+    complex; a 1-D sequence of frequencies (any order, repeats allowed) gives
+    an array with one integral per frequency, all read off one cell tree
+    (see ``_cell_tree``) and each equal to its own scalar call up to the
+    order of summation.
     """
     return _cell_tree(phase, amp, (lo, hi), lam, tau, gl_order, max_cells, 7)
 
 
 def oscillatory_integral_2d(phase: Callable, amp: Callable,
-                            box: tuple[float, float, float, float], lam: float,
+                            box: tuple[float, float, float, float],
+                            lam: float | Sequence[float],
                             tau: float = 2 * math.pi, gl_order: int = 8,
-                            max_cells: int = 400_000) -> complex:
+                            max_cells: int = 400_000) -> complex | np.ndarray:
     """Direct 2-D analogue of the 1-D rule over ``box = (x0, x1, y0, y1)``:
-    quadtree refinement with a 4x4 phase probe per cell.
+    quadtree refinement with a 4x4 phase probe per cell.  ``lam`` is a
+    scalar or a 1-D sequence, as in ``oscillatory_integral_1d``.
 
     Cost grows like lam^2, so this is the fallback path for moderate
     frequencies only; the cell budget guards against runaway refinement.
@@ -98,25 +110,40 @@ def oscillatory_integral_2d(phase: Callable, amp: Callable,
 
 
 def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
-               lam: float, tau: float, gl_order: int, max_cells: int,
-               probes: int) -> complex:
+               lam: float | Sequence[float], tau: float, gl_order: int,
+               max_cells: int, probes: int) -> complex | np.ndarray:
     """integral of exp(i*lam*phase) * amp over the axis-aligned box
-    ``(lo_0, hi_0, ..., lo_dim-1, hi_dim-1)``; ``phase`` and ``amp`` take
-    one coordinate array per axis.
+    ``(lo_0, hi_0, ..., lo_dim-1, hi_dim-1)`` for every frequency in ``lam``;
+    ``phase`` and ``amp`` take one coordinate array per axis.
 
     Each cell probes the phase on a tensor grid of ``probes`` points per
-    axis.  A cell whose probed variation times |lam| is at most ``tau`` is
-    integrated with tensor Gauss-Legendre; every other cell splits into
-    2^dim children.  A level is processed in chunks of ``_CELL_CHUNK`` cells,
-    so the per-node arrays stay small however many cells it holds.
+    axis; its probed variation v does not depend on the frequency.  A run at
+    one frequency integrates a cell with tensor Gauss-Legendre when
+    |lam| * v <= tau and splits it into 2^dim children otherwise.  One tree,
+    refined as a run at max |lam| refines it, serves every frequency: a cell
+    counts toward lam iff |lam| * v <= tau < |lam| * (the smallest v of its
+    strict ancestors), which is iff a run at lam alone integrates it.  The
+    minimum runs over all strict ancestors, not just the parent, because a
+    child's probe can show more variation than its parent's did.  Phase and
+    amplitude are evaluated once per integrated cell; only exp(i*lam*phase)
+    is computed per frequency.  The cell budget and the depth cap apply to
+    this one tree, so they trip exactly when a run at max |lam| would.  A
+    level is processed in chunks of ``_CELL_CHUNK`` cells, so the per-node
+    arrays stay small however many cells it holds.
     """
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lams.ndim != 1:
+        raise ValueError("lam must be a number or a 1-D sequence")
+    scale = np.abs(lams)
+    top = np.max(scale, initial=0.0)
     dim = len(box) // 2
     nodes, weights = _gl(gl_order)
     probe = _tensor_grid(np.linspace(0.0, 1.0, probes), dim)
     node = _tensor_grid(nodes, dim)
     w = np.prod(_tensor_grid(weights, dim), axis=0)
     cells = np.array([box], dtype=float)
-    total = 0.0 + 0.0j
+    anc = np.array([np.inf])   # smallest probed variation of strict ancestors
+    totals = [0.0 + 0.0j] * len(lams)
     processed = 0
     for _depth in range(80):
         processed += len(cells)
@@ -124,25 +151,39 @@ def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
             raise QuadratureError(
                 f"cell budget exceeded in {dim}-D quadrature; "
                 "use a symbolic reduction or a smaller frequency")
-        coarse = []
+        coarse, coarse_anc = [], []
         for start in range(0, len(cells), _CELL_CHUNK):
             chunk = cells[start:start + _CELL_CHUNK]
+            chunk_anc = anc[start:start + _CELL_CHUNK]
             lo, hi = chunk[:, 0::2], chunk[:, 1::2]
             ph = np.asarray(phase(*[lo[:, d, None] + (hi - lo)[:, d, None]
                                     * probe[d] for d in range(dim)]))
-            fine = abs(lam) * (ph.max(axis=1) - ph.min(axis=1)) <= tau
-            if fine.any():
-                half = 0.5 * (hi[fine] - lo[fine])
-                mid = 0.5 * (hi[fine] + lo[fine])
+            var = ph.max(axis=1) - ph.min(axis=1)
+            # fine at lam, and no strict ancestor was (a nan never is)
+            take = ((scale * var[:, None] <= tau)
+                    & ~(scale * chunk_anc[:, None] <= tau))
+            hit = take.any(axis=1)
+            if hit.any():
+                take = take[hit]
+                half = 0.5 * (hi[hit] - lo[hit])
+                mid = 0.5 * (hi[hit] + lo[hit])
                 x = [mid[:, d, None] + half[:, d, None] * node[d]
                      for d in range(dim)]
-                vals = amp(*x) * np.exp(1j * lam * np.asarray(phase(*x)))
-                total += complex(np.sum((vals @ w) * np.prod(half, axis=1)))
-            coarse.append(chunk[~fine])
+                f = np.asarray(phase(*x))
+                a = np.broadcast_to(amp(*x), f.shape)
+                size = np.prod(half, axis=1)
+                for j in np.flatnonzero(take.any(axis=0)):
+                    sel = take[:, j]
+                    vals = a[sel] * np.exp(1j * float(lams[j]) * f[sel])
+                    totals[j] += complex(np.sum((vals @ w) * size[sel]))
+            keep = ~(top * var <= tau)
+            coarse.append(chunk[keep])
+            coarse_anc.append(np.fmin(chunk_anc[keep], var[keep]))
         cells = np.concatenate(coarse)
         if not len(cells):
-            return total
+            return totals[0] if np.ndim(lam) == 0 else np.array(totals)
         cells = _split(cells)
+        anc = np.tile(np.concatenate(coarse_anc), 2 ** dim)
     raise QuadratureError(f"{dim}-D quadrature did not converge (depth cap)")
 
 
@@ -220,13 +261,21 @@ class DecayFit:
         }
 
 
-def _make_fit(phase_desc: str, lams, mags, expected, tol, mode="match",
-              residual_cap: float = 0.02, meta=None) -> DecayFit:
+def _check_grid(lams) -> np.ndarray:
+    """The frequency grid as floats, once it is known to be strictly
+    increasing over at least two decades; every fit checks its grid with
+    this before it integrates anything."""
     lams = np.asarray(lams, dtype=float)
     if not np.all(np.diff(lams) > 0):
         raise ValueError("frequency grid must be strictly increasing")
     if math.log10(lams[-1] / lams[0]) < 2 - 1e-9:
         raise ValueError("frequency grid must span at least two decades")
+    return lams
+
+
+def _make_fit(phase_desc: str, lams, mags, expected, tol, mode="match",
+              residual_cap: float = 0.02, meta=None) -> DecayFit:
+    """The fit of ``mags`` over a grid already passed by ``_check_grid``."""
     exponent, resid = log_log_fit(lams, mags)
     if mode == "at_least":
         verdict = "pass" if (expected is None or exponent >= expected) else "fail"
@@ -273,8 +322,8 @@ def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
         lams = lambda_grid(1e2, 1e5, 40)
     if math.log10(lams[-1] / lams[0]) < 3 - 1e-9:
         raise ValueError("frequency grid must span at least three decades")
-    mags = [abs(oscillatory_integral_1d(phase, amp, lo, hi, lam, tau))
-            for lam in lams]
+    lams = _check_grid(lams)
+    mags = np.abs(oscillatory_integral_1d(phase, amp, lo, hi, lams, tau))
     if expected is None:
         expected = 1.0 / m
     return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, expected, tolerance)
@@ -349,13 +398,14 @@ def airy_scaling_check(u: float, b: float = 1.0, deg: int = 3,
     else:
         regime, expected, tol, mode = "straddling", None, 0.0, "match"
 
+    lams = _check_grid(lams)
+
     def phase(t):
         return b * t ** deg - u * t
 
     amp = lambda t: smooth_plateau(t / half_width, plateau)
-    mags = [abs(oscillatory_integral_1d(phase, amp, -half_width, half_width,
-                                        lam, tau=math.pi))
-            for lam in lams]
+    mags = np.abs(oscillatory_integral_1d(phase, amp, -half_width, half_width,
+                                          lams, tau=math.pi))
     fit = _make_fit(f"{b}*t^{deg} - {u}*t", lams, mags, expected,
                     tol, mode, residual_cap=0.02 if mode == "match" else 10.0)
     fit.meta["regime"] = regime
@@ -414,7 +464,10 @@ def surface_decay_fit(phi: PuiseuxPoly,
     off the principal root jet, which is measure preserving) integrates the
     other variable into a smooth amplitude; a separable phase with the tensor
     cutoff factorizes.  Otherwise the direct 2-D tree runs with a hard cell
-    budget.
+    budget.  ``meta["reduction"]`` names the path taken (``pure_x2``,
+    ``sheared``, ``separable`` or ``direct_2d``); a direct 2-D fit also
+    carries ``meta["fallback"]``, why no reduction applied.  Every path
+    integrates the whole grid from one cell tree.
     """
     xi = tuple(Fraction(c) for c in direction)
     if all(c == 0 for c in xi):
@@ -431,18 +484,18 @@ def surface_decay_fit(phi: PuiseuxPoly,
         from .adapted import height
         expected = 1.0 / float(height(phi)[0])
 
-    reduced = _reduce_phase(phase_poly, half_width)
+    lams = _check_grid(lams)
+    meta, reduced = _reduce_phase(phase_poly, half_width)
     if reduced is not None:
-        mags = [reduced(lam, tau) for lam in lams]
-        return _make_fit(desc, lams, mags, expected, tolerance)
-
-    # fallback: direct 2-D quadrature (moderate lam only)
-    fphi = _poly_xy_eval(phase_poly)
-    amp = lambda x, y: bump(x / half_width) * bump(y / half_width)
-    box = (-half_width, half_width, -half_width, half_width)
-    mags = [abs(oscillatory_integral_2d(fphi, amp, box, lam, tau=2 * math.pi))
-            for lam in lams]
-    return _make_fit(desc, lams, mags, expected, tolerance)
+        mags = reduced(lams, tau)
+    else:
+        # fallback: direct 2-D quadrature (moderate lam only)
+        fphi = _poly_xy_eval(phase_poly)
+        amp = lambda x, y: bump(x / half_width) * bump(y / half_width)
+        box = (-half_width, half_width, -half_width, half_width)
+        mags = np.abs(oscillatory_integral_2d(fphi, amp, box, lams,
+                                              tau=2 * math.pi))
+    return _make_fit(desc, lams, mags, expected, tolerance, meta=meta)
 
 
 def _poly_xy_eval(p: PuiseuxPoly) -> Callable:
@@ -462,21 +515,24 @@ def _poly_xy_eval(p: PuiseuxPoly) -> Callable:
     return f
 
 
-def _reduce_phase(phase_poly: PuiseuxPoly, hw: float) -> Optional[Callable]:
+def _reduce_phase(phase_poly: PuiseuxPoly,
+                  hw: float) -> tuple[dict, Optional[Callable]]:
     """Try to express |I(lam)| through 1-D oscillatory integrals.
 
-    Returns a callable (lam, tau) -> magnitude, or None if no exact
-    reduction applies.
+    Returns the path taken, as the fit's ``meta``, and a callable
+    (lams, tau) -> magnitudes; the callable is None when no exact reduction
+    applies and the direct 2-D tree has to run.
     """
-    # pure x2 already?
-    if not phase_poly.depends_on_x1():
-        return _pure_x2_reduction(phase_poly, None, hw)
+    # pure x2 already, or after swapping the variables?
     if not phase_poly.depends_on_x2():
-        swapped = phase_poly.swap_variables()
-        return _pure_x2_reduction(swapped, None, hw)
+        phase_poly = phase_poly.swap_variables()
+    if not phase_poly.depends_on_x1():
+        return ({"reduction": "pure_x2"},
+                _pure_x2_reduction(phase_poly, None, hw))
     # separable with tensor cutoff
     if all(e1 == 0 or e2 == 0 for (e1, e2) in phase_poly.support()):
-        return _separable_reduction(phase_poly, hw)
+        return ({"reduction": "separable"},
+                _separable_reduction(phase_poly, hw))
     # shear off the principal root jet when it is an integer-exponent jet
     if phase_poly.ramification == 1:
         try:
@@ -487,10 +543,12 @@ def _reduce_phase(phase_poly: PuiseuxPoly, hw: float) -> Optional[Callable]:
                     and verdict.weight.a.denominator == 1 and verdict.weight.a >= 2:
                 ac = adapted_coordinates(phase_poly, verdict=verdict)
                 if not ac.phi_a.depends_on_x1():
-                    return _pure_x2_reduction(ac.phi_a, ac.psi.to_poly(), hw)
+                    return {"reduction": "sheared"}, _pure_x2_reduction(
+                        ac.phi_a, ac.psi.to_poly(), hw)
         except AlgebraicRootHalt:
-            return None
-    return None
+            return {"reduction": "direct_2d",
+                    "fallback": "algebraic_root_halt"}, None
+    return {"reduction": "direct_2d", "fallback": "no_reduction"}, None
 
 
 def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
@@ -523,8 +581,9 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
 
         g_fn = amp_interp
 
-    def run(lam: float, tau: float) -> float:
-        return abs(oscillatory_integral_1d(phase, g_fn, -y_max, y_max, lam, tau))
+    def run(lams: np.ndarray, tau: float) -> np.ndarray:
+        return np.abs(oscillatory_integral_1d(phase, g_fn, -y_max, y_max,
+                                              lams, tau))
 
     return run
 
@@ -539,10 +598,10 @@ def _separable_reduction(phase_poly: PuiseuxPoly, hw: float) -> Callable:
     fv = lambda y: v_xy(0.0, y)
     w = lambda x: bump(np.asarray(x) / hw)
 
-    def run(lam: float, tau: float) -> float:
-        ix = oscillatory_integral_1d(fu, w, -hw, hw, lam, tau)
-        iy = oscillatory_integral_1d(fv, w, -hw, hw, lam, tau)
-        return abs(ix * iy)
+    def run(lams: np.ndarray, tau: float) -> np.ndarray:
+        ix = oscillatory_integral_1d(fu, w, -hw, hw, lams, tau)
+        iy = oscillatory_integral_1d(fv, w, -hw, hw, lams, tau)
+        return np.abs(ix * iy)
 
     return run
 

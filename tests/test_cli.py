@@ -204,6 +204,13 @@ class TestCommands:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_decay_grid_checked_before_integrating(self, capsys):
+        rc = cli.main(["decay", "x1^2 + x2^2", "--lambda-min", "1e6",
+                       "--lambda-max", "1e4", "--points", "8"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: frequency grid must be strictly increasing\n")
+
 
 class TestHaltSurfacing:
     def test_halted_branches_appear_in_the_report(self):

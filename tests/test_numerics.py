@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrestrict import numerics
 from nrestrict.errors import QuadratureError
@@ -79,6 +81,112 @@ class TestQuadrature:
                                     (-1.0, 1.0, -1.0, 1.0), 1e4, max_cells=10)
 
 
+def _ladders(bound):
+    """1-6 nonzero frequencies in [-bound, bound], unsorted, repeats allowed."""
+    return (st.lists(st.floats(-bound, bound), min_size=1, max_size=6)
+            .map(lambda v: [x for x in v if x != 0]).filter(bool))
+
+
+class TestFrequencyLadder:
+    """One cell tree serves a whole frequency ladder; each frequency gets
+    the partition a scalar call from the root would build, so the results
+    differ only in the order of summation."""
+
+    @staticmethod
+    def _1d(lam, **kw):
+        return oscillatory_integral_1d(lambda s: s ** 3 - s / 2, bump,
+                                       -1.0, 1.0, lam, **kw)
+
+    @staticmethod
+    def _2d(lam, **kw):
+        return oscillatory_integral_2d(lambda x, y: x * x + y ** 3 - y / 2,
+                                       lambda x, y: bump(x) * bump(y),
+                                       (-0.5, 0.5, -0.25, 0.25), lam, **kw)
+
+    # the absolute floor is the rounding level of a sum of O(1) terms, for a
+    # frequency that happens to sit near a zero of the integral
+    @given(_ladders(3e3))
+    @settings(max_examples=60, deadline=None)
+    def test_1d_ladder_equals_scalar_calls(self, lams):
+        ladder = self._1d(lams)
+        assert isinstance(ladder, np.ndarray) and ladder.shape == (len(lams),)
+        scalars = [self._1d(lam) for lam in lams]
+        assert list(ladder) == pytest.approx(scalars, rel=1e-12, abs=1e-15)
+
+    @given(_ladders(200.0))
+    @settings(max_examples=30, deadline=None)
+    def test_2d_ladder_equals_scalar_calls(self, lams):
+        ladder = self._2d(lams)
+        assert ladder.shape == (len(lams),)
+        scalars = [self._2d(lam) for lam in lams]
+        assert list(ladder) == pytest.approx(scalars, rel=1e-12, abs=1e-15)
+
+    def test_acceptance_uses_every_strict_ancestor(self):
+        # on [0, 1/2] the probes sit on zeros of sin(12 pi s), so that cell
+        # varies by 1/2 and is integrated at lam = 5; its child [0, 1/4]
+        # probes the sine's peaks and varies by more.  Checking only the
+        # parent would count the grandchildren toward lam = 5 a second time.
+        phase = lambda s: s + np.sin(12 * np.pi * s)
+        one = lambda s: np.ones_like(s)
+        lams = [5.0, 50.0]
+        ladder = oscillatory_integral_1d(phase, one, 0.0, 1.0, lams)
+        scalars = [oscillatory_integral_1d(phase, one, 0.0, 1.0, lam)
+                   for lam in lams]
+        assert list(ladder) == pytest.approx(scalars, rel=1e-12, abs=1e-15)
+
+    def test_scalar_lam_returns_complex(self):
+        for lam in (300.0, np.float64(300.0), 300):
+            assert type(self._1d(lam)) is complex
+            assert type(self._2d(lam)) is complex
+        assert self._1d([300.0]).shape == (1,)
+
+    def test_cell_budget_is_that_of_the_largest_frequency(self):
+        # a scalar call at 1e4 needs 18711 cells, at 2e3 3799
+        with pytest.raises(QuadratureError) as scalar:
+            self._1d(-1e4, max_cells=5000)
+        with pytest.raises(QuadratureError) as ladder:
+            self._1d([2e3, -1e4, 1e3], max_cells=5000)
+        assert str(ladder.value) == str(scalar.value)
+        lams = [2e3, 1e3, -2e3]
+        assert list(self._1d(lams, max_cells=5000)) == pytest.approx(
+            [self._1d(lam) for lam in lams], rel=1e-12, abs=1e-15)
+
+    def test_airy_opposite_sign_matches_scalar_calls(self):
+        # magnitudes at rounding level (down to ~1e-16): the fit most
+        # sensitive to the order of summation, held to the benchmark's
+        # relative tolerance
+        fit = airy_scaling_check(-0.5)
+        phase = lambda t: 1.0 * t ** 3 - (-0.5) * t
+        amp = lambda t: smooth_plateau(t / 1.0, 0.5)
+        scalars = [abs(oscillatory_integral_1d(phase, amp, -1.0, 1.0, lam,
+                                               tau=math.pi))
+                   for lam in fit.lambda_grid]
+        assert fit.magnitudes == pytest.approx(scalars, rel=1e-6, abs=0)
+
+    def test_grid_is_checked_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("integrated before the grid check")
+
+        monkeypatch.setattr(numerics, "_cell_tree", no_quadrature)
+        down = lambda_grid(1e6, 1e4, 8)
+        short = lambda_grid(1e2, 1e3, 8)
+        calls = [
+            lambda g: surface_decay_fit(P("x1^2 + x2^2"), (0, 0, 1), lams=g),
+            lambda g: numerics.decay_catalogue(g),
+            lambda g: airy_scaling_check(0.0, lams=g),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="strictly increasing"):
+                call(down)
+            with pytest.raises(ValueError, match="two decades"):
+                call(short)
+        with pytest.raises(ValueError, match="three decades"):
+            van_der_corput_fit(2, [0, 0, 1], lams=down)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            van_der_corput_fit(2, [0, 0, 1],
+                               lams=np.array([1e2, 1e4, 1e3, 1e5]))
+
+
 class TestVanDerCorput:
     def test_monomials_and_monotonicity(self):
         fits = {}
@@ -146,6 +254,20 @@ class TestSurfaceDecay:
         direct = abs(oscillatory_integral_2d(f, amp, (-hw, hw, -hw, hw), lam))
         fit = surface_decay_fit(phi, (0, 0, 1), lams=np.geomspace(4.0, lam, 5))
         assert direct == pytest.approx(fit.magnitudes[-1], rel=0.01)
+
+    def test_reports_the_path_taken(self):
+        fits = numerics.decay_catalogue(SHORT)
+        assert [f.meta for f in fits] == [{"reduction": "sheared"},
+                                         {"reduction": "sheared"},
+                                         {"reduction": "separable"}]
+        assert surface_decay_fit(P("x2^4"), lams=SHORT).meta == {
+            "reduction": "pure_x2"}
+        # no reduction applies: the direct 2-D tree runs, and says why
+        fit = surface_decay_fit(P("x1^3*x2 + x1*x2^3 + x1^2*x2^2"), (0, 0, 1),
+                                lams=np.geomspace(4.0, 400.0, 5))
+        assert fit.meta == {"reduction": "direct_2d",
+                            "fallback": "no_reduction"}
+        assert fit.to_json_dict()["meta"] == fit.meta
 
 
 class TestAiry:
