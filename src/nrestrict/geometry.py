@@ -1,8 +1,12 @@
 """Newton polyhedra and their line-intersection invariants.
 
-Everything here is exact: hull construction uses rational orientation
-predicates, and the two r-height computations (edge formula vs. the augmented
-polyhedron met by the shifted bisectrix) are asserted equal on every call.
+Everything here is exact, and the two r-height computations (edge formula
+vs. the augmented polyhedron met by the shifted bisectrix) are asserted equal
+on every call.  The hull runs on Python ints: support points are scaled onto
+an integer lattice (by the lcm of their denominators, or for a polynomial by
+its ramification along t1), which keeps every dominance test and every
+orientation sign, and only the vertices found are mapped back to their
+rational points.
 
 Conventions: points live in the exponent plane with coordinates (t1, t2);
 vertices are listed with t1 strictly increasing and t2 strictly decreasing;
@@ -12,6 +16,7 @@ a supporting line with weight ``kappa`` is ``k1*t1 + k2*t2 = 1`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -79,35 +84,44 @@ def taylor_support(phi: PuiseuxPoly) -> frozenset[Point]:
     return frozenset((e1, Fraction(e2)) for (e1, e2) in phi.support())
 
 
-def pareto_minimal(points: Iterable[Point]) -> list[Point]:
-    """Points not dominated by any other (p dominates q if p <= q in both)."""
-    pts = sorted(set(points))
-    out: list[Point] = []
-    best_t2: Fraction | None = None
-    for p in pts:  # t1 ascending, then t2 ascending
-        if best_t2 is None or p[1] < best_t2:
-            out.append(p)
-            best_t2 = p[1]
-    return out
+def _staircase_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Extreme points of conv(union of quadrants p + R+^2) for sorted,
+    distinct integer points.
 
-
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def hull_vertices(points: Iterable[Point]) -> list[Point]:
-    """Extreme points of conv(union of quadrants p + R+^2).
-
-    Pareto-minimal staircase first, then a monotone-chain scan keeping only
-    strictly convex corners (collinear interior points are dropped).
+    One pass keeps the Pareto-minimal staircase (t2 strictly dropping as t1
+    grows) and feeds it to a monotone-chain scan that keeps only strictly
+    convex corners (collinear interior points are dropped).
     """
-    stairs = pareto_minimal(points)
-    chain: list[Point] = []
-    for p in stairs:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+    chain: list[tuple[int, int]] = []
+    best_t2 = None
+    for p in points:  # t1 ascending, then t2 ascending
+        if best_t2 is not None and p[1] >= best_t2:
+            continue
+        best_t2 = p[1]
+        while len(chain) >= 2:
+            (o1, o2), (a1, a2) = chain[-2], chain[-1]
+            if (a1 - o1) * (p[1] - o2) - (a2 - o2) * (p[0] - o1) > 0:
+                break
             chain.pop()
         chain.append(p)
     return chain
+
+
+def _on_lattice(points: Iterable[Point]) -> dict[tuple[int, int], Point]:
+    """Map each distinct rational point, scaled by the lcm of all the
+    denominators, from its integer image back to itself."""
+    pts = list(dict.fromkeys(points))
+    den = 1
+    for p in pts:
+        for t in p:
+            den = math.lcm(den, t.denominator)
+    return {(int(p[0] * den), int(p[1] * den)): p for p in pts}
+
+
+def hull_vertices(points: Iterable[Point]) -> list[Point]:
+    """Extreme points of conv(union of quadrants p + R+^2)."""
+    scaled = _on_lattice(points)
+    return [scaled[v] for v in _staircase_hull(sorted(scaled))]
 
 
 def edge_weight(left: Point, right: Point) -> Weight:
@@ -122,11 +136,39 @@ class NewtonPolyhedron:
     """Vertices, compact edges and rays of a Newton(-Puiseux) polyhedron."""
 
     def __init__(self, support: Iterable[Point]):
-        support = list(support)
-        if not support:
+        scaled = _on_lattice(support)
+        if not scaled:
             raise ValueError("empty support")
-        self.support = sorted(set(support))
-        self.vertices: list[Point] = hull_vertices(self.support)
+        self._build(scaled)
+
+    @staticmethod
+    def of(phi: PuiseuxPoly) -> "NewtonPolyhedron":
+        """The Newton(-Puiseux) polyhedron of ``phi``'s Taylor support.
+
+        The support goes to the hull on the lattice ``(e1 * q, e2)`` of
+        ``phi``'s ramification ``q``, straight from the term keys.
+        """
+        if phi.is_zero():
+            raise ValueError("zero polynomial is not of finite type")
+        q = phi.ramification
+        t2s: dict[int, Fraction] = {}
+        scaled: dict[tuple[int, int], Point] = {}
+        for e1, e2 in phi.terms:
+            t2 = t2s.get(e2)
+            if t2 is None:
+                t2 = t2s[e2] = Fraction(e2)
+            scaled[(e1.numerator * (q // e1.denominator), e2)] = (e1, t2)
+        n = NewtonPolyhedron.__new__(NewtonPolyhedron)
+        n._build(scaled)
+        return n
+
+    def _build(self, scaled: dict[tuple[int, int], Point]) -> None:
+        """Fill in the polyhedron from its support on an integer lattice;
+        any positive scaling of each axis leaves the hull's points the same."""
+        lattice = sorted(scaled)
+        self.support = [scaled[p] for p in lattice]
+        self.vertices: list[Point] = [scaled[v]
+                                      for v in _staircase_hull(lattice)]
         self.edges: list[EdgeData] = [
             EdgeData(u, v, edge_weight(u, v))
             for u, v in zip(self.vertices, self.vertices[1:])
@@ -134,10 +176,6 @@ class NewtonPolyhedron:
         # rays: vertical above the first vertex, horizontal right of the last
         self.vertical_ray_present = self.vertices[0][0] > 0
         self.horizontal_level: Fraction = self.vertices[-1][1]
-
-    @staticmethod
-    def of(phi: PuiseuxPoly) -> "NewtonPolyhedron":
-        return NewtonPolyhedron(taylor_support(phi))
 
     # -- membership / supporting lines --------------------------------
 

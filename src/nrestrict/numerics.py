@@ -320,9 +320,9 @@ def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
         amp = lambda x: np.ones_like(np.asarray(x, dtype=float))
     if lams is None:
         lams = lambda_grid(1e2, 1e5, 40)
+    lams = _check_grid(lams)
     if math.log10(lams[-1] / lams[0]) < 3 - 1e-9:
         raise ValueError("frequency grid must span at least three decades")
-    lams = _check_grid(lams)
     mags = np.abs(oscillatory_integral_1d(phase, amp, lo, hi, lams, tau))
     if expected is None:
         expected = 1.0 / m
@@ -494,7 +494,7 @@ def surface_decay_fit(phi: PuiseuxPoly,
         amp = lambda x, y: bump(x / half_width) * bump(y / half_width)
         box = (-half_width, half_width, -half_width, half_width)
         mags = np.abs(oscillatory_integral_2d(fphi, amp, box, lams,
-                                              tau=2 * math.pi))
+                                              tau=2 * tau))
     return _make_fit(desc, lams, mags, expected, tolerance, meta=meta)
 
 

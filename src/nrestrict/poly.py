@@ -9,6 +9,14 @@ all operations are pure functions, so instances can be shared freely.
 The ramification index is not stored; it is the lcm of the ``e1`` denominators
 and is computed on demand (shears by ``x1^(p/q)`` therefore cost nothing
 extra).
+
+Terms are stored as ``(Fraction, int) -> Fraction``, but the two hot kernels,
+the product and the shear, run on Python ints: :meth:`PuiseuxPoly._scaled`
+puts every ``e1`` on the integer lattice ``e1 * q`` of a common ramification
+``q`` and every coefficient over one common denominator, the kernel adds and
+multiplies integer numerators only, and the result is turned back into
+``Fraction`` terms once, at the end.  Keys and values come out equal to the
+``Fraction`` arithmetic's, in the same insertion order.
 """
 
 from __future__ import annotations
@@ -142,6 +150,37 @@ class PuiseuxPoly:
             return Fraction(0)
         return max(e1 + e2 for (e1, e2) in self._terms)
 
+    # -- integer kernels ----------------------------------------------
+
+    def _scaled(self, q: int) -> tuple[int, list[tuple[int, int, int]]]:
+        """``(den, [(e1 * q, e2, c * den)])``: each ``e1`` on the integer
+        lattice of ramification ``q`` (a multiple of this one's), each
+        coefficient as an integer numerator over ``den``, the lcm of the
+        coefficient denominators.  The list keeps the term order."""
+        den = 1
+        for c in self._terms.values():
+            den = math.lcm(den, c.denominator)
+        return den, [(e1.numerator * (q // e1.denominator), e2,
+                      c.numerator * (den // c.denominator))
+                     for (e1, e2), c in self._terms.items()]
+
+    @staticmethod
+    def _from_scaled(terms: Iterable[tuple[tuple[int, int], int]], q: int,
+                     den: int) -> "PuiseuxPoly":
+        """Inverse of :meth:`_scaled`: ``((e, e2), n)`` becomes the term
+        ``(e/q, e2) -> n/den``; zero numerators are dropped."""
+        exps: dict[int, Fraction] = {}
+        out: dict[Exponent, Fraction] = {}
+        for (e, e2), n in terms:
+            if n:
+                e1 = exps.get(e)
+                if e1 is None:
+                    e1 = exps[e] = Fraction(e, q)
+                out[(e1, e2)] = Fraction(n, den)
+        poly = PuiseuxPoly.__new__(PuiseuxPoly)
+        poly._terms = out
+        return poly
+
     # -- ring operations ----------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -190,18 +229,28 @@ class PuiseuxPoly:
             return out
         if not isinstance(other, PuiseuxPoly):
             return NotImplemented
-        acc: dict[Exponent, Fraction] = {}
-        for (a1, a2), ca in self._terms.items():
-            for (b1, b2), cb in other._terms.items():
-                key = (a1 + b1, a2 + b2)
-                s = acc.get(key, Fraction(0)) + ca * cb
+        if not self._terms or not other._terms:
+            return PuiseuxPoly.zero()
+        q = math.lcm(self.ramification, other.ramification)
+        den_a, terms_a = self._scaled(q)
+        den_b, terms_b = other._scaled(q)
+        # pack (e1 * q, e2) into one int; e2 sums stay below the stride
+        stride = 1 + max(e2 for _e, e2, _n in terms_a) \
+            + max(e2 for _e, e2, _n in terms_b)
+        packed_b = [(e * stride + e2, n) for e, e2, n in terms_b]
+        acc: dict[int, int] = {}
+        for ea, a2, na in terms_a:
+            ka = ea * stride + a2
+            for kb, nb in packed_b:
+                key = ka + kb
+                s = acc.get(key, 0) + na * nb
                 if s:
                     acc[key] = s
                 elif key in acc:
                     del acc[key]
-        out = PuiseuxPoly.__new__(PuiseuxPoly)
-        out._terms = acc
-        return out
+        return PuiseuxPoly._from_scaled(
+            ((divmod(key, stride), n) for key, n in acc.items()),
+            q, den_a * den_b)
 
     __rmul__ = __mul__
 
@@ -236,8 +285,11 @@ class PuiseuxPoly:
 
         This is the classical Taylor shift by Horner's rule over the x2-rows
         ``phi = sum_k row_k(y1) * y2^k``: ``acc = acc * (y2 + f) + row_k``
-        from the top row down.  Inside the loop the x1 exponents are the
-        integers ``e1 * q`` for the common ramification ``q``.
+        from the top row down.  It runs on the integers of :meth:`_scaled`:
+        with ``phi = R / dp`` and ``f = F / df``, the loop keeps
+        ``A_k = df^(K-k) * acc_k``, so ``A_k = A_(k+1) * (df*y2 + F)
+        + df^(K-k) * R_k`` has integer rows and the result is
+        ``A_0 / (dp * df^K)`` for the top x2-degree ``K``.
         """
         if f.depends_on_x2():
             raise ValueError("shear function must depend on x1 only")
@@ -246,17 +298,24 @@ class PuiseuxPoly:
         if not self._terms:
             return PuiseuxPoly.zero()
         q = math.lcm(self.ramification, f.ramification)
-        rows: dict[int, dict[int, Fraction]] = {}
-        for (e1, e2), c in self._terms.items():
-            rows.setdefault(e2, {})[e1.numerator * (q // e1.denominator)] = c
-        shift = [(e1.numerator * (q // e1.denominator), c)
-                 for (e1, _e2), c in f._terms.items()]
-        # acc[j] is the x1-row of y2^j.  Multiplying by y2 moves row j to
-        # j + 1 as it is: row j is read in full before it becomes the target
-        # of row j + 1's product with f.
-        acc: list[dict[int, Fraction]] = []
-        for k in range(max(rows), -1, -1):
-            nxt = [rows.get(k, {})]
+        den, terms = self._scaled(q)
+        rows: dict[int, dict[int, int]] = {}
+        for e, e2, n in terms:
+            rows.setdefault(e2, {})[e] = n
+        df, f_terms = f._scaled(q)
+        shift = [(g, n) for g, _e2, n in f_terms]
+        top = max(rows)
+        # acc[j] is the x1-row of y2^j.  Multiplying by df*y2 moves row j to
+        # j + 1, scaled by df: row j is read in full, and scaled, before it
+        # becomes the target of row j + 1's product with F.
+        acc: list[dict[int, int]] = []
+        for k in range(top, -1, -1):
+            row_k = rows.get(k, {})
+            if df != 1 and k < top:
+                scale = df ** (top - k)
+                for e in row_k:
+                    row_k[e] *= scale
+            nxt = [row_k]
             for row in acc:
                 target = nxt[-1]
                 for e, c in row.items():
@@ -264,12 +323,14 @@ class PuiseuxPoly:
                         for g, gc in shift:
                             key = e + g
                             target[key] = target.get(key, 0) + c * gc
+                if df != 1:
+                    for e in row:
+                        row[e] *= df
                 nxt.append(row)
             acc = nxt
-        out = PuiseuxPoly.__new__(PuiseuxPoly)
-        out._terms = {(Fraction(e, q), e2): c
-                      for e2, row in enumerate(acc) for e, c in row.items() if c}
-        return out
+        return PuiseuxPoly._from_scaled(
+            (((e, e2), c) for e2, row in enumerate(acc) for e, c in row.items()),
+            q, den * df ** top)
 
     def linear_substitute(self, t: tuple) -> "PuiseuxPoly":
         """Return ``phi(a*y1 + b*y2, c*y1 + d*y2)`` for T = ((a, b), (c, d)).

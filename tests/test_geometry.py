@@ -177,7 +177,7 @@ class TestRHeight:
             assert rh.crossing[1] - 1 == rh.value
 
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 support_strategy = st.sets(
@@ -198,3 +198,35 @@ class TestRHeightProperty:
         formula = max([rh.distance_term, rh.horizontal_term]
                       + [h for (_a, h) in rh.edge_terms])
         assert rh.value == formula == rh.crossing[1] - 1
+
+
+ramified_polys = st.builds(
+    lambda terms: PuiseuxPoly({(F(num, den), e2): F(c, d)
+                               for (c, d, num, den, e2) in terms}),
+    st.lists(st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 3),
+                       st.integers(0, 12), st.sampled_from([1, 2, 3, 5]),
+                       st.integers(0, 6)),
+             min_size=1, max_size=8))
+
+
+class TestPolyhedronAgainstBruteForce:
+    """``NewtonPolyhedron.of`` on the integer lattice against the definition:
+    a vertex is a support point outside the hull of the other points plus
+    the quadrant, and an edge's weight puts both ends at level one and every
+    support point at level one or above."""
+
+    @given(ramified_polys)
+    @settings(max_examples=150, deadline=None)
+    @example(P("x1^4 + x1^2*x2 + x2^2"))  # collinear: (2, 1) is no vertex
+    @example(P("x2^2 + x1^(3/2)*x2 + x1^3 + x1^(1/2)*x2^3"))
+    def test_vertices_and_edge_weights(self, phi):
+        n = NewtonPolyhedron.of(phi)
+        support = sorted((e1, F(e2)) for (e1, e2) in phi.support())
+        assert n.support == support
+        assert n.vertices == brute_hull_vertices(support)
+        for e, (u, v) in zip(n.edges, zip(n.vertices, n.vertices[1:])):
+            # Cramer's rule for k1*t1 + k2*t2 = 1 through u and v
+            det = u[0] * v[1] - v[0] * u[1]
+            k1, k2 = (v[1] - u[1]) / det, (u[0] - v[0]) / det
+            assert (e.weight.k1, e.weight.k2) == (k1, k2)
+            assert min(k1 * t1 + k2 * t2 for t1, t2 in support) == 1

@@ -180,11 +180,18 @@ class TestFrequencyLadder:
                 call(down)
             with pytest.raises(ValueError, match="two decades"):
                 call(short)
-        with pytest.raises(ValueError, match="three decades"):
+        with pytest.raises(ValueError, match="strictly increasing"):
             van_der_corput_fit(2, [0, 0, 1], lams=down)
+        with pytest.raises(ValueError, match="three decades"):
+            van_der_corput_fit(2, [0, 0, 1], lams=lambda_grid(1e2, 1e4, 8))
         with pytest.raises(ValueError, match="strictly increasing"):
             van_der_corput_fit(2, [0, 0, 1],
                                lams=np.array([1e2, 1e4, 1e3, 1e5]))
+
+    def test_decreasing_grid_over_three_decades_is_called_decreasing(self):
+        # four decades, but descending: the order check names the fault
+        with pytest.raises(ValueError, match="strictly increasing"):
+            van_der_corput_fit(2, [0, 0, 1], lams=np.geomspace(1e7, 1e3, 8))
 
 
 class TestVanDerCorput:
@@ -268,6 +275,17 @@ class TestSurfaceDecay:
         assert fit.meta == {"reduction": "direct_2d",
                             "fallback": "no_reduction"}
         assert fit.to_json_dict()["meta"] == fit.meta
+
+    def test_fallback_honours_tau(self):
+        # the direct 2-D tree accepts a cell when lam * variation <= 2 * tau,
+        # the 1-D paths' rule; a finer tau refines more and moves the values
+        phi = P("x1^3*x2 + x1*x2^3 + x1^2*x2^2")
+        lams = np.geomspace(4.0, 400.0, 5)
+        coarse = surface_decay_fit(phi, (0, 0, 1), lams=lams)
+        fine = surface_decay_fit(phi, (0, 0, 1), lams=lams, tau=math.pi / 2)
+        assert fine.meta["reduction"] == "direct_2d"
+        assert fine.magnitudes != coarse.magnitudes
+        assert fine.magnitudes == pytest.approx(coarse.magnitudes, rel=1e-3)
 
 
 class TestAiry:

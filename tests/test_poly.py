@@ -185,3 +185,44 @@ class TestShearAgainstSympy:
     def test_ladder_rung(self):
         self._check(P("(x2 - x1^2 - x1^3)^4*(x2 - x1^2 - x1^4) + x1^23"),
                     P("x1^2 + x1^3"))
+
+
+rational_fractional_polys = st.builds(
+    lambda terms: PuiseuxPoly({(F(num, den), e2): F(c, d)
+                               for (c, d, num, den, e2) in terms}),
+    st.lists(st.tuples(st.integers(-5, 5).filter(bool), st.integers(1, 4),
+                       st.integers(0, 7), st.sampled_from([1, 2, 3, 4]),
+                       st.integers(0, 3)),
+             min_size=1, max_size=5))
+
+
+class TestProductAgainstSympy:
+    """The integer product kernel agrees with sympy's expansion of a * b on
+    ramified inputs ``x1^(p/q)`` with rational coefficients."""
+
+    def _check(self, a, b):
+        sympy = pytest.importorskip("sympy")
+        x1, x2 = sympy.symbols("x1 x2", positive=True)
+        want = sympy.expand(_sympy_expr(a, x1, x2) * _sympy_expr(b, x1, x2))
+        got = _sympy_expr(a * b, x1, x2)
+        assert sympy.expand(got - want) == 0
+
+    @given(rational_fractional_polys, rational_fractional_polys)
+    @settings(max_examples=80, deadline=None)
+    def test_ramified_rational_products(self, a, b):
+        self._check(a, b)
+
+    @given(rational_fractional_polys)
+    @settings(max_examples=30, deadline=None)
+    def test_powers(self, a):
+        sympy = pytest.importorskip("sympy")
+        x1, x2 = sympy.symbols("x1 x2", positive=True)
+        want = sympy.expand(_sympy_expr(a, x1, x2) ** 3)
+        assert sympy.expand(_sympy_expr(a ** 3, x1, x2) - want) == 0
+
+    def test_cancellation_leaves_no_zero_terms(self):
+        a = P("x2 - x1^(1/2)") + PuiseuxPoly.monomial(F(1, 3), F(3, 2), 0)
+        b = P("x2 + x1^(1/2)") - PuiseuxPoly.monomial(F(1, 3), F(3, 2), 0)
+        prod = a * b
+        assert all(c != 0 for c in prod.terms.values())
+        self._check(a, b)
