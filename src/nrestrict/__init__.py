@@ -1,18 +1,41 @@
-"""Exact Newton-polyhedron invariants and restriction critical exponents."""
+"""Exact Newton-polyhedron invariants and restriction critical exponents.
+
+``__all__`` is the package's API: what the CLI, the report and the
+paper-claim tests use.  ``nrestrict.numerics`` (the decay fits and sum
+bounds) is imported on its own, so the exact core never loads numpy.
+"""
 
 __version__ = "0.1.0"
 
-from .poly import PuiseuxPoly, Rational  # noqa: F401
-from .roots import RootRecord, UniPoly, squarefree_real_roots  # noqa: F401
-from .geometry import (NewtonPolyhedron, Weight, h_l_of_edge,  # noqa: F401
-                       newton_distance, newton_polyhedron, principal_face,
-                       r_height, taylor_support)
-from .adapted import (circle_vanishing_order, classify_singularity,  # noqa: F401
-                      height, is_adapted, linear_height)
-from .splitting import (RootJet, adapted_coordinates,  # noqa: F401
-                        condition_r_check, fine_splitting_trace, select_l_pr)
-from .exponents import (critical_exponent, h_f, h_r_tilde_sample,  # noqa: F401
-                        knapp_certificate, knapp_certificates_all)
-from .parser import InputExpr, parse_expression, render  # noqa: F401
-from .errors import (AlgebraicRootHalt, InternalInvariantError,  # noqa: F401
+from .poly import PuiseuxPoly
+from .roots import RootRecord, UniPoly, squarefree_real_roots
+from .geometry import NewtonPolyhedron, Weight, h_l_of_edge, r_height
+from .adapted import (circle_vanishing_order, classify_linear, height,
+                      is_adapted, linear_height)
+from .splitting import (LprSelection, RootJet, SplittingForest,
+                        adapted_coordinates, condition_r_check,
+                        fine_splitting_trace, select_l_pr)
+from .exponents import (ExponentReport, certificates_of_polyhedron,
+                        critical_exponent, h_f, h_r_tilde_sample)
+from .parser import InputExpr, parse_expression, render
+from .report import analyze
+from .diagram import render_diagram, render_loglog_plot
+from .errors import (AlgebraicRootHalt, InternalInvariantError,
                      NRestrictError, ParseError, QuadratureError)
+
+__all__ = [
+    "PuiseuxPoly",
+    "RootRecord", "UniPoly", "squarefree_real_roots",
+    "NewtonPolyhedron", "Weight", "h_l_of_edge", "r_height",
+    "circle_vanishing_order", "classify_linear", "height", "is_adapted",
+    "linear_height",
+    "LprSelection", "RootJet", "SplittingForest", "adapted_coordinates",
+    "condition_r_check", "fine_splitting_trace", "select_l_pr",
+    "ExponentReport", "certificates_of_polyhedron", "critical_exponent", "h_f",
+    "h_r_tilde_sample",
+    "InputExpr", "parse_expression", "render",
+    "analyze",
+    "render_diagram", "render_loglog_plot",
+    "AlgebraicRootHalt", "InternalInvariantError", "NRestrictError",
+    "ParseError", "QuadratureError",
+]

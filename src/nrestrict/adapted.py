@@ -9,7 +9,7 @@ points contribute the extreme exponents of the support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -84,6 +84,8 @@ class AdaptednessVerdict:
     face: Face
     weight: Optional[Weight]          # principal weight when face is compact
     witness: Optional[RootRecord]     # a circle root with multiplicity > d
+    # the polyhedron judged; later stages read it rather than rebuild it
+    polyhedron: NewtonPolyhedron = field(compare=False, repr=False)
     ratio_shortcut: bool = False      # k2/k1 (or inverse) not an integer
 
 
@@ -99,9 +101,9 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     d = n.distance()
     face = n.principal_face()
     if face.kind == "vertex":
-        return AdaptednessVerdict(True, "b", None, d, face, None, None)
+        return AdaptednessVerdict(True, "b", None, d, face, None, None, n)
     if face.kind == "unbounded_edge":
-        return AdaptednessVerdict(True, "c", None, d, face, None, None)
+        return AdaptednessVerdict(True, "c", None, d, face, None, None, n)
     w = face.edge.weight
     m_pr, witness = _circle_roots(kappa_principal_part(phi, w), w)
     ratio = w.a
@@ -110,8 +112,10 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
         raise InternalInvariantError(
             "non-integer weight ratio must force circle order < distance")
     if m_pr <= d:
-        return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, shortcut)
-    return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, shortcut)
+        return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, n,
+                                  shortcut)
+    return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, n,
+                              shortcut)
 
 
 @dataclass(frozen=True)
@@ -231,24 +235,16 @@ class SingularityClass:
         return f"{self.family}{idx}"
 
 
-def classify_singularity(phi: PuiseuxPoly, series_order: int | None = None,
-                         _expected_d: bool = True) -> SingularityClass:
-    """Normal-form class (A or D family) for polynomials of linear height < 2.
+def classify_linear(lh: LinearHeightReport,
+                    series_order: int | None = None) -> SingularityClass:
+    """Normal-form class (A or D family) from the linear-height report of a
+    polynomial of linear height < 2.
 
     Requires that no linear coordinate system is adapted.  The root jet of
     the normal form is the branch of critical points of x2 -> phi(x1, x2),
     solved term by term with rational coefficients; ``b0`` is phi evaluated
     along the jet, and its vanishing order fixes the index.
     """
-    if phi.ramification != 1:
-        raise ValueError("classification needs an integer-exponent polynomial")
-    return classify_linear(linear_height(phi), series_order, _expected_d)
-
-
-def classify_linear(lh: LinearHeightReport, series_order: int | None = None,
-                    _expected_d: bool = True) -> SingularityClass:
-    """:func:`classify_singularity` from the linear-height report the caller
-    already holds."""
     if lh.h_lin >= 2:
         raise ValueError(f"linear height {lh.h_lin} is not < 2")
     if lh.adapted_linear_exists:
@@ -297,12 +293,11 @@ def classify_linear(lh: LinearHeightReport, series_order: int | None = None,
     else:
         index = None
 
-    if _expected_d:
-        d_expected = (Fraction(2 * m, m + 1) if family == "A"
-                      else Fraction(2 * m + 1, m + 1))
-        if NewtonPolyhedron.of(work).distance() != d_expected:
-            raise InternalInvariantError(
-                "normal-form distance does not match the classified family")
+    d_expected = (Fraction(2 * m, m + 1) if family == "A"
+                  else Fraction(2 * m + 1, m + 1))
+    if NewtonPolyhedron.of(work).distance() != d_expected:
+        raise InternalInvariantError(
+            "normal-form distance does not match the classified family")
     return SingularityClass(family=family, index=index, m=m, n=n,
                             psi_truncation=psi, b0=b0, exact=exact_flag,
                             truncation_order=series_order)

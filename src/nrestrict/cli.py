@@ -2,8 +2,9 @@
 
 Subcommands: analyze, diagram, knapp, decay, trace.  JSON goes to stdout or
 ``--json PATH``; diagrams and plots to ``--svg PATH``.  Exit codes: 0 success,
-1 usage or parse error, 2 algebraic-root halt, 3 internal invariant
-violation, 4 quadrature failure.
+1 usage or parse error, or an input or output file that cannot be read or
+written (``OSError``, printed as ``error: ...``), 2 algebraic-root halt,
+3 internal invariant violation, 4 quadrature failure.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,12 @@ from .geometry import NewtonPolyhedron, RHeightResult
 from .poly import PuiseuxPoly
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    has them; that module imports ``urllib.request``, about 7 MB."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 class _Canvas:
     def __init__(self, tmax: float, size: int = 560, margin: int = 48):
         self.size = size
@@ -123,7 +129,7 @@ def render_diagram(phi: PuiseuxPoly, polyhedron: NewtonPolyhedron,
                 fill="#1f4e9c")
     if title:
         cv.parts.append(f'<text x="{cv.margin}" y="24" font-size="14" '
-                        f'font-family="monospace">{title}</text>')
+                        f'font-family="monospace">{_escape(title)}</text>')
     return cv.to_svg()
 
 

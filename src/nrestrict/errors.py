@@ -1,6 +1,7 @@
 """Shared exception types.
 
-Exit-code mapping used by the CLI: parse/usage problems exit 1,
+Exit-code mapping used by the CLI: parse/usage problems exit 1, and so does
+an ``OSError`` from reading the input file or writing an output file;
 :class:`AlgebraicRootHalt` exits 2, :class:`InternalInvariantError` exits 3,
 :class:`QuadratureError` exits 4.
 """

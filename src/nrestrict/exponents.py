@@ -58,7 +58,7 @@ def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
     m = lh.m
     ac = adapted_coordinates(lh.transformed, max_steps=max_steps,
                              verdict=lh.verdict)
-    rh = r_height(ac.phi_a, m)
+    rh = r_height(ac.verdict.polyhedron, m)
     p = 2 * rh.value + 2
     return ExponentReport(p, "r_height_2hr_plus_2", ac.h, lh.h_lin, rh.value,
                           Fraction(2) / p, m, lh, ac, rh)
@@ -75,7 +75,7 @@ def h_f(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly) -> Fraction:
     if jet.is_zero():
         raise ValueError("shear height needs a nonzero jet")
     sheared = phi.shear_substitute(jet.to_poly())
-    return r_height(sheared, jet.leading_exponent).value
+    return r_height(NewtonPolyhedron.of(sheared), jet.leading_exponent).value
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
             raise ValueError("sampling expects linearly adapted input")
         ac = adapted_coordinates(phi, max_steps=max_steps, verdict=verdict)
         psi = ac.psi
-        bound = r_height(ac.phi_a, lh.m).value
+        bound = r_height(ac.verdict.polyhedron, lh.m).value
         kind = "r_height"
     if jets is None:
         jets = default_jet_family(phi, psi)
@@ -196,73 +196,27 @@ class KnappCertificate:
     delta: Optional[Fraction] = None
 
 
-def _certificate(jet: RootJet, n: NewtonPolyhedron, target) -> KnappCertificate:
-    """Certificate for one target, read off the polyhedron ``n`` of the
-    input sheared by ``jet``."""
-    m0 = jet.leading_exponent
-    kind = target[0]
-    if kind == "edge":
-        l = target[1]
-        edge = n.edges[l - 1]
-        if edge.a <= m0:
-            raise ValueError(
-                f"edge {l} has ratio {edge.a} <= m0 = {m0}; no Knapp gain")
-        h_l = h_l_of_edge(edge.weight, m0)
-        w = edge.weight
-        return KnappCertificate(jet, m0, "edge", l, 2 * h_l + 2,
-                                (w.k1, w.k2), (w.k1, m0 * w.k1))
-    if kind == "principal":
-        w = n.supporting_weight_for_ratio(m0)
-        d_f = w.homogeneous_distance()
-        return KnappCertificate(jet, m0, "principal", None, 2 * d_f + 2,
-                                (w.k1, w.k2), (w.k1, m0 * w.k1))
-    if kind == "horizontal":
-        b = n.horizontal_level
-        if b < 1:
-            raise ValueError("horizontal face at level 0 certifies nothing")
-        a_n = n.vertices[-1][0]
-        delta = Fraction(1, 25 * max(int(a_n) + 1, 1))
-        return KnappCertificate(jet, m0, "horizontal", None, 2 * b,
-                                (None, Fraction(1, int(b))),
-                                (None, None), delta=delta)
-    raise ValueError(f"unknown target {target!r}")
-
-
 def certificates_of_polyhedron(jet: RootJet,
                                n: NewtonPolyhedron) -> list[KnappCertificate]:
     """All qualifying targets of the polyhedron ``n`` of the input sheared by
-    ``jet``: edges steeper than the jet's leading exponent, the principal
-    supporting line, and the horizontal face when present."""
+    ``jet``, with ``m0`` the jet's leading exponent: the supporting line of
+    ratio ``m0``, each edge steeper than ``m0``, and the horizontal face when
+    it sits at level 1 or above."""
     m0 = jet.leading_exponent
-    certs = [_certificate(jet, n, ("principal",))]
+    w = n.supporting_weight_for_ratio(m0)
+    certs = [KnappCertificate(jet, m0, "principal", None,
+                              2 * w.homogeneous_distance() + 2,
+                              (w.k1, w.k2), (w.k1, m0 * w.k1))]
     for l, edge in enumerate(n.edges, start=1):
         if edge.a > m0:
-            certs.append(_certificate(jet, n, ("edge", l)))
-    if n.horizontal_level >= 1:
-        certs.append(_certificate(jet, n, ("horizontal",)))
+            w = edge.weight
+            certs.append(KnappCertificate(jet, m0, "edge", l,
+                                          2 * h_l_of_edge(w, m0) + 2,
+                                          (w.k1, w.k2), (w.k1, m0 * w.k1)))
+    b = n.horizontal_level
+    if b >= 1:
+        delta = Fraction(1, 25 * max(int(n.vertices[-1][0]) + 1, 1))
+        certs.append(KnappCertificate(jet, m0, "horizontal", None, 2 * b,
+                                      (None, Fraction(1, int(b))),
+                                      (None, None), delta=delta))
     return certs
-
-
-def _sheared_polyhedron(phi: PuiseuxPoly, jet: RootJet) -> NewtonPolyhedron:
-    return NewtonPolyhedron.of(phi.shear_substitute(jet.to_poly()))
-
-
-def knapp_certificate(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
-                      target) -> KnappCertificate:
-    """Certificate for one target: ("edge", l) with the 1-based edge index,
-    ("principal",) for the leading-exponent supporting line, ("horizontal",)
-    for the horizontal face."""
-    jet = _as_jet(f)
-    return _certificate(jet, _sheared_polyhedron(phi, jet), target)
-
-
-def knapp_certificates_all(phi: PuiseuxPoly,
-                           f: RootJet | PuiseuxPoly) -> list[KnappCertificate]:
-    """All qualifying targets of phi sheared by f (see
-    :func:`certificates_of_polyhedron`)."""
-    jet = _as_jet(f)
-    return certificates_of_polyhedron(jet, _sheared_polyhedron(phi, jet))
-
-
-def knapp_exponent_max(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly) -> Fraction:
-    return max(c.derived_exponent for c in knapp_certificates_all(phi, f))

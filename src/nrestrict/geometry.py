@@ -77,13 +77,6 @@ class Face:
     orientation: Optional[str] = None  # for unbounded edges: "horizontal" | "vertical"
 
 
-def taylor_support(phi: PuiseuxPoly) -> frozenset[Point]:
-    """Exponents with nonzero coefficient; rejects the zero polynomial."""
-    if phi.is_zero():
-        raise ValueError("zero polynomial is not of finite type")
-    return frozenset((e1, Fraction(e2)) for (e1, e2) in phi.support())
-
-
 def _staircase_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """Extreme points of conv(union of quadrants p + R+^2) for sorted,
     distinct integer points.
@@ -116,12 +109,6 @@ def _on_lattice(points: Iterable[Point]) -> dict[tuple[int, int], Point]:
         for t in p:
             den = math.lcm(den, t.denominator)
     return {(int(p[0] * den), int(p[1] * den)): p for p in pts}
-
-
-def hull_vertices(points: Iterable[Point]) -> list[Point]:
-    """Extreme points of conv(union of quadrants p + R+^2)."""
-    scaled = _on_lattice(points)
-    return [scaled[v] for v in _staircase_hull(sorted(scaled))]
 
 
 def edge_weight(left: Point, right: Point) -> Weight:
@@ -177,14 +164,7 @@ class NewtonPolyhedron:
         self.vertical_ray_present = self.vertices[0][0] > 0
         self.horizontal_level: Fraction = self.vertices[-1][1]
 
-    # -- membership / supporting lines --------------------------------
-
-    def contains(self, p: Point) -> bool:
-        v0 = self.vertices[0]
-        vn = self.vertices[-1]
-        if p[0] < v0[0] or p[1] < vn[1]:
-            return False
-        return all(e.weight.dot(p) >= 1 for e in self.edges)
+    # -- supporting lines ----------------------------------------------
 
     def supporting_weight_for_ratio(self, a: Fraction) -> Weight:
         """The supporting line with reciprocal slope ``a`` (exact contact)."""
@@ -227,18 +207,6 @@ class NewtonPolyhedron:
         raise InternalInvariantError(f"(d, d) = {p} not located on the boundary")
 
 
-def newton_polyhedron(support: Iterable[Point]) -> NewtonPolyhedron:
-    return NewtonPolyhedron(support)
-
-
-def newton_distance(n: NewtonPolyhedron) -> Fraction:
-    return n.distance()
-
-
-def principal_face(n: NewtonPolyhedron) -> Face:
-    return n.principal_face()
-
-
 def kappa_principal_part(phi: PuiseuxPoly, w: Weight) -> PuiseuxPoly:
     """Terms of ``phi`` on the supporting line of ``w`` (kappa-homogeneous
     of degree 1); rejects weights whose line does not support the polyhedron."""
@@ -272,9 +240,9 @@ class RHeightResult:
     crossing: Point              # where {(t, t+m+1)} meets the augmented boundary
 
 
-def r_height(phi_a: PuiseuxPoly, m: Fraction,
-             line: Weight | None = None) -> RHeightResult:
-    """r-height of adapted (or fractionally sheared) coordinates.
+def r_height(n: NewtonPolyhedron, m: Fraction) -> RHeightResult:
+    """r-height of the polyhedron ``n`` of adapted (or fractionally sheared)
+    coordinates.
 
     Computed twice: (i) as ``max(d, max over edges steeper than the ratio-m
     line of h_l, B_n - 1)`` and (ii) geometrically, by walking the boundary of
@@ -283,15 +251,7 @@ def r_height(phi_a: PuiseuxPoly, m: Fraction,
     :class:`InternalInvariantError`.
     """
     m = Fraction(m)
-    n = NewtonPolyhedron.of(phi_a)
-    if line is None:
-        line = n.supporting_weight_for_ratio(m)
-    else:
-        vals = [line.dot(p) for p in n.support]
-        if min(vals) != 1:
-            raise ValueError("given line is not supporting for the polyhedron")
-        if line.a != m:
-            raise ValueError("given line must have ratio m")
+    line = n.supporting_weight_for_ratio(m)
     contact = n.contact_vertices(line)
     if not contact:
         raise InternalInvariantError("supporting line misses all vertices")

@@ -25,8 +25,6 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
-Rational = Fraction
-
 #: exponent pair (e1, e2); e1 is a Fraction, e2 an int
 Exponent = tuple[Fraction, int]
 
@@ -127,9 +125,6 @@ class PuiseuxPoly:
         if not self._terms:
             return -1
         return max(e2 for (_e1, e2) in self._terms)
-
-    def min_e1(self) -> Fraction:
-        return min(e1 for (e1, _e2) in self._terms)
 
     def min_e2(self) -> int:
         return min(e2 for (_e1, e2) in self._terms)
@@ -387,21 +382,7 @@ class PuiseuxPoly:
             cur = PuiseuxPoly({e: c for e, c in acc.items() if c})
         return cur
 
-    # -- evaluation ---------------------------------------------------
-
-    def evaluate_float(self, point: tuple[float, float]) -> float:
-        """Double-precision value at ``point``.
-
-        For fractional ramification only the principal branch on x1 > 0 is
-        defined, so x1 <= 0 is rejected there.
-        """
-        x1, x2 = float(point[0]), float(point[1])
-        if self.ramification > 1 and x1 <= 0.0:
-            raise ValueError("fractional powers need x1 > 0 (principal branch)")
-        total = 0.0
-        for (e1, e2), c in sorted(self._terms.items()):
-            total += float(c) * x1 ** float(e1) * x2 ** e2
-        return total
+    # -- restriction --------------------------------------------------
 
     def restrict_x1(self, sign: int = 1) -> list[Fraction]:
         """Coefficient list (by x2-degree) of ``phi(sign*1, t)``.

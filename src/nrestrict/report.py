@@ -172,18 +172,19 @@ def analyze(expr: InputExpr, max_steps: int = 64,
     phi = expr.poly
     notes: list[str] = []
     rep = critical_exponent(phi, max_steps=max_steps)
-    n_input = NewtonPolyhedron.of(phi)
+    n_input = rep.linear.input_verdict.polyhedron
     adapted_poly = None
     selection = None
     forest = None
     certs = None
     if rep.coords is not None:
-        adapted_poly = NewtonPolyhedron.of(rep.coords.phi_a)
-        selection = select_l_pr(rep.coords.phi_a, rep.m)
+        adapted_poly = rep.coords.verdict.polyhedron
+        selection = select_l_pr(adapted_poly, rep.m)
         if selection.case in ("a", "b"):
             try:
-                forest = fine_splitting_trace(rep.coords.phi_a, rep.m,
-                                              selection, max_levels=max_steps)
+                forest = fine_splitting_trace(rep.coords.phi_a, adapted_poly,
+                                              rep.m, selection,
+                                              max_levels=max_steps)
             except AlgebraicRootHalt as halt:
                 notes.append(f"fine splitting halted: {halt}")
         # phi_a is the transformed input sheared by psi, so its polyhedron

@@ -44,14 +44,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
-
-    @staticmethod
-    def from_root(r) -> "UniPoly":
-        return UniPoly([-Fraction(r), Fraction(1)])
-
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
@@ -158,12 +150,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def evaluate_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def truncate(self, order: int) -> "UniPoly":
         """Drop terms of degree > order."""
         return UniPoly(self.coeffs[:order + 1])
@@ -199,10 +185,6 @@ def _content_free(a: list[int]) -> list[int]:
     """``a`` divided by the gcd of its coefficients (a positive number)."""
     g = math.gcd(*a)
     return [c // g for c in a] if g > 1 else a
-
-
-def _monic(a: list[int]) -> UniPoly:
-    return UniPoly([Fraction(c, a[-1]) for c in a])
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -427,59 +409,7 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction,
 
 def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd (the zero polynomial when both inputs are zero)."""
-    g = _gcd(_primitive(a), _primitive(b))
-    return _monic(g) if g else UniPoly()
-
-
-def yun_squarefree(p: UniPoly) -> list[tuple[UniPoly, int]]:
-    """Square-free decomposition ``p = lc * prod f_i^i`` (Yun's algorithm).
-
-    Returns the nonconstant monic factors with their multiplicities.
-    """
-    if p.degree() < 1:
-        return []
-    return [(_monic(f), i) for f, i in _yun(_primitive(p))]
-
-
-def rational_roots(p: UniPoly) -> list[Fraction]:
-    """All rational roots (without multiplicity)."""
-    if p.degree() < 1:
-        return []
-    f = _primitive(p)
-    return _rational_roots(_exact_quotient(f, _gcd(f, _derivative(f))))
-
-
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """A Sturm chain of ``p``: positive multiples of ``p, p', -rem, ...``."""
-    return [UniPoly(q) for q in _sturm(_primitive(p))]
-
-
-def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    return _root_bound(_primitive(p))
-
-
-def count_roots_in(chain: list[UniPoly], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in (lo, hi]."""
-    ints = [_primitive(q) for q in chain]
-    return (_variations(ints, Fraction(lo))
-            - _variations(ints, Fraction(hi)))
-
-
-def isolate_real_roots(p: UniPoly) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for the real roots of a square-free ``p``.
-
-    ``p`` must have no rational roots (divide them out first); rational
-    interval endpoints are then never roots and plain bisection on Sturm
-    counts terminates.
-    """
-    return _isolate(_primitive(p))
-
-
-def refine_interval(p: UniPoly, lo: Fraction, hi: Fraction,
-                    steps: int = 1) -> tuple[Fraction, Fraction]:
-    """Bisection refinement of an isolating interval of a square-free ``p``."""
-    return _refine(_primitive(p), Fraction(lo), Fraction(hi), steps)
+    return UniPoly(_gcd(_primitive(a), _primitive(b))).monic()
 
 
 @dataclass(frozen=True)
@@ -500,18 +430,6 @@ class RootRecord:
     @property
     def is_rational(self) -> bool:
         return self.value is not None
-
-    def approx(self) -> float:
-        if self.value is not None:
-            return float(self.value)
-        lo, hi = self.interval
-        return float((lo + hi) / 2)
-
-    def contains(self, x: Fraction) -> bool:
-        if self.value is not None:
-            return self.value == x
-        lo, hi = self.interval
-        return lo < x < hi
 
 
 def squarefree_real_roots(p: UniPoly, sign_of_variable: str = "+") -> list[RootRecord]:
@@ -559,7 +477,7 @@ def squarefree_real_roots(p: UniPoly, sign_of_variable: str = "+") -> list[RootR
     for f, lo, hi, mult in pending:
         records.append(RootRecord(multiplicity=mult, interval=(lo, hi),
                                   sign_of_variable=sign_of_variable,
-                                  factor=_monic(f)))
+                                  factor=UniPoly(f).monic()))
     records.sort(key=lambda r: r.value if r.value is not None
                  else (r.interval[0] + r.interval[1]) / 2)
     return records

@@ -42,10 +42,6 @@ class RootJet:
             raise ValueError("jet exponents must be strictly increasing")
 
     @staticmethod
-    def zero() -> "RootJet":
-        return RootJet(())
-
-    @staticmethod
     def from_poly(p: PuiseuxPoly, half_plane: str = "+") -> "RootJet":
         if p.depends_on_x2():
             raise ValueError("a root jet depends on x1 only")
@@ -145,10 +141,9 @@ class LprSelection:
     anchor_vertex: Optional[tuple[Fraction, Fraction]] = None
 
 
-def select_l_pr(phi_a: PuiseuxPoly, m: Fraction) -> LprSelection:
-    """Classify the principal face of adapted coordinates and pick the edge
-    that carries the root jet's continuation."""
-    n = NewtonPolyhedron.of(phi_a)
+def select_l_pr(n: NewtonPolyhedron, m: Fraction) -> LprSelection:
+    """Classify the principal face of the polyhedron ``n`` of adapted
+    coordinates and pick the edge that carries the root jet's continuation."""
     face = n.principal_face()
     if face.kind == "compact_edge":
         l_pr = n.edges.index(face.edge) + 1
@@ -206,22 +201,19 @@ class SplittingTrace:
 class SplittingForest:
     branches: tuple[SplittingTrace, ...]
 
-    def terminals(self) -> list[str]:
-        return [b.terminal for b in self.branches]
 
-
-def fine_splitting_trace(phi_a: PuiseuxPoly, m: Fraction, sel: LprSelection,
+def fine_splitting_trace(phi_a: PuiseuxPoly, n: NewtonPolyhedron,
+                         m: Fraction, sel: LprSelection,
                          max_levels: int = 64) -> SplittingForest:
     """Explore all multiplicity->=2 real-root branches below the bisectrix.
 
-    Works in the adapted frame: the returned jets extend the principal root
-    jet.  Only the positive half-plane is traced (fractional exponents are
-    confined to it).
+    ``n`` is the Newton polyhedron of ``phi_a``.  Works in the adapted frame:
+    the returned jets extend the principal root jet.  Only the positive
+    half-plane is traced (fractional exponents are confined to it).
     """
     if sel.case not in ("a", "b"):
         raise ValueError("fine splitting applies to the compact-edge and "
                          "bisectrix-vertex cases only")
-    n = NewtonPolyhedron.of(phi_a)
     if sel.case == "a":
         edge = n.edges[sel.l_pr - 1]
     else:

@@ -300,7 +300,7 @@ def q_real_roots(p):
         for r in q_rational_roots(factor):
             records.append((mult, r, None, None))
             rational_values.append(r)
-            work = work.divmod(UniPoly.from_root(r))[0]
+            work = work.divmod(UniPoly([-r, 1]))[0]
         for lo, hi in q_isolate_real_roots(work):
             while hi - lo > Fraction(1, 4):
                 lo, hi = q_refine_interval(work, lo, hi)

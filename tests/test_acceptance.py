@@ -11,10 +11,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from nrestrict.adapted import classify_singularity, is_adapted, linear_height
-from nrestrict.exponents import (critical_exponent, h_f, h_r_tilde_sample,
-                                 knapp_certificates_all, knapp_exponent_max)
-from nrestrict.geometry import NewtonPolyhedron, hull_vertices, r_height
+from nrestrict.adapted import classify_linear, is_adapted, linear_height
+from nrestrict.exponents import (certificates_of_polyhedron,
+                                 critical_exponent, h_f, h_r_tilde_sample)
+from nrestrict.geometry import NewtonPolyhedron, r_height
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.splitting import RootJet, fine_splitting_trace, select_l_pr
@@ -24,6 +24,12 @@ from oracles import brute_hull_vertices
 
 def P(text):
     return parse_expression(text).poly
+
+
+def knapp_certificates(phi, jet):
+    """Certificates of ``phi`` sheared by the whole of ``jet`` at once."""
+    return certificates_of_polyhedron(
+        jet, NewtonPolyhedron.of(phi.shear_substitute(jet.to_poly())))
 
 
 EX122 = "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"
@@ -91,8 +97,8 @@ def test_criterion_2_example_12_2_regression():
     assert h_values[F(3)] == F(11, 4) and h_values[F(4)] == F(13, 5)
     assert rep.h_r == F(11, 4)
     assert rep.p_c_prime == F(15, 2)
-    sel = select_l_pr(rep.coords.phi_a, rep.m)
-    forest = fine_splitting_trace(rep.coords.phi_a, rep.m, sel)
+    sel = select_l_pr(na, rep.m)
+    forest = fine_splitting_trace(rep.coords.phi_a, na, rep.m, sel)
     br = forest.branches[0]
     shear = [s for s in br.steps if s.case == "Case3_shear"][0]
     assert shear.root == 1 and shear.multiplicity == 3
@@ -109,10 +115,10 @@ def test_criterion_3_normal_form_suite():
     checked = 0
     for text, fam, m, n in NORMAL_FORMS:
         phi = P(text)
-        cls = classify_singularity(phi)
+        lh = linear_height(phi)
+        cls = classify_linear(lh)
         assert cls.family == fam and cls.m == m, text
         assert cls.n == n, text
-        lh = linear_height(phi)
         d_expect = F(2 * m, m + 1) if fam == "A" else F(2 * m + 1, m + 1)
         assert lh.h_lin == d_expect, text
         rep = critical_exponent(phi)
@@ -144,7 +150,8 @@ def test_criterion_4_dual_r_height():
     for _ in range(100):
         phi = _random_support(rng)
         m = F(rng.randint(2, 4))
-        rh = r_height(phi, m)  # raises if the two routes disagree
+        # raises if the two routes disagree
+        rh = r_height(NewtonPolyhedron.of(phi), m)
         formula = max([rh.distance_term, rh.horizontal_term]
                       + [h for (_a, h) in rh.edge_terms])
         assert rh.crossing[1] - 1 == formula == rh.value
@@ -180,7 +187,8 @@ def test_criterion_5_hull_oracle():
     for _ in range(500):
         support = sorted({(F(rng.randint(0, 30)), F(rng.randint(0, 30)))
                           for _ in range(rng.randint(1, 12))})
-        assert hull_vertices(support) == brute_hull_vertices(support)
+        assert NewtonPolyhedron(support).vertices == \
+            brute_hull_vertices(support)
     report(5, True, "staircase hull equals brute-force hull on 500 supports")
 
 
@@ -195,7 +203,8 @@ def test_criterion_6_knapp_matches_sufficiency():
     for text in _suite_inputs():
         rep = critical_exponent(P(text))
         assert rep.coords is not None, text
-        got = knapp_exponent_max(rep.linear.transformed, rep.coords.psi)
+        got = max(c.derived_exponent for c in
+                  knapp_certificates(rep.linear.transformed, rep.coords.psi))
         assert got == rep.p_c_prime, text
         checked += 1
     report(6, True,
@@ -303,7 +312,7 @@ def test_criterion_10_dominance_and_boxes():
     for text in [EX122, "(x2 - x1^2)^2", "(x2 - x1^2)^5"]:
         phi = P(text)
         rep = critical_exponent(phi)
-        for cert in knapp_certificates_all(phi, rep.coords.psi):
+        for cert in knapp_certificates(phi, rep.coords.psi):
             res = knapp_box_probe(phi, cert)
             assert abs(res["beta"] - 1.0) <= 0.05, (text, cert.target)
             assert res["min_ratio"] > 0.05, (text, cert.target)

@@ -1,21 +1,27 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from nrestrict import adapted, exponents, splitting
-from nrestrict.adapted import (circle_vanishing_order, classify_singularity,
+from nrestrict.adapted import (circle_vanishing_order, classify_linear,
                                height, is_adapted, linear_height)
 from nrestrict.geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from nrestrict.parser import parse_expression
 from nrestrict.report import analyze
 from nrestrict.roots import UniPoly, squarefree_real_roots
 
-from make_golden import ACCEPTANCE
+from make_golden import ACCEPTANCE, LADDER
+from test_acceptance import EX122, NORMAL_FORMS
 
 
 def P(text):
     return parse_expression(text).poly
+
+
+def classify(phi):
+    return classify_linear(linear_height(phi))
 
 
 class TestCircleVanishingOrder:
@@ -133,6 +139,47 @@ class TestShearWitness:
             assert len(linear) == 1, text
 
 
+def _record_rebuilds(monkeypatch):
+    """Wrap ``NewtonPolyhedron.of``; returns the log of the functions that
+    built a polyhedron of a polynomial already built since the log was
+    last cleared."""
+    real_of = NewtonPolyhedron.of
+    built, rebuilds = set(), []
+
+    def spy_of(phi):
+        key = frozenset(phi.terms.items())
+        if key in built:
+            rebuilds.append(sys._getframe(1).f_code.co_name)
+        built.add(key)
+        return real_of(phi)
+
+    def clear():
+        built.clear()
+        rebuilds.clear()
+
+    monkeypatch.setattr(NewtonPolyhedron, "of", staticmethod(spy_of))
+    return rebuilds, clear
+
+
+class TestPolyhedronBuilds:
+    """Each stage of ``analyze`` reads the polyhedron the verdict carries."""
+
+    def test_no_rebuilds_on_example_and_ladder(self, monkeypatch):
+        rebuilds, clear = _record_rebuilds(monkeypatch)
+        for text in [EX122] + LADDER:
+            clear()
+            analyze(parse_expression(text))
+            assert rebuilds == [], text
+
+    def test_normal_forms_rebuild_only_for_the_distance_check(
+            self, monkeypatch):
+        rebuilds, clear = _record_rebuilds(monkeypatch)
+        for text, *_ in NORMAL_FORMS:
+            clear()
+            analyze(parse_expression(text))
+            assert rebuilds == ["classify_linear"], text
+
+
 class TestHeight:
     def test_power_family(self):
         for m, n in [(2, 2), (2, 5), (3, 4)]:
@@ -184,25 +231,25 @@ class TestLinearHeight:
 
 class TestClassification:
     def test_a4(self):
-        c = classify_singularity(P("(x2 - x1^2)^2 + x1^5"))
+        c = classify(P("(x2 - x1^2)^2 + x1^5"))
         assert (c.family, c.index, c.m, c.n) == ("A", 4, 2, 5)
         assert c.label == "A4" and c.exact
 
     def test_a_infinity_exactly_zero(self):
-        c = classify_singularity(P("(x2 - x1^2)^2"))
+        c = classify(P("(x2 - x1^2)^2"))
         assert c.family == "A" and c.index is None and c.n is None
         assert c.exact and c.b0 is not None and c.b0.is_zero()
 
     def test_d8(self):
-        c = classify_singularity(P("x1*(x2 - x1^2)^2 + x1^7"))
+        c = classify(P("x1*(x2 - x1^2)^2 + x1^7"))
         assert (c.family, c.index, c.m, c.n) == ("D", 8, 2, 7)
 
     def test_d_infinity(self):
-        c = classify_singularity(P("x1*(x2 - x1^2)^2"))
+        c = classify(P("x1*(x2 - x1^2)^2"))
         assert c.family == "D" and c.index is None and c.exact
 
     def test_nontrivial_jet_and_unit(self):
-        c = classify_singularity(P("(x2 - x1^2 - x1^3)^2 + x1^9"))
+        c = classify(P("(x2 - x1^2 - x1^3)^2 + x1^9"))
         assert (c.family, c.m, c.n) == ("A", 2, 9)
         assert list(c.psi_truncation.coeffs) == [0, 0, 1, 1]
 
@@ -210,21 +257,21 @@ class TestClassification:
         # same input after x2 -> x2 + 3 x1 must classify identically
         phi = P("(x2 - x1^2)^2 + x1^5")
         moved = phi.linear_substitute(((F(1), F(0)), (F(3), F(1))))
-        c = classify_singularity(moved)
+        c = classify(moved)
         assert (c.family, c.index) == ("A", 4)
 
     def test_rejects_high_linear_height(self):
         with pytest.raises(ValueError):
-            classify_singularity(P("(x2 - x1^2)^4"))
+            classify(P("(x2 - x1^2)^4"))
 
     def test_rejects_adapted(self):
         with pytest.raises(ValueError):
-            classify_singularity(P("x1^3 + x2^2"))
+            classify(P("x1^3 + x2^2"))
 
     def test_distance_formula_consistency(self):
         for text, fam, m in [("(x2 - x1^3)^2 + x1^8", "A", 3),
                              ("x1*(x2 - x1^3)^2 + x1^10", "D", 3)]:
-            c = classify_singularity(P(text))
+            c = classify(P(text))
             assert c.family == fam and c.m == m
             d = NewtonPolyhedron.of(P(text)).distance()
             expect = F(2 * m, m + 1) if fam == "A" else F(2 * m + 1, m + 1)

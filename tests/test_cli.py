@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from xml.etree import ElementTree
 
 import pytest
 
@@ -151,6 +152,17 @@ class TestCommands:
                        r'data-role="delta-crossing"', svg)
         assert cm is not None
 
+    def test_diagram_title_is_escaped(self, tmp_path):
+        # a file path named as the argument becomes the title verbatim
+        path = tmp_path / "a&b<c>.txt"
+        path.write_text("(x2 - x1^2)^2\n")
+        out = tmp_path / "d.svg"
+        assert cli.main(["diagram", str(path), "--svg", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")
+                  if t.text == str(path)]
+        assert titles == [str(path)]
+
     def test_diagram_svg_coordinates_match_exact_point(self, tmp_path):
         out = tmp_path / "d.svg"
         cli.main(["diagram", "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3",
@@ -203,6 +215,27 @@ class TestCommands:
         assert err.startswith("quadrature failure: cell budget exceeded")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        assert cli.main(["analyze", "x2^2 + x1^4",
+                         "--json", str(missing / "out.json")]) == 1
+        assert cli.main(["diagram", "x2^2 + x1^4",
+                         "--svg", str(missing / "out.svg")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 2 and "Traceback" not in err
+        assert not missing.exists()
+
+    def test_unreadable_input_exits_1(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "phi.txt"
+        path.write_text("(x2 - x1^2)^5\n")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr("builtins.open", denied)
+        assert cli.main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 13] Permission denied")
 
     def test_decay_grid_checked_before_integrating(self, capsys):
         rc = cli.main(["decay", "x1^2 + x2^2", "--lambda-min", "1e6",

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from nrestrict.adapted import classify_singularity
-from nrestrict.exponents import (critical_exponent, h_f, h_r_tilde_sample,
-                                 knapp_certificate, knapp_certificates_all,
-                                 knapp_exponent_max)
+from nrestrict.adapted import classify_linear, linear_height
+from nrestrict.exponents import (certificates_of_polyhedron,
+                                 critical_exponent, h_f, h_r_tilde_sample)
+from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.parser import parse_expression
 from nrestrict.report import analyze
 from nrestrict.splitting import RootJet
@@ -16,6 +16,16 @@ from test_adapted import _record_judgements
 
 def P(text):
     return parse_expression(text).poly
+
+
+def knapp_certificates(phi, f):
+    """Certificates of ``phi`` sheared by the whole of ``f`` at once."""
+    return certificates_of_polyhedron(
+        f, NewtonPolyhedron.of(phi.shear_substitute(f.to_poly())))
+
+
+def knapp_max(phi, f):
+    return max(c.derived_exponent for c in knapp_certificates(phi, f))
 
 
 def jet(*terms):
@@ -58,7 +68,7 @@ class TestCriticalExponent:
                  ("x1*(x2 - x1^3)^2 + x1^9", "D", 3)]
         for text, fam, m in cases:
             rep = critical_exponent(P(text))
-            cls = classify_singularity(P(text))
+            cls = classify_linear(linear_height(P(text)))
             assert (cls.family, cls.m) == (fam, m)
             expect = (F(m + 1, 3 * m + 1) if fam == "A"
                       else F(m + 1, 3 * m + 2))
@@ -162,29 +172,26 @@ class TestJetSampling:
 
 class TestKnapp:
     def test_example_12_2_edges(self):
-        phi = P(EX122)
-        c1 = knapp_certificate(phi, jet((1, 2)), ("edge", 1))
+        certs = knapp_certificates(P(EX122), jet((1, 2)))
+        assert [(c.target, c.edge_index) for c in certs] == [
+            ("principal", None), ("edge", 1), ("edge", 2)]
+        c1, c2 = certs[1:]
         assert c1.derived_exponent == F(15, 2)
         assert c1.box_exponents == (F(1, 12), F(1, 4))
         assert c1.rect_exponents == (F(1, 12), F(1, 6))
-        c2 = knapp_certificate(phi, jet((1, 2)), ("edge", 2))
         assert c2.derived_exponent == F(36, 5)
 
     def test_horizontal_target(self):
-        c = knapp_certificate(P("(x2 - x1^2)^5"), jet((1, 2)), ("horizontal",))
-        assert c.derived_exponent == 10
-
-    def test_rejects_shallow_edge(self):
-        # after shearing x1, the hull of (x2 + x1 - x1^2)^2 has slope-1 edges
-        with pytest.raises(ValueError):
-            knapp_certificate(P("(x2 - x1^2)^2"), jet((1, 1)), ("edge", 1))
+        certs = knapp_certificates(P("(x2 - x1^2)^5"), jet((1, 2)))
+        assert certs[-1].target == "horizontal"
+        assert certs[-1].derived_exponent == 10
 
     def test_necessity_matches_sufficiency(self):
         for text in [EX122, "(x2 - x1^2)^2", "(x2 - x1^2)^5",
                      "(x2 - x1^2)^2 + x1^5", "x1*(x2 - x1^2)^2 + x1^7"]:
             rep = critical_exponent(P(text))
             assert rep.coords is not None
-            got = knapp_exponent_max(rep.linear.transformed, rep.coords.psi)
+            got = knapp_max(rep.linear.transformed, rep.coords.psi)
             assert got == rep.p_c_prime
 
     def test_sampled_jets_never_beat_psi(self):
@@ -192,12 +199,12 @@ class TestKnapp:
         rep = critical_exponent(phi)
         for terms in [((F(1), F(1)),), ((F(1), F(2)), (F(1), F(3))),
                       ((F(1), F(2)), (F(1), F(7, 2)))]:
-            assert knapp_exponent_max(phi, RootJet(terms)) <= rep.p_c_prime
+            assert knapp_max(phi, RootJet(terms)) <= rep.p_c_prime
 
 
 class TestCertificatesFromAdaptedPolyhedron:
-    """analyze reads the certificates off phi_a's polyhedron; both routes
-    through a fresh shear of the transformed input must agree with it."""
+    """analyze reads the certificates off phi_a's polyhedron; one shear of
+    the transformed input by the whole of psi must agree with it."""
 
     def test_acceptance_inputs(self):
         checked = 0
@@ -210,11 +217,6 @@ class TestCertificatesFromAdaptedPolyhedron:
             assert rep.coords.phi_a == \
                 rep.linear.transformed.shear_substitute(psi.to_poly()), text
             assert doc.certificates == \
-                knapp_certificates_all(rep.linear.transformed, psi), text
-            for cert in doc.certificates:
-                target = ((cert.target, cert.edge_index)
-                          if cert.target == "edge" else (cert.target,))
-                assert cert == knapp_certificate(rep.linear.transformed, psi,
-                                                 target), text
+                knapp_certificates(rep.linear.transformed, psi), text
             checked += 1
         assert checked == len(ACCEPTANCE)

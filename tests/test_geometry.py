@@ -4,8 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from nrestrict.geometry import (NewtonPolyhedron, Weight, h_l_of_edge,
-                                hull_vertices, kappa_principal_part, r_height,
-                                taylor_support)
+                                kappa_principal_part, r_height)
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
 
@@ -18,6 +17,10 @@ def P(text):
 
 def pts(*pairs):
     return [(F(a), F(b)) for a, b in pairs]
+
+
+def taylor_support(phi):
+    return frozenset(NewtonPolyhedron.of(phi).support)
 
 
 class TestTaylorSupport:
@@ -77,17 +80,8 @@ class TestHullOracle:
         for _ in range(60):
             support = {(F(rng.randint(0, 30)), F(rng.randint(0, 30)))
                        for _ in range(rng.randint(1, 10))}
-            got = hull_vertices(sorted(support))
+            got = NewtonPolyhedron(sorted(support)).vertices
             assert got == brute_hull_vertices(sorted(support))
-
-
-class TestFunctionalWrappers:
-    def test_match_methods(self):
-        from nrestrict.geometry import newton_distance, principal_face, newton_polyhedron
-        n = NewtonPolyhedron.of(P("(x2 - x1^2)^2"))
-        assert newton_distance(n) == n.distance()
-        assert principal_face(n).kind == n.principal_face().kind
-        assert newton_polyhedron(n.support).vertices == n.vertices
 
 
 class TestDistance:
@@ -150,18 +144,19 @@ class TestEdgeHeights:
 
 class TestRHeight:
     def test_example_12_2(self):
-        rh = r_height(P("(x2 - x1^3)*(x2 - x1^4)^3"), F(2))
+        rh = r_height(NewtonPolyhedron.of(P("(x2 - x1^3)*(x2 - x1^4)^3")),
+                      F(2))
         assert rh.value == F(11, 4)
         assert rh.anchor == (F(0), F(4))
         assert rh.crossing == (F(3, 4), F(15, 4))
 
     def test_horizontal_crossing(self):
-        rh = r_height(P("x2^5"), F(2))
+        rh = r_height(NewtonPolyhedron.of(P("x2^5")), F(2))
         assert rh.value == 4
         assert rh.crossing == (F(2), F(5))
 
     def test_augmented_halfline_crossing(self):
-        rh = r_height(P("x2^2"), F(2))
+        rh = r_height(NewtonPolyhedron.of(P("x2^2")), F(2))
         assert rh.value == F(4, 3)
         assert rh.crossing == (F(-2, 3), F(7, 3))
 
@@ -173,7 +168,8 @@ class TestRHeight:
             phi = PuiseuxPoly({(e1, int(e2)): F(rng.choice([1, -1, 2]))
                                for (e1, e2) in support})
             m = F(rng.randint(2, 4))
-            rh = r_height(phi, m)  # internal assertion compares both routes
+            # internal assertion compares both routes
+            rh = r_height(NewtonPolyhedron.of(phi), m)
             assert rh.crossing[1] - 1 == rh.value
 
 
@@ -194,7 +190,7 @@ class TestRHeightProperty:
         if not pts:
             return
         phi = PuiseuxPoly({(e1, int(e2)): F(1) for (e1, e2) in pts})
-        rh = r_height(phi, F(m))  # internal dual assertion
+        rh = r_height(NewtonPolyhedron.of(phi), F(m))  # internal dual assertion
         formula = max([rh.distance_term, rh.horizontal_term]
                       + [h for (_a, h) in rh.edge_terms])
         assert rh.value == formula == rh.crossing[1] - 1

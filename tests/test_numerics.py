@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from nrestrict import numerics
 from nrestrict.errors import QuadratureError
-from nrestrict.exponents import critical_exponent, knapp_certificates_all
+from nrestrict.exponents import certificates_of_polyhedron, critical_exponent
+from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, _level_sups,
                                 _masked_bump_values, _poly_xy_eval,
                                 _sup_over_t, bump,
@@ -28,6 +29,12 @@ from nrestrict.poly import PuiseuxPoly
 
 def P(text):
     return parse_expression(text).poly
+
+
+def knapp_certificates(phi, jet):
+    """Certificates of ``phi`` sheared by the whole of ``jet`` at once."""
+    return certificates_of_polyhedron(
+        jet, NewtonPolyhedron.of(phi.shear_substitute(jet.to_poly())))
 
 
 SHORT = lambda_grid(1e2, 1e5, 16)
@@ -398,7 +405,7 @@ class TestKnappBox:
     def test_example_12_2_first_edge(self):
         phi = P("(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3")
         rep = critical_exponent(phi)
-        certs = knapp_certificates_all(phi, rep.coords.psi)
+        certs = knapp_certificates(phi, rep.coords.psi)
         edge1 = [c for c in certs if c.target == "edge" and c.edge_index == 1][0]
         res = knapp_box_probe(phi, edge1)
         assert abs(res["beta"] - 1.0) <= 0.05
@@ -407,7 +414,7 @@ class TestKnappBox:
     def test_principal_line_box(self):
         phi = P("(x2 - x1^2)^2")
         rep = critical_exponent(phi)
-        cert = [c for c in knapp_certificates_all(phi, rep.coords.psi)
+        cert = [c for c in knapp_certificates(phi, rep.coords.psi)
                 if c.target == "principal"][0]
         res = knapp_box_probe(phi, cert)
         assert abs(res["beta"] - 1.0) <= 0.05

@@ -88,14 +88,6 @@ class TestCalculus:
         d = p.partial_derivative(1)
         assert d == PuiseuxPoly.monomial(F(3, 2), F(1, 2), 0)
 
-    def test_evaluate_float(self):
-        assert P("(x2 - x1^2)^2").evaluate_float((1.0, 1.0)) == 0.0
-
-    def test_evaluate_rejects_negative_branch(self):
-        p = PuiseuxPoly.monomial(1, F(1, 2), 0)
-        with pytest.raises(ValueError):
-            p.evaluate_float((-1.0, 0.0))
-        assert p.evaluate_float((4.0, 0.0)) == pytest.approx(2.0)
 
 
 def jets(draw):

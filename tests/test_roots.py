@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nrestrict.roots import (UniPoly, rational_roots, squarefree_real_roots,
-                             yun_squarefree)
+from nrestrict import roots
+from nrestrict.roots import UniPoly, squarefree_real_roots
 
 from oracles import (derivative_multiplicity, q_rational_roots, q_real_roots,
                      q_yun_squarefree, sign_change_root_count)
@@ -14,8 +14,21 @@ from oracles import (derivative_multiplicity, q_rational_roots, q_real_roots,
 def from_roots(*roots_mults):
     p = UniPoly([1])
     for r, m in roots_mults:
-        p = p * (UniPoly.from_root(r) ** m)
+        p = p * (UniPoly([-F(r), 1]) ** m)
     return p
+
+
+def yun(p):
+    """Yun's monic factors of ``p`` with multiplicities, from the kernel."""
+    return [(UniPoly(f).monic(), m)
+            for f, m in roots._yun(roots._primitive(p))]
+
+
+def rational_roots(p):
+    """Rational roots of ``p``, from the kernel on its square-free part."""
+    f = roots._primitive(p)
+    return roots._rational_roots(
+        roots._exact_quotient(f, roots._gcd(f, roots._derivative(f))))
 
 
 class TestSquarefreeRealRoots:
@@ -57,7 +70,7 @@ class TestSquarefreeRealRoots:
 
     def test_mixed_rational_irrational_disjoint(self):
         # (t - sqrt(2))(t + sqrt(2)) * (t - 3/2)^2
-        p = UniPoly([-2, 0, 1]) * (UniPoly.from_root(F(3, 2)) ** 2)
+        p = UniPoly([-2, 0, 1]) * (UniPoly([F(-3, 2), 1]) ** 2)
         recs = squarefree_real_roots(p)
         assert len(recs) == 3
         intervals = [r.interval for r in recs if not r.is_rational]
@@ -74,7 +87,7 @@ class TestSquarefreeRealRoots:
 class TestYun:
     def test_decomposition(self):
         p = from_roots((1, 2), (-1, 1)) * UniPoly([1, 0, 1])
-        factors = yun_squarefree(p)
+        factors = yun(p)
         mults = sorted(m for _f, m in factors)
         assert mults == [1, 2]
         rebuilt = UniPoly([p.leading()])
@@ -128,7 +141,7 @@ class TestAgainstRationalRoute:
                 None if r.factor is None else r.factor.coeffs)
                for r in squarefree_real_roots(p)]
         assert got == q_real_roots(p)
-        assert [(f.coeffs, m) for f, m in yun_squarefree(p)] == \
+        assert [(f.coeffs, m) for f, m in yun(p)] == \
             [(f.coeffs, m) for f, m in q_yun_squarefree(p)]
         assert rational_roots(p) == q_rational_roots(p)
 
@@ -171,7 +184,8 @@ class TestAgainstSympy:
             # an endpoint may be a rational root
             assert _open_count(sp, lo, hi) == 1
             assert _open_count(factors[r.multiplicity], lo, hi) == 1
-            assert not any(r.contains(v) for v in rational)
+            assert not any(r.interval[0] < v < r.interval[1]
+                           for v in rational)
         for i, a in enumerate(irrational):
             for b in irrational[i + 1:]:
                 assert a.interval[1] <= b.interval[0] \

@@ -17,6 +17,13 @@ def P(text):
 EX122 = "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"
 
 
+def split(phi_a, m=F(2)):
+    """Edge selection and fine-splitting forest of adapted ``phi_a``."""
+    n = NewtonPolyhedron.of(phi_a)
+    sel = select_l_pr(n, m)
+    return sel, fine_splitting_trace(phi_a, n, m, sel)
+
+
 class TestAdaptedCoordinates:
     def test_power_family(self):
         for m, n in [(2, 2), (2, 5), (3, 4)]:
@@ -58,15 +65,15 @@ class TestAdaptedCoordinates:
 class TestSelectLpr:
     def test_example_12_2_vertex_case(self):
         ac = adapted_coordinates(P(EX122))
-        sel = select_l_pr(ac.phi_a, F(2))
+        sel = select_l_pr(ac.verdict.polyhedron, F(2))
         assert sel.case == "b" and sel.l_pr == 2 and sel.a == 3
 
     def test_pure_power_case_c2(self):
-        sel = select_l_pr(P("x2^5"), F(2))
+        sel = select_l_pr(NewtonPolyhedron.of(P("x2^5")), F(2))
         assert sel.case == "c2" and sel.a == 2
 
     def test_compact_interior_case_a(self):
-        sel = select_l_pr(P("x2^2 + x1^6"), F(2))
+        sel = select_l_pr(NewtonPolyhedron.of(P("x2^2 + x1^6")), F(2))
         assert sel.case == "a" and sel.l_pr == 1 and sel.a == 3
 
     def test_case_c1(self):
@@ -75,15 +82,14 @@ class TestSelectLpr:
         n = NewtonPolyhedron.of(phi)
         face = n.principal_face()
         assert face.kind == "unbounded_edge"
-        sel = select_l_pr(phi, F(2))
+        sel = select_l_pr(n, F(2))
         assert sel.case == "c1" and sel.a == n.edges[-1].a
 
 
 class TestFineSplitting:
     def test_example_12_2(self):
         ac = adapted_coordinates(P(EX122))
-        sel = select_l_pr(ac.phi_a, F(2))
-        forest = fine_splitting_trace(ac.phi_a, F(2), sel)
+        _sel, forest = split(ac.phi_a)
         assert len(forest.branches) == 1
         br = forest.branches[0]
         assert br.terminal == "stop_12_9"
@@ -98,16 +104,14 @@ class TestFineSplitting:
     def test_example_12_2_full_factorization(self):
         phi = P(EX122)
         ac = adapted_coordinates(phi)
-        sel = select_l_pr(ac.phi_a, F(2))
-        br = fine_splitting_trace(ac.phi_a, F(2), sel).branches[0]
+        br = split(ac.phi_a)[1].branches[0]
         full_jet = ac.psi.to_poly() + br.factorization.jet.to_poly()
         cof_x = br.factorization.cofactor.shear_substitute(-full_jet)
         linear = PuiseuxPoly.x2() - full_jet
         assert (linear ** br.factorization.power) * cof_x == phi
 
     def test_pure_power_immediate_stop(self):
-        sel = select_l_pr(P("x2^2 + x1^6"), F(2))
-        forest = fine_splitting_trace(P("x2^2 + x1^6"), F(2), sel)
+        _sel, forest = split(P("x2^2 + x1^6"))
         # principal part x2^2 + x1^6 has no real roots off t = 0... the
         # restriction t^2 + 1 has none at all, so the branch ends immediately
         assert forest.branches[0].terminal == "adapted_reached"
@@ -115,17 +119,15 @@ class TestFineSplitting:
 
     def test_vertex_with_no_lower_edge_stops(self):
         phi = P("x1*x2^5 + x1^3*x2^3")
-        sel = select_l_pr(phi, F(2))
+        sel, forest = split(phi)
         assert sel.case == "b"
-        forest = fine_splitting_trace(phi, F(2), sel)
         br = forest.branches[0]
         assert br.terminal == "stop_12_9" and br.factorization.power == 3
 
     def test_polyhedra_agree_above_bisectrix(self):
         phi = P(EX122)
         ac = adapted_coordinates(phi)
-        sel = select_l_pr(ac.phi_a, F(2))
-        br = fine_splitting_trace(ac.phi_a, F(2), sel).branches[0]
+        br = split(ac.phi_a)[1].branches[0]
         jet = br.factorization.jet.to_poly()
         moved = ac.phi_a.shear_substitute(jet)
         above = lambda n: {v for v in n.vertices if v[1] > v[0]}
@@ -135,8 +137,7 @@ class TestFineSplitting:
     def test_multiplicities_bounded_by_height(self):
         phi = P(EX122)
         ac = adapted_coordinates(phi)
-        sel = select_l_pr(ac.phi_a, F(2))
-        forest = fine_splitting_trace(ac.phi_a, F(2), sel)
+        _sel, forest = split(ac.phi_a)
         for br in forest.branches:
             mults = [s.multiplicity for s in br.steps
                      if s.case == "Case3_shear"]
@@ -147,18 +148,16 @@ class TestFineSplitting:
         # adapted form whose splitting needs a half-integer shear exponent
         phi = P("(x2^2 - x1^5)^2 + x1^40")
         assert NewtonPolyhedron.of(phi).distance() == F(20, 7)
-        sel = select_l_pr(phi, F(2))
+        sel, forest = split(phi)
         assert sel.case == "a"
-        forest = fine_splitting_trace(phi, F(2), sel)
         fractional = [s for br in forest.branches for s in br.steps
                       if s.a is not None and s.a.denominator > 1]
         assert fractional, "expected a fractional-exponent level"
 
     def test_irrational_root_halts_branch(self):
         phi = P("(x2^2 - 2*x1^2)^2")
-        sel = select_l_pr(phi, F(2))
-        forest = fine_splitting_trace(phi, F(2), sel)
-        assert "algebraic_root_halt" in forest.terminals()
+        _sel, forest = split(phi)
+        assert "algebraic_root_halt" in [b.terminal for b in forest.branches]
         halted = [b for b in forest.branches
                   if b.terminal == "algebraic_root_halt"]
         assert len(halted) == 2  # one branch per sign of sqrt(2)
