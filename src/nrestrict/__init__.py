@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .poly import PuiseuxPoly
 from .roots import RootRecord, UniPoly, squarefree_real_roots
 from .geometry import NewtonPolyhedron, Weight, h_l_of_edge, r_height
-from .adapted import (circle_vanishing_order, classify_linear, height,
-                      is_adapted, linear_height)
+from .adapted import (circle_vanishing_order, classify_linear, is_adapted,
+                      linear_height)
 from .splitting import (LprSelection, RootJet, SplittingForest,
                         adapted_coordinates, condition_r_check,
                         fine_splitting_trace, select_l_pr)
@@ -27,8 +27,7 @@ __all__ = [
     "PuiseuxPoly",
     "RootRecord", "UniPoly", "squarefree_real_roots",
     "NewtonPolyhedron", "Weight", "h_l_of_edge", "r_height",
-    "circle_vanishing_order", "classify_linear", "height", "is_adapted",
-    "linear_height",
+    "circle_vanishing_order", "classify_linear", "is_adapted", "linear_height",
     "LprSelection", "RootJet", "SplittingForest", "adapted_coordinates",
     "condition_r_check", "fine_splitting_trace", "select_l_pr",
     "ExponentReport", "certificates_of_polyhedron", "critical_exponent", "h_f",

@@ -42,9 +42,11 @@ def circle_vanishing_order(p: PuiseuxPoly, w: Weight) -> int:
     return _circle_roots(p, w)[0]
 
 
-def _circle_roots(p: PuiseuxPoly, w: Weight) -> tuple[int, Optional[RootRecord]]:
-    """Circle order of a kappa-homogeneous ``p`` and its off-axis root of
-    highest multiplicity, from one isolation per restriction.
+def _circle_roots(p: PuiseuxPoly, w: Weight
+                  ) -> tuple[int, Optional[RootRecord], tuple[RootRecord, ...]]:
+    """Circle order of a kappa-homogeneous ``p``, its off-axis root of
+    highest multiplicity, and the real roots of p(1, t), from one isolation
+    per restriction.
 
     Off-axis zeros come from real roots of p(1, t) and (for integer
     exponents) p(-1, t); the axis points (+-1, 0) and (0, +-1) contribute the
@@ -55,24 +57,23 @@ def _circle_roots(p: PuiseuxPoly, w: Weight) -> tuple[int, Optional[RootRecord]]
     values = {w.k1 * e1 + w.k2 * e2 for (e1, e2) in p.support()}
     if len(values) > 1:
         raise ValueError("principal part is not kappa-homogeneous")
-    best: Optional[RootRecord] = None
-    sides = [("+", 1)]
-    if p.ramification == 1:
-        sides.append(("-", -1))
+    sides = [("+", 1)] + ([("-", -1)] if p.ramification == 1 else [])
+    found: list[tuple[RootRecord, ...]] = []
     for label, sign in sides:
         u = UniPoly(p.restrict_x1(sign))
         if u.is_zero():
             raise InternalInvariantError("homogeneous part restricts to zero")
-        for rec in squarefree_real_roots(u, sign_of_variable=label):
-            if best is None or rec.multiplicity > best.multiplicity:
-                best = rec
+        found.append(tuple(squarefree_real_roots(u, sign_of_variable=label)))
+    # max keeps the first of equal multiplicities: the + side wins ties
+    best = max((rec for side in found for rec in side),
+               key=lambda rec: rec.multiplicity, default=None)
     order = 0 if best is None else best.multiplicity
     # axis points: orders of vanishing along the coordinate restrictions
     order = max(order, p.min_e2())
     min_e1 = min(e1 for (e1, _e2) in p.support())
     if min_e1.denominator == 1:
         order = max(order, int(min_e1))
-    return order, best
+    return order, best, found[0]
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,11 @@ class AdaptednessVerdict:
     face: Face
     weight: Optional[Weight]          # principal weight when face is compact
     witness: Optional[RootRecord]     # a circle root with multiplicity > d
-    # the polyhedron judged; later stages read it rather than rebuild it
+    # the polyhedron judged and, on a compact principal edge, the real roots
+    # of p(1, t) (None off such an edge); later stages read them
     polyhedron: NewtonPolyhedron = field(compare=False, repr=False)
+    roots: Optional[tuple[RootRecord, ...]] = field(default=None, compare=False,
+                                                    repr=False)
     ratio_shortcut: bool = False      # k2/k1 (or inverse) not an integer
 
 
@@ -105,7 +109,7 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     if face.kind == "unbounded_edge":
         return AdaptednessVerdict(True, "c", None, d, face, None, None, n)
     w = face.edge.weight
-    m_pr, witness = _circle_roots(kappa_principal_part(phi, w), w)
+    m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w), w)
     ratio = w.a
     shortcut = ratio.denominator != 1 and (1 / ratio).denominator != 1
     if shortcut and m_pr >= d:
@@ -113,9 +117,9 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
             "non-integer weight ratio must force circle order < distance")
     if m_pr <= d:
         return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, n,
-                                  shortcut)
+                                  roots, shortcut)
     return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, n,
-                              shortcut)
+                              roots, shortcut)
 
 
 @dataclass(frozen=True)
@@ -201,21 +205,6 @@ def _shear_root(verdict: AdaptednessVerdict, context: str) -> Fraction:
         raise AlgebraicRootHalt(rec.interval, rec.factor, rec.multiplicity,
                                 context=context)
     return rec.value
-
-
-def height(phi: PuiseuxPoly, max_steps: int = 64) -> tuple[Fraction, "object"]:
-    """Varchenko height: the supremum of Newton distances over local
-    coordinate changes.  Returns (h, adapted-coordinates record); the record
-    is None when the input is already adapted after the linear stage.
-    """
-    from .splitting import adapted_coordinates
-
-    lh = linear_height(phi)
-    if lh.verdict.adapted:
-        return lh.h_lin, None
-    ac = adapted_coordinates(lh.transformed, max_steps=max_steps,
-                             verdict=lh.verdict)
-    return ac.h, ac
 
 
 @dataclass(frozen=True)

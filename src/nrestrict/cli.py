@@ -19,7 +19,7 @@ from .diagram import render_diagram, render_loglog_plot
 from .errors import (AlgebraicRootHalt, InternalInvariantError, ParseError,
                      QuadratureError)
 from .parser import parse_expression
-from .report import analyze
+from .report import _certs_json, _split_forest_json, analyze
 
 
 def _expression(arg: str) -> str:
@@ -48,12 +48,11 @@ def _cmd_analyze(args) -> int:
 def _cmd_diagram(args) -> int:
     expr = parse_expression(_expression(args.expr))
     doc = analyze(expr, max_steps=args.max_steps)
-    if doc.exponent.coords is not None:
-        svg = render_diagram(doc.exponent.coords.phi_a, doc.adapted_polyhedron,
-                             doc.exponent.r_height_detail, title=args.expr)
-    else:
-        svg = render_diagram(expr.poly, doc.input_polyhedron, None,
-                             title=args.expr)
+    # the adapted frame when there is one; its r-height is None otherwise
+    coords = doc.exponent.coords
+    svg = render_diagram(expr.poly if coords is None else coords.phi_a,
+                         doc.adapted_polyhedron or doc.input_polyhedron,
+                         doc.exponent.r_height_detail, title=args.expr)
     _write(svg, args.svg)
     return 0
 
@@ -65,7 +64,6 @@ def _cmd_knapp(args) -> int:
                    "note": "input is adapted after the linear stage; "
                            "lower bounds follow from the distance"}
     else:
-        from .report import _certs_json
         payload = {"input": args.expr,
                    "p_c_prime": str(doc.exponent.p_c_prime),
                    "certificates": _certs_json(doc.certificates)}
@@ -75,7 +73,6 @@ def _cmd_knapp(args) -> int:
 
 def _cmd_trace(args) -> int:
     doc = analyze(parse_expression(_expression(args.expr)), max_steps=args.max_steps)
-    from .report import _split_forest_json
     payload = {"input": args.expr,
                "l_pr_case": None if doc.selection is None else doc.selection.case,
                "splitting": None if doc.forest is None

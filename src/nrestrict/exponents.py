@@ -29,15 +29,14 @@ class ExponentReport:
     h: Fraction
     h_lin: Fraction
     h_r: Fraction
-    theta: Fraction                 # 2 / p_c_prime
     m: Optional[Fraction]
     linear: LinearHeightReport
     coords: Optional[AdaptedCoordinates]      # None when adapted linearly
     r_height_detail: Optional[RHeightResult]
 
-    def __post_init__(self):
-        if self.theta * self.p_c_prime != 2:
-            raise InternalInvariantError("theta bookkeeping violated")
+    @property
+    def theta(self) -> Fraction:
+        return 2 / self.p_c_prime
 
 
 def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
@@ -53,15 +52,15 @@ def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
     if lh.adapted_linear_exists:
         h = lh.h_lin
         p = 2 * h + 2
-        return ExponentReport(p, "adapted_2h_plus_2", h, lh.h_lin, h,
-                              Fraction(2) / p, lh.m, lh, None, None)
+        return ExponentReport(p, "adapted_2h_plus_2", h, lh.h_lin, h, lh.m,
+                              lh, None, None)
     m = lh.m
     ac = adapted_coordinates(lh.transformed, max_steps=max_steps,
                              verdict=lh.verdict)
     rh = r_height(ac.verdict.polyhedron, m)
     p = 2 * rh.value + 2
     return ExponentReport(p, "r_height_2hr_plus_2", ac.h, lh.h_lin, rh.value,
-                          Fraction(2) / p, m, lh, ac, rh)
+                          m, lh, ac, rh)
 
 
 def _as_jet(f: RootJet | PuiseuxPoly) -> RootJet:
@@ -135,23 +134,22 @@ def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
     input the samples stay at or below the distance.  This is a consistency
     sampler, not a certified supremum.
     """
-    # linear_height judges phi first, but rejects ramified input, which the
-    # adapted branch accepts
-    lh = linear_height(phi) if phi.ramification == 1 else None
-    verdict = lh.input_verdict if lh is not None else is_adapted(phi)
-    if verdict.adapted:
-        bound = verdict.d
-        kind = "distance"
-        psi = None
+    # non-critical input gets critical_exponent's error; ramified input has
+    # no linear height, and is sampled only when adapted, against d
+    if phi.ramification == 1 or not phi.vanishes_to_second_order():
+        rep = critical_exponent(phi, max_steps=max_steps)
+        verdict = rep.linear.input_verdict
     else:
-        if lh is None:
-            raise ValueError("linear height needs an integer-exponent polynomial")
-        if lh.transformed != phi:
-            raise ValueError("sampling expects linearly adapted input")
-        ac = adapted_coordinates(phi, max_steps=max_steps, verdict=verdict)
-        psi = ac.psi
-        bound = r_height(ac.verdict.polyhedron, lh.m).value
-        kind = "r_height"
+        rep, verdict = None, is_adapted(phi)
+    psi = None
+    if verdict.adapted:
+        bound, kind = verdict.d, "distance"
+    elif rep is None:
+        raise ValueError("linear height needs an integer-exponent polynomial")
+    elif rep.linear.transformed != phi:
+        raise ValueError("sampling expects linearly adapted input")
+    else:
+        psi, bound, kind = rep.coords.psi, rep.h_r, "r_height"
     if jets is None:
         jets = default_jet_family(phi, psi)
     samples = []

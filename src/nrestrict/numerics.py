@@ -481,8 +481,8 @@ def surface_decay_fit(phi: PuiseuxPoly,
     desc = (f"graph of {render(phi)}, "
             f"xi=({direction[0]},{direction[1]},{direction[2]})")
     if expected is None and xi[2] != 0:
-        from .adapted import height
-        expected = 1.0 / float(height(phi)[0])
+        from .exponents import critical_exponent
+        expected = 1.0 / float(critical_exponent(phi).h)
 
     lams = _check_grid(lams)
     meta, reduced = _reduce_phase(phase_poly, half_width)
@@ -644,13 +644,6 @@ class BumpSpec:
                 n = max(n, (BUMP_D2 if si == sj else BUMP_D1 * BUMP_D1)
                         / (si * sj))
         return n
-
-    def evaluate(self, args: np.ndarray) -> np.ndarray:
-        """args shape (..., n) -> product bump values."""
-        acc = np.ones(args.shape[:-1])
-        for k, (c, s) in enumerate(zip(self.centers, self.scales)):
-            acc = acc * bump((args[..., k] - c) / s)
-        return acc
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,11 @@
 """Analysis pipeline and JSON report document.
 
+:func:`analyze` runs the exponent stage (linear height, adapted
+coordinates, r-height and p_c'); the later stages of the returned
+:class:`ReportDocument` run once each, on first read.  ``analyze`` prints
+them all, ``knapp`` reads the certificates, ``trace`` the ``l_pr``
+selection and the splitting forest, and ``diagram`` no later stage.
+
 Every exact value is serialized as a string "p/q" (integers as "n"); floats
 appear only inside decay-fit records.  Key order is fixed, so the output is
 byte-deterministic for a given input and tool version.
@@ -10,11 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import __version__
 from .adapted import classify_linear
-from .errors import AlgebraicRootHalt
 from .exponents import (ExponentReport, certificates_of_polyhedron,
                         critical_exponent)
 from .geometry import NewtonPolyhedron
@@ -92,22 +98,59 @@ def _certs_json(certs) -> list[dict]:
 
 @dataclass
 class ReportDocument:
-    """Everything the analyze command knows about one input."""
+    """Everything the analyze command knows about one input.  ``exponent``
+    is computed by :func:`analyze`; every other stage on first read."""
 
     expr: InputExpr
     exponent: ExponentReport
-    input_polyhedron: NewtonPolyhedron
-    adapted_polyhedron: Optional[NewtonPolyhedron]
-    selection: Optional[LprSelection]
-    forest: Optional[SplittingForest]
-    certificates: Optional[list]
-    singularity: Optional[object]
-    notes: list[str]
+    max_steps: int = 64
+    series_order: Optional[int] = None
+
+    @property
+    def input_polyhedron(self) -> NewtonPolyhedron:
+        return self.exponent.linear.input_verdict.polyhedron
+
+    @property
+    def adapted_polyhedron(self) -> Optional[NewtonPolyhedron]:
+        coords = self.exponent.coords
+        return None if coords is None else coords.verdict.polyhedron
+
+    @cached_property
+    def selection(self) -> Optional[LprSelection]:
+        if self.exponent.coords is None:
+            return None
+        return select_l_pr(self.adapted_polyhedron, self.exponent.m)
+
+    @cached_property
+    def forest(self) -> Optional[SplittingForest]:
+        sel = self.selection
+        if sel is None or sel.case not in ("a", "b"):
+            return None
+        coords = self.exponent.coords
+        return fine_splitting_trace(coords.phi_a, coords.verdict,
+                                    self.exponent.m, sel,
+                                    max_levels=self.max_steps)
+
+    @cached_property
+    def certificates(self) -> Optional[list]:
+        coords = self.exponent.coords
+        if coords is None:
+            return None
+        # phi_a is the transformed input sheared by psi, so its polyhedron
+        # is the one the certificates are read off
+        return certificates_of_polyhedron(coords.psi, coords.verdict.polyhedron)
+
+    @cached_property
+    def singularity(self) -> Optional[object]:
+        rep = self.exponent
+        if rep.h_lin >= 2 or rep.linear.adapted_linear_exists:
+            return None
+        return classify_linear(rep.linear, series_order=self.series_order)
 
     def to_json_dict(self) -> dict:
         rep = self.exponent
         verdict = rep.linear.verdict
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
             "input": self.expr.source,
@@ -151,9 +194,10 @@ class ReportDocument:
                 "exact": self.singularity.exact,
                 "psi": render_unipoly(self.singularity.psi_truncation),
             },
-            "notes": self.notes,
+            # only the exponent stage raises algebraic-root halts; a
+            # splitting branch that halts records it in the branch
+            "notes": [],
         }
-        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
@@ -168,33 +212,6 @@ def render_unipoly(u) -> str:
 
 def analyze(expr: InputExpr, max_steps: int = 64,
             series_order: int | None = None) -> ReportDocument:
-    """Run the full exact pipeline on a parsed expression."""
-    phi = expr.poly
-    notes: list[str] = []
-    rep = critical_exponent(phi, max_steps=max_steps)
-    n_input = rep.linear.input_verdict.polyhedron
-    adapted_poly = None
-    selection = None
-    forest = None
-    certs = None
-    if rep.coords is not None:
-        adapted_poly = rep.coords.verdict.polyhedron
-        selection = select_l_pr(adapted_poly, rep.m)
-        if selection.case in ("a", "b"):
-            try:
-                forest = fine_splitting_trace(rep.coords.phi_a, adapted_poly,
-                                              rep.m, selection,
-                                              max_levels=max_steps)
-            except AlgebraicRootHalt as halt:
-                notes.append(f"fine splitting halted: {halt}")
-        # phi_a is the transformed input sheared by psi, so its polyhedron
-        # is the one the certificates are read off
-        certs = certificates_of_polyhedron(rep.coords.psi, adapted_poly)
-    singularity = None
-    if rep.h_lin < 2 and not rep.linear.adapted_linear_exists:
-        try:
-            singularity = classify_linear(rep.linear, series_order=series_order)
-        except AlgebraicRootHalt as halt:
-            notes.append(f"classification halted: {halt}")
-    return ReportDocument(expr, rep, n_input, adapted_poly, selection, forest,
-                          certs, singularity, notes)
+    """The report of a parsed expression, with its exponent stage run."""
+    return ReportDocument(expr, critical_exponent(expr.poly, max_steps=max_steps),
+                          max_steps, series_order)

@@ -202,33 +202,40 @@ class SplittingForest:
     branches: tuple[SplittingTrace, ...]
 
 
-def fine_splitting_trace(phi_a: PuiseuxPoly, n: NewtonPolyhedron,
+def fine_splitting_trace(phi_a: PuiseuxPoly, verdict: AdaptednessVerdict,
                          m: Fraction, sel: LprSelection,
                          max_levels: int = 64) -> SplittingForest:
     """Explore all multiplicity->=2 real-root branches below the bisectrix.
 
-    ``n`` is the Newton polyhedron of ``phi_a``.  Works in the adapted frame:
-    the returned jets extend the principal root jet.  Only the positive
+    ``verdict`` is ``is_adapted(phi_a)``: its polyhedron is the one the
+    selection was read off, and in case ``a`` its roots are those of the
+    first active edge's restriction.  Works in the adapted frame: the
+    returned jets extend the principal root jet.  Only the positive
     half-plane is traced (fractional exponents are confined to it).
     """
     if sel.case not in ("a", "b"):
         raise ValueError("fine splitting applies to the compact-edge and "
                          "bisectrix-vertex cases only")
+    n = verdict.polyhedron
+    roots = None
     if sel.case == "a":
-        edge = n.edges[sel.l_pr - 1]
+        # the active edge is the principal edge the verdict judged
+        edge, roots = n.edges[sel.l_pr - 1], verdict.roots
     else:
         j = sel.l_pr - 1  # vertex index carrying the bisectrix
         edge = n.edges[j] if j < len(n.edges) else None
     branches: list[SplittingTrace] = []
     _explore(phi_a, edge, 1, m, (), PuiseuxPoly.zero(), branches,
-             max_levels, prev_mult=None)
+             max_levels, prev_mult=None, roots=roots)
     return SplittingForest(tuple(branches))
 
 
 def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
              m: Fraction, steps: tuple[SplitStep, ...], jet: PuiseuxPoly,
              out: list[SplittingTrace], max_levels: int,
-             prev_mult: Optional[int]) -> None:
+             prev_mult: Optional[int],
+             roots: Optional[tuple[RootRecord, ...]] = None) -> None:
+    # roots: those of the active edge's p(1, t) when already isolated
     if level > max_levels:
         out.append(SplittingTrace(steps, "budget_exceeded"))
         return
@@ -242,8 +249,8 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
     w = edge.weight
     a = edge.a
     pr = kappa_principal_part(phi_cur, w)
-    u = UniPoly(pr.restrict_x1(1))
-    roots = squarefree_real_roots(u)
+    if roots is None:
+        roots = squarefree_real_roots(UniPoly(pr.restrict_x1(1)))
     shear_roots: list[RootRecord] = []
     level_steps: list[SplitStep] = []
     for rec in roots:

@@ -98,7 +98,8 @@ def test_criterion_2_example_12_2_regression():
     assert rep.h_r == F(11, 4)
     assert rep.p_c_prime == F(15, 2)
     sel = select_l_pr(na, rep.m)
-    forest = fine_splitting_trace(rep.coords.phi_a, na, rep.m, sel)
+    forest = fine_splitting_trace(rep.coords.phi_a, rep.coords.verdict, rep.m,
+                                  sel)
     br = forest.branches[0]
     shear = [s for s in br.steps if s.case == "Case3_shear"][0]
     assert shear.root == 1 and shear.multiplicity == 3

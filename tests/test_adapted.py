@@ -6,7 +6,8 @@ import pytest
 
 from nrestrict import adapted, exponents, splitting
 from nrestrict.adapted import (circle_vanishing_order, classify_linear,
-                               height, is_adapted, linear_height)
+                               is_adapted, linear_height)
+from nrestrict.exponents import critical_exponent
 from nrestrict.geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from nrestrict.parser import parse_expression
 from nrestrict.report import analyze
@@ -55,7 +56,7 @@ class TestCircleVanishingOrder:
             p = P(text)
             m = circle_vanishing_order(p, k)
             d_h = 1 / (k.k1 + k.k2)
-            assert height(p)[0] == max(m, d_h) == expect_h
+            assert critical_exponent(p).h == max(m, d_h) == expect_h
 
 
 class TestIsAdapted:
@@ -109,7 +110,7 @@ class TestShearWitness:
     def test_witness_is_the_positive_side_root_exceeding_d(self, monkeypatch):
         judged, _linear = _record_judgements(monkeypatch)
         for text in ACCEPTANCE:
-            analyze(parse_expression(text))
+            analyze(parse_expression(text)).to_json()
         shear_steps = 0
         for phi, verdict in judged:
             if verdict.adapted:
@@ -133,7 +134,7 @@ class TestShearWitness:
         judged, linear = _record_judgements(monkeypatch)
         for text in ACCEPTANCE:
             del judged[:], linear[:]
-            analyze(parse_expression(text))
+            analyze(parse_expression(text)).to_json()
             polys = [phi for phi, _verdict in judged]
             assert len(polys) == len(set(polys)), text
             assert len(linear) == 1, text
@@ -168,7 +169,7 @@ class TestPolyhedronBuilds:
         rebuilds, clear = _record_rebuilds(monkeypatch)
         for text in [EX122] + LADDER:
             clear()
-            analyze(parse_expression(text))
+            analyze(parse_expression(text)).to_json()
             assert rebuilds == [], text
 
     def test_normal_forms_rebuild_only_for_the_distance_check(
@@ -176,20 +177,21 @@ class TestPolyhedronBuilds:
         rebuilds, clear = _record_rebuilds(monkeypatch)
         for text, *_ in NORMAL_FORMS:
             clear()
-            analyze(parse_expression(text))
+            analyze(parse_expression(text)).to_json()
             assert rebuilds == ["classify_linear"], text
 
 
 class TestHeight:
     def test_power_family(self):
         for m, n in [(2, 2), (2, 5), (3, 4)]:
-            assert height(P(f"(x2 - x1^{m})^{n}"))[0] == n
+            assert critical_exponent(P(f"(x2 - x1^{m})^{n}")).h == n
 
     def test_sum_of_squares(self):
-        assert height(P("x1^2 + x2^2"))[0] == 1
+        assert critical_exponent(P("x1^2 + x2^2")).h == 1
 
     def test_example_12_2(self):
-        assert height(P("(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"))[0] == 3
+        assert critical_exponent(
+            P("(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3")).h == 3
 
 
 class TestLinearHeight:

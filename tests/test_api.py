@@ -1,14 +1,14 @@
-"""The package's API surface, and a guard against dead code in the exact core.
+"""The package's API surface, and a guard against dead code.
 
-Every public top-level function or method of the exact-core modules must be
-referenced elsewhere in ``src/nrestrict`` or exported in
-``nrestrict.__all__``.  References are matched by name, from the syntax
-tree: a function counts as used when its name is loaded or imported outside
-its own body, a method when an attribute of that name is read outside its
-own body.  ``Cls.name`` on one of the package's classes counts for that
-class only, so ``PuiseuxPoly.zero()`` does not keep another ``zero`` alive.
-Code that only tests call is dead here; a test that needs a kernel calls it
-by its private name.
+Every public top-level function or method of the modules in ``CHECKED``
+(all but ``numerics``) must be referenced elsewhere in ``src/nrestrict`` or
+exported in ``nrestrict.__all__``.  References are matched by name, from the
+syntax tree: a function counts as used when its name is loaded or imported
+outside its own body, a method when an attribute of that name is read
+outside its own body.  ``Cls.name`` on one of the package's classes counts
+for that class only, so ``PuiseuxPoly.zero()`` does not keep another
+``zero`` alive.  Code that only tests call is dead here; a test that needs a
+kernel calls it by its private name.
 """
 
 import ast
@@ -20,9 +20,9 @@ import nrestrict
 SRC = os.path.dirname(os.path.abspath(nrestrict.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
 
-#: the exact-core modules the guard walks
+#: the modules the guard walks: all but ``numerics``
 CHECKED = ("poly", "roots", "geometry", "adapted", "splitting", "exponents",
-           "report")
+           "report", "cli", "parser", "diagram", "errors")
 
 #: imported on its own so that the exact core never loads numpy
 SEPARATE = ("numerics",)

@@ -244,6 +244,14 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: frequency grid must be strictly increasing\n")
 
+    def test_decay_rejects_non_critical_input(self, capsys):
+        # a constant or a linear term leaves no height to predict 1/h from
+        for text in ("1 + x1^2 + x2^2", "x1"):
+            assert cli.main(["decay", text, "--points", "4"]) == 1, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: the origin must be a critical point")
+            assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestHaltSurfacing:
     def test_halted_branches_appear_in_the_report(self):

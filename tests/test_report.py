@@ -1,0 +1,78 @@
+"""The staged report: each subcommand runs only the stages it prints, and no
+stage redoes the work of an earlier one."""
+
+from collections import Counter
+
+import pytest
+
+from nrestrict import adapted, cli, report, splitting
+from nrestrict.errors import AlgebraicRootHalt
+from nrestrict.parser import parse_expression
+from nrestrict.report import analyze
+
+from make_golden import COMMANDS, INPUTS
+
+STAGES = ("fine_splitting_trace", "classify_linear",
+          "certificates_of_polyhedron")
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Count the calls ``report`` makes to each later stage."""
+    calls = Counter()
+    for name in STAGES:
+        def spy(*args, _name=name, _real=getattr(report, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(report, name, spy)
+    return calls
+
+
+def _run(cmd, text, out):
+    flag = "--svg" if cmd == "diagram" else "--json"
+    return cli.main([cmd, text, flag, str(out)])
+
+
+def test_each_subcommand_runs_only_the_stages_it_prints(stage_calls,
+                                                         tmp_path):
+    reads = {"knapp": {"certificates_of_polyhedron"},
+             "diagram": set(),
+             "trace": {"fine_splitting_trace"},
+             "analyze": set(STAGES)}
+    assert set(reads) == set(COMMANDS)
+    totals = {cmd: Counter() for cmd in COMMANDS}
+    for text in INPUTS:
+        for cmd in COMMANDS:
+            stage_calls.clear()
+            assert _run(cmd, text, tmp_path / "out") in (0, 2), (cmd, text)
+            assert set(stage_calls) <= reads[cmd], (cmd, text)
+            assert max(stage_calls.values(), default=0) <= 1, (cmd, text)
+            totals[cmd] += stage_calls
+    # every stage a subcommand reads runs on some input
+    for cmd in COMMANDS:
+        assert set(totals[cmd]) == reads[cmd], cmd
+
+
+def test_no_restriction_is_isolated_twice(monkeypatch):
+    """The splitting stage reads the roots the adaptedness verdict holds:
+    over the golden inputs no restriction is isolated by both, and one
+    ``analyze(...).to_json()`` each isolates 118 restrictions in all."""
+    calls = []
+    for mod in (adapted, splitting):
+        def spy(u, sign_of_variable="+", _mod=mod,
+                _real=mod.squarefree_real_roots):
+            calls.append((_mod, (tuple(u.coeffs), sign_of_variable)))
+            return _real(u, sign_of_variable)
+        monkeypatch.setattr(mod, "squarefree_real_roots", spy)
+    total = 0
+    for text in INPUTS:
+        calls.clear()
+        try:
+            analyze(parse_expression(text)).to_json()
+        except AlgebraicRootHalt:
+            pass
+        judged = {key for mod, key in calls if mod is adapted}
+        split = [key for mod, key in calls if mod is splitting]
+        assert [key for key in split if key in judged] == [], text
+        total += len(calls)
+    assert total == 118

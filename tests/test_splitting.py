@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from nrestrict.adapted import is_adapted
 from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
@@ -19,9 +20,9 @@ EX122 = "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"
 
 def split(phi_a, m=F(2)):
     """Edge selection and fine-splitting forest of adapted ``phi_a``."""
-    n = NewtonPolyhedron.of(phi_a)
-    sel = select_l_pr(n, m)
-    return sel, fine_splitting_trace(phi_a, n, m, sel)
+    verdict = is_adapted(phi_a)
+    sel = select_l_pr(verdict.polyhedron, m)
+    return sel, fine_splitting_trace(phi_a, verdict, m, sel)
 
 
 class TestAdaptedCoordinates:
@@ -217,11 +218,12 @@ class TestRandomizedFactorizations:
                 continue
             try:
                 doc = analyze(InputExpr(render(phi), phi))
+                forest = doc.forest
             except ValueError:
                 continue
-            if doc.forest is None:
+            if forest is None:
                 continue
-            for br in doc.forest.branches:
+            for br in forest.branches:
                 if br.terminal != "stop_12_9":
                     continue
                 full = doc.exponent.coords.psi.to_poly() + \
