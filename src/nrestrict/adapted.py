@@ -90,7 +90,6 @@ class AdaptednessVerdict:
     polyhedron: NewtonPolyhedron = field(compare=False, repr=False)
     roots: Optional[tuple[RootRecord, ...]] = field(default=None, compare=False,
                                                     repr=False)
-    ratio_shortcut: bool = False      # k2/k1 (or inverse) not an integer
 
 
 def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
@@ -111,15 +110,12 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     w = face.edge.weight
     m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w), w)
     ratio = w.a
-    shortcut = ratio.denominator != 1 and (1 / ratio).denominator != 1
-    if shortcut and m_pr >= d:
+    if ratio.denominator != 1 and (1 / ratio).denominator != 1 and m_pr >= d:
         raise InternalInvariantError(
             "non-integer weight ratio must force circle order < distance")
     if m_pr <= d:
-        return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, n,
-                                  roots, shortcut)
-    return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, n,
-                              roots, shortcut)
+        return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, n, roots)
+    return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, n, roots)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,11 @@ class LinearHeightReport:
     input_verdict: AdaptednessVerdict  # adaptedness of the input itself
 
 
-def linear_height(phi: PuiseuxPoly, max_steps: int = 32) -> LinearHeightReport:
+#: coordinate changes ``linear_height`` makes before it gives up
+_LINEAR_BUDGET = 32
+
+
+def linear_height(phi: PuiseuxPoly) -> LinearHeightReport:
     """Maximal Newton distance over linear coordinate changes.
 
     Follows the constructive characterization of linearly adapted
@@ -141,14 +141,15 @@ def linear_height(phi: PuiseuxPoly, max_steps: int = 32) -> LinearHeightReport:
     one, shear off the unique circle root of multiplicity exceeding the
     distance (rational required, else an algebraic-root halt); a coordinate
     swap keeps k1 <= k2.  Stops as soon as the coordinates are adapted or the
-    weight ratio reaches 2.
+    weight ratio reaches 2.  After 32 changes without a stop it raises
+    :class:`InternalInvariantError`.
     """
     if phi.ramification != 1:
         raise ValueError("linear height needs an integer-exponent polynomial")
     t: Matrix = IDENTITY
     cur = phi
     first = None
-    for _ in range(max_steps):
+    for _ in range(_LINEAR_BUDGET):
         verdict = is_adapted(cur)
         if first is None:
             first = verdict
@@ -216,7 +217,6 @@ class SingularityClass:
     psi_truncation: UniPoly          # root jet of the normal form, in x1
     b0: Optional[UniPoly]            # exact b0 when psi is exactly polynomial
     exact: bool                      # n (incl. infinity) certified exactly
-    truncation_order: int
 
     @property
     def label(self) -> str:
@@ -224,23 +224,22 @@ class SingularityClass:
         return f"{self.family}{idx}"
 
 
-def classify_linear(lh: LinearHeightReport,
-                    series_order: int | None = None) -> SingularityClass:
+def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     """Normal-form class (A or D family) from the linear-height report of a
     polynomial of linear height < 2.
 
     Requires that no linear coordinate system is adapted.  The root jet of
     the normal form is the branch of critical points of x2 -> phi(x1, x2),
     solved term by term with rational coefficients; ``b0`` is phi evaluated
-    along the jet, and its vanishing order fixes the index.
+    along the jet, and its vanishing order fixes the index.  The jet is
+    solved to order ``4 * deg + 4`` for an input of total degree ``deg``.
     """
     if lh.h_lin >= 2:
         raise ValueError(f"linear height {lh.h_lin} is not < 2")
     if lh.adapted_linear_exists:
         raise ValueError("an adapted linear coordinate system exists")
     work = lh.transformed
-    if series_order is None:
-        series_order = 4 * int(work.total_degree()) + 4
+    series_order = 4 * int(work.total_degree()) + 4
 
     p2 = _homogeneous_part(work, 2)
     if p2:
@@ -288,8 +287,7 @@ def classify_linear(lh: LinearHeightReport,
         raise InternalInvariantError(
             "normal-form distance does not match the classified family")
     return SingularityClass(family=family, index=index, m=m, n=n,
-                            psi_truncation=psi, b0=b0, exact=exact_flag,
-                            truncation_order=series_order)
+                            psi_truncation=psi, b0=b0, exact=exact_flag)
 
 
 def _homogeneous_part(phi: PuiseuxPoly, total: int) -> PuiseuxPoly:

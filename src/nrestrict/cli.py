@@ -39,26 +39,22 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    doc = analyze(parse_expression(_expression(args.expr)), max_steps=args.max_steps,
-                  series_order=args.series_order)
+    doc = analyze(parse_expression(_expression(args.expr)))
     _write(doc.to_json(), args.json)
     return 0
 
 
 def _cmd_diagram(args) -> int:
-    expr = parse_expression(_expression(args.expr))
-    doc = analyze(expr, max_steps=args.max_steps)
+    doc = analyze(parse_expression(_expression(args.expr)))
     # the adapted frame when there is one; its r-height is None otherwise
-    coords = doc.exponent.coords
-    svg = render_diagram(expr.poly if coords is None else coords.phi_a,
-                         doc.adapted_polyhedron or doc.input_polyhedron,
+    svg = render_diagram(doc.adapted_polyhedron or doc.input_polyhedron,
                          doc.exponent.r_height_detail, title=args.expr)
     _write(svg, args.svg)
     return 0
 
 
 def _cmd_knapp(args) -> int:
-    doc = analyze(parse_expression(_expression(args.expr)), max_steps=args.max_steps)
+    doc = analyze(parse_expression(_expression(args.expr)))
     if doc.certificates is None:
         payload = {"input": args.expr, "certificates": None,
                    "note": "input is adapted after the linear stage; "
@@ -72,7 +68,7 @@ def _cmd_knapp(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    doc = analyze(parse_expression(_expression(args.expr)), max_steps=args.max_steps)
+    doc = analyze(parse_expression(_expression(args.expr)))
     payload = {"input": args.expr,
                "l_pr_case": None if doc.selection is None else doc.selection.case,
                "splitting": None if doc.forest is None
@@ -107,22 +103,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "for bivariate polynomials")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, expr_required=True):
-        if expr_required:
-            sp.add_argument("expr", help="polynomial expression, e.g. "
-                            "'(x2 - x1^2)^2'")
+    def common(sp):
+        sp.add_argument("expr", help="polynomial expression, e.g. "
+                        "'(x2 - x1^2)^2'")
         sp.add_argument("--json", default=None, help="output path (default stdout)")
-        sp.add_argument("--max-steps", type=int, default=64)
         return sp
 
     sp = common(sub.add_parser("analyze", help="full exact analysis"))
-    sp.add_argument("--series-order", type=int, default=None)
     sp.set_defaults(fn=_cmd_analyze)
 
     sp = sub.add_parser("diagram", help="SVG Newton diagram")
     sp.add_argument("expr")
     sp.add_argument("--svg", default=None, help="output path (default stdout)")
-    sp.add_argument("--max-steps", type=int, default=64)
     sp.set_defaults(fn=_cmd_diagram)
 
     sp = common(sub.add_parser("knapp", help="symbolic box certificates"))

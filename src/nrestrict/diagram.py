@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from .geometry import NewtonPolyhedron, RHeightResult
-from .poly import PuiseuxPoly
 
 
 def _escape(text: str) -> str:
@@ -62,7 +61,7 @@ class _Canvas:
                 f"{body}\n</svg>\n")
 
 
-def render_diagram(phi: PuiseuxPoly, polyhedron: NewtonPolyhedron,
+def render_diagram(polyhedron: NewtonPolyhedron,
                    rh: Optional[RHeightResult] = None,
                    title: str = "") -> str:
     """SVG for one polyhedron; pass the r-height result to overlay the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .adapted import LinearHeightReport, is_adapted, linear_height
 from .errors import InternalInvariantError
@@ -39,7 +39,7 @@ class ExponentReport:
         return 2 / self.p_c_prime
 
 
-def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
+def critical_exponent(phi: PuiseuxPoly) -> ExponentReport:
     """Exact critical dual exponent p_c' for the restriction problem.
 
     The graph must have a critical point at the origin, the setting in which
@@ -55,8 +55,7 @@ def critical_exponent(phi: PuiseuxPoly, max_steps: int = 64) -> ExponentReport:
         return ExponentReport(p, "adapted_2h_plus_2", h, lh.h_lin, h, lh.m,
                               lh, None, None)
     m = lh.m
-    ac = adapted_coordinates(lh.transformed, max_steps=max_steps,
-                             verdict=lh.verdict)
+    ac = adapted_coordinates(lh.transformed, verdict=lh.verdict)
     rh = r_height(ac.verdict.polyhedron, m)
     p = 2 * rh.value + 2
     return ExponentReport(p, "r_height_2hr_plus_2", ac.h, lh.h_lin, rh.value,
@@ -92,21 +91,21 @@ class JetSupSample:
     bound_kind: str
 
 
-def default_jet_family(phi: PuiseuxPoly, psi: Optional[RootJet],
-                       max_monomial: int = 12,
-                       denominator_cap: int = 6) -> list[RootJet]:
+def default_jet_family(phi: PuiseuxPoly,
+                       psi: Optional[RootJet]) -> list[RootJet]:
     """Candidate jets: truncations of psi, psi plus one higher-order term
-    with exponent denominator up to the cap, and pure monomials."""
+    with exponent denominator up to 6, and pure monomials of degree up to
+    12."""
     family: list[RootJet] = []
     deg_cap = int(phi.total_degree()) + 2
-    for n in range(1, max_monomial + 1):
+    for n in range(1, 13):
         for c in (Fraction(1), Fraction(-1), Fraction(1, 2)):
             family.append(RootJet(((c, Fraction(n)),)))
     if psi is not None and not psi.is_zero():
         family.extend(t for t in psi.truncations() if not t.is_zero())
         top = psi.degree
         extra_exps = []
-        for q in range(1, denominator_cap + 1):
+        for q in range(1, 7):
             e = top + Fraction(1, q)
             if e <= deg_cap:
                 extra_exps.append(e)
@@ -125,9 +124,8 @@ def default_jet_family(phi: PuiseuxPoly, psi: Optional[RootJet],
     return out
 
 
-def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
-                     max_steps: int = 64) -> JetSupSample:
-    """Sample sup over jets of h^f.
+def h_r_tilde_sample(phi: PuiseuxPoly) -> JetSupSample:
+    """Sample the sup of h^f over the jets of ``default_jet_family``.
 
     On non-adapted (linearly adapted) input every sample must stay at or
     below the r-height, with equality at the principal root jet; on adapted
@@ -137,7 +135,7 @@ def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
     # non-critical input gets critical_exponent's error; ramified input has
     # no linear height, and is sampled only when adapted, against d
     if phi.ramification == 1 or not phi.vanishes_to_second_order():
-        rep = critical_exponent(phi, max_steps=max_steps)
+        rep = critical_exponent(phi)
         verdict = rep.linear.input_verdict
     else:
         rep, verdict = None, is_adapted(phi)
@@ -150,12 +148,10 @@ def h_r_tilde_sample(phi: PuiseuxPoly, jets: Iterable[RootJet] | None = None,
         raise ValueError("sampling expects linearly adapted input")
     else:
         psi, bound, kind = rep.coords.psi, rep.h_r, "r_height"
-    if jets is None:
-        jets = default_jet_family(phi, psi)
     samples = []
     best: Fraction | None = None
     witnesses: list[RootJet] = []
-    for jet in jets:
+    for jet in default_jet_family(phi, psi):
         value = h_f(phi, jet)
         if value > bound:
             raise InternalInvariantError(

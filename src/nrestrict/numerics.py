@@ -79,34 +79,35 @@ _CELL_CHUNK = 8192
 def oscillatory_integral_1d(phase: Callable, amp: Callable,
                             lo: float, hi: float,
                             lam: float | Sequence[float],
-                            tau: float = math.pi, gl_order: int = 16,
+                            tau: float = math.pi,
                             max_cells: int = 4_000_000) -> complex | np.ndarray:
     """integral of exp(i*lam*phase(s)) * amp(s) over [lo, hi].
 
     Cells are bisected until the phase, probed at 7 points, varies by at
-    most ``tau / |lam|``, then integrated with fixed-order Gauss-Legendre.
+    most ``tau / |lam|``, then integrated with 16-point Gauss-Legendre.
     ``phase`` and ``amp`` must accept numpy arrays.  A scalar ``lam`` gives a
     complex; a 1-D sequence of frequencies (any order, repeats allowed) gives
     an array with one integral per frequency, all read off one cell tree
     (see ``_cell_tree``) and each equal to its own scalar call up to the
     order of summation.
     """
-    return _cell_tree(phase, amp, (lo, hi), lam, tau, gl_order, max_cells, 7)
+    return _cell_tree(phase, amp, (lo, hi), lam, tau, 16, max_cells, 7)
 
 
 def oscillatory_integral_2d(phase: Callable, amp: Callable,
                             box: tuple[float, float, float, float],
                             lam: float | Sequence[float],
-                            tau: float = 2 * math.pi, gl_order: int = 8,
+                            tau: float = 2 * math.pi,
                             max_cells: int = 400_000) -> complex | np.ndarray:
     """Direct 2-D analogue of the 1-D rule over ``box = (x0, x1, y0, y1)``:
-    quadtree refinement with a 4x4 phase probe per cell.  ``lam`` is a
-    scalar or a 1-D sequence, as in ``oscillatory_integral_1d``.
+    quadtree refinement with a 4x4 phase probe per cell and 8x8-point
+    Gauss-Legendre.  ``lam`` is a scalar or a 1-D sequence, as in
+    ``oscillatory_integral_1d``.
 
     Cost grows like lam^2, so this is the fallback path for moderate
     frequencies only; the cell budget guards against runaway refinement.
     """
-    return _cell_tree(phase, amp, box, lam, tau, gl_order, max_cells, 4)
+    return _cell_tree(phase, amp, box, lam, tau, 8, max_cells, 4)
 
 
 def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
@@ -262,10 +263,12 @@ class DecayFit:
 
 
 def _check_grid(lams) -> np.ndarray:
-    """The frequency grid as floats, once it is known to be strictly
-    increasing over at least two decades; every fit checks its grid with
-    this before it integrates anything."""
+    """The frequency grid as floats, once it is known to hold at least two
+    points, strictly increasing over at least two decades; every fit checks
+    its grid with this before it integrates anything."""
     lams = np.asarray(lams, dtype=float)
+    if len(lams) < 2:
+        raise ValueError("frequency grid needs at least two points")
     if not np.all(np.diff(lams) > 0):
         raise ValueError("frequency grid must be strictly increasing")
     if math.log10(lams[-1] / lams[0]) < 2 - 1e-9:
@@ -293,40 +296,34 @@ def _make_fit(phase_desc: str, lams, mags, expected, tol, mode="match",
 
 
 def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
-                       interval: tuple[float, float] = (0.0, 1.0),
-                       amp: Callable | None = None,
                        lams: np.ndarray | None = None,
-                       expected: float | None = None,
-                       tolerance: float = 0.05,
-                       tau: float = math.pi) -> DecayFit:
-    """Fit the decay of ``int exp(i lam f) g`` for a polynomial phase with
-    an order-m derivative bound.
+                       expected: float | None = None) -> DecayFit:
+    """Fit the decay of ``int_0^1 exp(i lam f)`` for a polynomial phase with
+    an order-m derivative bound, to within 0.05 of the expected exponent.
 
-    Checks ``|f^(m)| >= 1`` on the interval by dense sampling before
-    integrating; the model phases s^m (normalized so f^(m) = m!) decay like
-    lam^(-1/m) with the stationary point at the endpoint.
+    Checks ``|f^(m)| >= 1`` on [0, 1] by dense sampling before integrating;
+    the model phases s^m (normalized so f^(m) = m!) decay like lam^(-1/m)
+    with the stationary point at the endpoint.
     """
     if m < 1:
         raise ValueError("derivative order must be >= 1")
-    lo, hi = interval
     f = PuiseuxPoly({(i, 0): Fraction(c) for i, c in enumerate(phase_coeffs)})
     dm = _poly_xy_eval(f.partial_derivative(1, m))
-    samples = np.linspace(lo, hi, 4097)
+    samples = np.linspace(0.0, 1.0, 4097)
     if np.min(np.abs(dm(samples, 0.0))) < 1.0 - 1e-9:
         raise ValueError(f"|f^({m})| >= 1 fails on the interval")
     f_xy = _poly_xy_eval(f)
     phase = lambda x: f_xy(x, 0.0)
-    if amp is None:
-        amp = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    amp = lambda x: np.ones_like(np.asarray(x, dtype=float))
     if lams is None:
         lams = lambda_grid(1e2, 1e5, 40)
     lams = _check_grid(lams)
     if math.log10(lams[-1] / lams[0]) < 3 - 1e-9:
         raise ValueError("frequency grid must span at least three decades")
-    mags = np.abs(oscillatory_integral_1d(phase, amp, lo, hi, lams, tau))
+    mags = np.abs(oscillatory_integral_1d(phase, amp, 0.0, 1.0, lams))
     if expected is None:
         expected = 1.0 / m
-    return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, expected, tolerance)
+    return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, expected, 0.05)
 
 
 def smooth_plateau(z, flat: float = 0.5):
@@ -342,10 +339,10 @@ def smooth_plateau(z, flat: float = 0.5):
     return out
 
 
-def _stationary_gap(u: float, b: float) -> float:
-    """Phase gap between the two stationary points of b t^3 - u t (u*b > 0):
+def _stationary_gap(u: float) -> float:
+    """Phase gap between the two stationary points of t^3 - u t (u > 0):
     their magnitudes beat in lam with this frequency."""
-    t_star = math.sqrt(abs(u) / (3 * abs(b)))
+    t_star = math.sqrt(abs(u) / 3)
     return (4 * abs(u) / 3) * t_star
 
 
@@ -362,51 +359,43 @@ def _coherent_grid(lams: np.ndarray, gap: float) -> np.ndarray:
     return np.asarray(snapped)
 
 
-def airy_scaling_check(u: float, b: float = 1.0, deg: int = 3,
-                       lams: np.ndarray | None = None,
-                       half_width: float = 1.0,
-                       plateau: float = 0.5) -> DecayFit:
-    """Scaling of ``int exp(i lam (b t^deg - u t)) * cutoff`` in the three
-    regimes of lam^((deg-1)/deg) |u|.
+def airy_scaling_check(u: float, lams: np.ndarray | None = None) -> DecayFit:
+    """Scaling of ``int exp(i lam (t^3 - u t)) * smooth_plateau(t)`` over
+    [-1, 1] in the three regimes of lam^(2/3) |u|.
 
-    u = 0 fits the 1/deg law; u of the same sign as b fits 1/2 at
-    beat-coherent frequencies (the two stationary values interfere, so the
-    grid is snapped to constructive phases); opposite signs decay
-    superpolynomially and only exponent >= 2 is asserted.  A grid straddling
-    the regime boundary is integrated but reported inconclusive.
+    u = 0 fits the 1/3 law; u > 0 fits 1/2 at beat-coherent frequencies (the
+    two stationary values interfere, so the grid is snapped to constructive
+    phases); u < 0 decays superpolynomially and only exponent >= 2 is
+    asserted.  A grid straddling the regime boundary is integrated but
+    reported inconclusive.
     """
     if lams is None:
-        if u == 0:
-            lams = lambda_grid(1e2, 1e5, 32)
-        elif u * b > 0:
+        if u >= 0:
             lams = lambda_grid(1e2, 1e5, 32)
         else:
             lams = lambda_grid(10 ** 1.2, 10 ** 3.2, 24)
     lams = np.asarray(lams, dtype=float)
-    scale = lams ** ((deg - 1) / deg) * abs(u)
-    regime = None
+    scale = lams ** (2 / 3) * abs(u)
     if u == 0:
-        regime, expected, tol, mode = "near-cone", 1.0 / deg, 0.04, "match"
-    elif u * b > 0 and np.min(scale) >= 10.0:
+        regime, expected, tol, mode = "near-cone", 1 / 3, 0.04, "match"
+    elif u > 0 and np.min(scale) >= 10.0:
         regime, expected, tol, mode = "off-cone", 0.5, 0.05, "match"
-        if deg == 3:
-            lams = _coherent_grid(lams, _stationary_gap(u, b))
-    elif u * b < 0 and np.min(scale) >= 2.0:
+        lams = _coherent_grid(lams, _stationary_gap(u))
+    elif u < 0 and np.min(scale) >= 2.0:
         regime, expected, tol, mode = "no-critical-point", 2.0, 0.0, "at_least"
     elif np.max(scale) <= 0.5:
-        regime, expected, tol, mode = "near-cone", 1.0 / deg, 0.04, "match"
+        regime, expected, tol, mode = "near-cone", 1 / 3, 0.04, "match"
     else:
         regime, expected, tol, mode = "straddling", None, 0.0, "match"
 
     lams = _check_grid(lams)
 
     def phase(t):
-        return b * t ** deg - u * t
+        return t ** 3 - u * t
 
-    amp = lambda t: smooth_plateau(t / half_width, plateau)
-    mags = np.abs(oscillatory_integral_1d(phase, amp, -half_width, half_width,
+    mags = np.abs(oscillatory_integral_1d(phase, smooth_plateau, -1.0, 1.0,
                                           lams, tau=math.pi))
-    fit = _make_fit(f"{b}*t^{deg} - {u}*t", lams, mags, expected,
+    fit = _make_fit(f"1.0*t^3 - {u}*t", lams, mags, expected,
                     tol, mode, residual_cap=0.02 if mode == "match" else 10.0)
     fit.meta["regime"] = regime
     if regime == "straddling":
@@ -414,28 +403,24 @@ def airy_scaling_check(u: float, b: float = 1.0, deg: int = 3,
     return fit
 
 
-def airy_prefactor_scan(us: Sequence[float], lam0: float = 3e4, b: float = 1.0,
-                        half_width: float = 1.0, plateau: float = 0.5) -> float:
-    """Slope of log(|J| sqrt(lam)) against log|u| in the off-cone regime.
+def airy_prefactor_scan(us: Sequence[float], lam0: float = 3e4) -> float:
+    """Slope of log(|J| sqrt(lam)) against log|u| in the off-cone regime of
+    ``airy_scaling_check``'s integral.
 
     Each u is measured at its own constructive beat phase near lam0 and the
-    stationary points must sit on the cutoff's plateau; the stationary-phase
-    prediction for cubics is -(deg-2)/(2 deg - 2) = -1/4.
+    stationary points must sit on the cutoff's plateau |t| <= 1/2; the
+    stationary-phase prediction for cubics is -(deg-2)/(2 deg - 2) = -1/4.
     """
     mags = []
-    lam_used = []
     for u in us:
-        t_star = math.sqrt(abs(u) / (3 * abs(b)))
-        if t_star / half_width > plateau:
+        if math.sqrt(abs(u) / 3) > 0.5:
             raise ValueError("stationary point off the cutoff plateau")
-        period = 2 * math.pi / _stationary_gap(u, b)
+        period = 2 * math.pi / _stationary_gap(u)
         lam = max(1, round(lam0 / period)) * period
         val = abs(oscillatory_integral_1d(
-            lambda t: b * t ** 3 - u * t,
-            lambda t: smooth_plateau(t / half_width, plateau),
-            -half_width, half_width, lam, tau=math.pi))
+            lambda t: t ** 3 - u * t, smooth_plateau, -1.0, 1.0, lam,
+            tau=math.pi))
         mags.append(val * math.sqrt(lam))
-        lam_used.append(lam)
     coef = np.polyfit(np.log(np.abs(us)), np.log(mags), 1)
     return float(coef[0])
 
@@ -451,13 +436,12 @@ def _drop_constant(p: PuiseuxPoly) -> PuiseuxPoly:
 
 def surface_decay_fit(phi: PuiseuxPoly,
                       direction: tuple = (0, 0, 1),
-                      half_width: float = 0.5,
                       lams: np.ndarray | None = None,
                       expected: float | None = None,
-                      tolerance: float = 0.07,
                       tau: float = math.pi) -> DecayFit:
-    """Decay of the Fourier transform of the graph measure of ``phi`` in a
-    fixed direction, against the symbolic prediction 1/h.
+    """Decay of the Fourier transform of the graph measure of ``phi`` over
+    [-1/2, 1/2]^2 in a fixed direction, against the symbolic prediction 1/h
+    with a tolerance of 0.07.
 
     The full phase is xi1*x1 + xi2*x2 + xi3*phi.  Exact reductions are tried
     first: a phase depending on one variable only (possibly after shearing
@@ -485,6 +469,7 @@ def surface_decay_fit(phi: PuiseuxPoly,
         expected = 1.0 / float(critical_exponent(phi).h)
 
     lams = _check_grid(lams)
+    half_width = 0.5
     meta, reduced = _reduce_phase(phase_poly, half_width)
     if reduced is not None:
         mags = reduced(lams, tau)
@@ -495,7 +480,7 @@ def surface_decay_fit(phi: PuiseuxPoly,
         box = (-half_width, half_width, -half_width, half_width)
         mags = np.abs(oscillatory_integral_2d(fphi, amp, box, lams,
                                               tau=2 * tau))
-    return _make_fit(desc, lams, mags, expected, tolerance, meta=meta)
+    return _make_fit(desc, lams, mags, expected, 0.07, meta=meta)
 
 
 def _poly_xy_eval(p: PuiseuxPoly) -> Callable:
@@ -606,8 +591,7 @@ def _separable_reduction(phase_poly: PuiseuxPoly, hw: float) -> Callable:
     return run
 
 
-def decay_catalogue(lams: np.ndarray | None = None,
-                    tolerance: float = 0.07) -> list[DecayFit]:
+def decay_catalogue(lams: np.ndarray | None = None) -> list[DecayFit]:
     """The shipped surface-decay checks: expected exponents are 1/h."""
     from .parser import parse_expression
     entries = [
@@ -619,7 +603,7 @@ def decay_catalogue(lams: np.ndarray | None = None,
     for text, expected in entries:
         phi = parse_expression(text).poly
         out.append(surface_decay_fit(phi, (0, 0, 1), lams=lams,
-                                     expected=expected, tolerance=tolerance))
+                                     expected=expected))
     return out
 
 
@@ -655,7 +639,6 @@ class SumBoundTrial:
     sign_a: tuple[float, ...]
     r_vals: tuple[float, ...]
     bump_spec: Optional[BumpSpec]        # None means H == 1
-    rho_depth: int = 6
 
 
 def _norm_of(trial: SumBoundTrial) -> float:
@@ -679,11 +662,12 @@ def _rho_freqs(trial: SumBoundTrial) -> list[float]:
 
 def _rho_double(trial: SumBoundTrial,
                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The resonance denominator and its smallest single factor: zeros of the
-    denominator are avoided factor by factor, not just in the product."""
+    """The resonance denominator, over the harmonics nu = 1..6 of each
+    frequency, and its smallest single factor: zeros of the denominator are
+    avoided factor by factor, not just in the product."""
     prod = np.ones_like(t, dtype=float)
     low = np.full_like(t, np.inf, dtype=float)
-    for nu in range(1, trial.rho_depth + 1):
+    for nu in range(1, 7):
         for f in _rho_freqs(trial):
             factor = np.abs(np.exp(1j * LN2 * f * nu * t) - 1.0)
             prod = prod * factor
@@ -709,19 +693,20 @@ def _masked_bump_values(trial: SumBoundTrial, exps: list[np.ndarray],
 
 
 def _sup_over_t(freqs: np.ndarray, coeffs: np.ndarray, ts: np.ndarray,
-                denom: np.ndarray, chunk: int = 256, top_k: int = 8) -> float:
+                denom: np.ndarray) -> float:
     """Sup proxy over the t sample of |sum_j coeffs_j 2^(i freq_j t)| * denom.
 
-    The mean of the top_k values is used instead of the single maximum: the
+    The mean of the top 8 values is used instead of the single maximum: the
     integrand is quasi-periodic in t, and a lone extreme draw would make the
     level-to-level trend comparison needlessly noisy.
     """
     vals = np.empty(len(ts))
+    chunk = 256
     for start in range(0, len(ts), chunk):
         phases = np.exp(1j * LN2 * np.outer(ts[start:start + chunk], freqs))
         vals[start:start + chunk] = np.abs(phases @ coeffs)
     vals *= denom
-    k = min(top_k, len(vals))
+    k = min(8, len(vals))
     return float(np.mean(np.partition(vals, -k)[-k:])) if k else 0.0
 
 
@@ -785,11 +770,10 @@ class SumBoundResult:
 
 def oscillatory_sum_bound(trial: SumBoundTrial,
                           levels: Sequence[int] | None = None,
-                          t_count: int = 512,
                           seed: int = 0) -> SumBoundResult:
     """Empirical boundedness of |F(t)| * |denominator| / ||H|| across sizes.
 
-    ``t`` is a dense sample away from zeros of the denominator
+    ``t`` is a sample of 512 points away from zeros of the denominator
     (|denominator| >= 0.1).  The boundedness statistic is the running sup of
     the per-level ratios, which must have converged by the middle of the
     doubling ladder: the reported growth compares its final value to the
@@ -803,6 +787,7 @@ def oscillatory_sum_bound(trial: SumBoundTrial,
             if a1 * b2 - a2 * b1 == 0:
                 raise ValueError("direction vector parallel to the alphas "
                                  "(independence condition fails)")
+    t_count = 512
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0.11, 6.4, size=8 * t_count)
     if trial.kind == "single":
@@ -872,16 +857,16 @@ def _random_bumps(rng, n: int) -> BumpSpec:
     return BumpSpec(tuple(centers), tuple(rng.uniform(0.5, 1.3, n)))
 
 
-def reference_double_trial(seed: int = 7, anchor_cap: int = 180) -> SumBoundTrial:
+def reference_double_trial() -> SumBoundTrial:
     """The double-sum trial with the published eight direction vectors and
     alpha = (-7/6, -7/6)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     n = len(SECTION_8_1_BETAS)
     r_vals = tuple([2.0] * n)
     spec = BumpSpec(tuple(rng.uniform(-0.3, 0.3, n)),
                     tuple(rng.uniform(0.8, 1.3, n)))
     log2a, signs = _anchored_amplitudes(rng, SECTION_8_1_BETAS, spec,
-                                        "double", anchor_cap)
+                                        "double", 180)
     return SumBoundTrial("double", (Fraction(-7, 6), Fraction(-7, 6)),
                          SECTION_8_1_BETAS, log2a, signs, r_vals, spec)
 
@@ -894,18 +879,18 @@ def _random_fraction(rng, num_cap=7, den_cap=6, nonzero=True) -> Fraction:
             return f
 
 
-def random_single_trial(seed: int, anchor_cap: int = 400) -> SumBoundTrial:
+def random_single_trial(seed: int) -> SumBoundTrial:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 5))
     alpha = _random_fraction(rng)
     betas = tuple((_random_fraction(rng),) for _ in range(n))
     r_vals = tuple(rng.uniform(1.0, 2.5, n))
     spec = _random_bumps(rng, n)
-    log2a, signs = _anchored_amplitudes(rng, betas, spec, "single", anchor_cap)
+    log2a, signs = _anchored_amplitudes(rng, betas, spec, "single", 400)
     return SumBoundTrial("single", (alpha,), betas, log2a, signs, r_vals, spec)
 
 
-def random_double_trial(seed: int, anchor_cap: int = 180) -> SumBoundTrial:
+def random_double_trial(seed: int) -> SumBoundTrial:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     while True:
@@ -923,7 +908,7 @@ def random_double_trial(seed: int, anchor_cap: int = 180) -> SumBoundTrial:
             break
     r_vals = tuple(rng.uniform(1.0, 2.5, n))
     spec = _random_bumps(rng, n)
-    log2a, signs = _anchored_amplitudes(rng, betas, spec, "double", anchor_cap)
+    log2a, signs = _anchored_amplitudes(rng, betas, spec, "double", 180)
     return SumBoundTrial("double", (a1, a2), tuple(betas), log2a, signs,
                          r_vals, spec)
 
@@ -933,25 +918,23 @@ def random_double_trial(seed: int, anchor_cap: int = 180) -> SumBoundTrial:
 
 
 def dominance_probe(phi: PuiseuxPoly, vertex: tuple, m_sep: int,
-                    delta: float, a_low: Fraction | None = None,
-                    a_high: Fraction | None = None,
-                    horizontal_a: Fraction | None = None,
-                    n_y1: int = 7, n_y2: int = 9) -> float:
+                    delta: float,
+                    horizontal_a: Fraction | None = None) -> float:
     """Max relative error of the single-vertex approximation on the
     transition region between two edge scalings (or under one, in the
-    horizontal variant).
+    horizontal variant), sampled at 7 values of y1 and 9 of y2.
 
-    The region between edges of ratios a_low < a_high forces
-    y1 < 2^(-2 m_sep / (a_high - a_low)), so the sampled error decays like
-    2^(-m_sep) with no floor from the y1 cutoff.
+    The region between the edges of ratios a_low < a_high on either side of
+    the vertex forces y1 < 2^(-2 m_sep / (a_high - a_low)), so the sampled
+    error decays like 2^(-m_sep) with no floor from the y1 cutoff.
     """
     av, bv = Fraction(vertex[0]), int(vertex[1])
     cv = phi.coefficient(av, bv)
     if not cv:
         raise ValueError("vertex carries no coefficient")
+    n_y1, n_y2 = 7, 9
     if horizontal_a is None:
-        if a_low is None or a_high is None:
-            a_low, a_high = _neighbor_ratios(phi, (av, Fraction(bv)))
+        a_low, a_high = _neighbor_ratios(phi, (av, Fraction(bv)))
         gap = a_high - a_low
         y1_cap = min(delta, 2.0 ** (-2.0 * m_sep / float(gap)))
         if y1_cap < 1e-200:
@@ -992,14 +975,9 @@ def _neighbor_ratios(phi: PuiseuxPoly, vertex) -> tuple[Fraction, Fraction]:
     return n.edges[idx - 1].a, n.edges[idx].a
 
 
-def dominance_decay(phi: PuiseuxPoly, vertex, m_values: Sequence[int],
-                    delta: float, **kw) -> list[float]:
-    return [dominance_probe(phi, vertex, m, delta, **kw) for m in m_values]
-
-
-def knapp_box_probe(phi: PuiseuxPoly, cert, ks: Sequence[int] = range(16, 121, 8),
-                    grid: int = 33) -> dict:
-    """Scaling of sup |phi| over the certificate's boxes: fits C * eps^beta
+def knapp_box_probe(phi: PuiseuxPoly, cert) -> dict:
+    """Scaling of sup |phi| over the certificate's boxes eps = 2^-k,
+    k = 16, 24, ..., 120, each sampled on a 33 x 33 grid: fits C * eps^beta
     and reports the smallest sup/eps ratio (non-vanishing witness).
 
     The polynomial is evaluated in the sheared frame (the shear is performed
@@ -1012,12 +990,13 @@ def knapp_box_probe(phi: PuiseuxPoly, cert, ks: Sequence[int] = range(16, 121, 8
     sheared = phi.shear_substitute(f_poly) if f_poly else phi
     k1 = cert.delta if cert.target == "horizontal" else cert.box_exponents[0]
     k2 = cert.box_exponents[1]
+    grid = 33
     if sheared.ramification > 1:
         y1s = np.linspace(1e-6, 1.0, grid)
     else:
         y1s = np.linspace(-1.0, 1.0, grid)
     y2s = np.linspace(-1.0, 1.0, grid)
-    eps = np.asarray([2.0 ** (-k) for k in ks], dtype=float)
+    eps = np.asarray([2.0 ** (-k) for k in range(16, 121, 8)], dtype=float)
     sups = []
     fsh = _poly_xy_eval(sheared)
     for e in eps:

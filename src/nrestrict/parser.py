@@ -54,7 +54,6 @@ _VARIABLES = {"x1": 1, "x2": 2, "x": 1, "y": 2}
 class InputExpr:
     source: str
     poly: PuiseuxPoly
-    variables: tuple[str, str] = ("x1", "x2")
 
 
 class _Parser:

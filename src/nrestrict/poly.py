@@ -85,8 +85,8 @@ class PuiseuxPoly:
         return PuiseuxPoly.monomial(1, e1, 0)
 
     @staticmethod
-    def x2(e2: int = 1) -> "PuiseuxPoly":
-        return PuiseuxPoly.monomial(1, 0, e2)
+    def x2() -> "PuiseuxPoly":
+        return PuiseuxPoly.monomial(1, 0, 1)
 
     # -- structure ----------------------------------------------------
 

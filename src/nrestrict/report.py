@@ -103,8 +103,6 @@ class ReportDocument:
 
     expr: InputExpr
     exponent: ExponentReport
-    max_steps: int = 64
-    series_order: Optional[int] = None
 
     @property
     def input_polyhedron(self) -> NewtonPolyhedron:
@@ -127,9 +125,7 @@ class ReportDocument:
         if sel is None or sel.case not in ("a", "b"):
             return None
         coords = self.exponent.coords
-        return fine_splitting_trace(coords.phi_a, coords.verdict,
-                                    self.exponent.m, sel,
-                                    max_levels=self.max_steps)
+        return fine_splitting_trace(coords.phi_a, coords.verdict, sel)
 
     @cached_property
     def certificates(self) -> Optional[list]:
@@ -145,7 +141,7 @@ class ReportDocument:
         rep = self.exponent
         if rep.h_lin >= 2 or rep.linear.adapted_linear_exists:
             return None
-        return classify_linear(rep.linear, series_order=self.series_order)
+        return classify_linear(rep.linear)
 
     def to_json_dict(self) -> dict:
         rep = self.exponent
@@ -210,8 +206,6 @@ def render_unipoly(u) -> str:
     return render(poly)
 
 
-def analyze(expr: InputExpr, max_steps: int = 64,
-            series_order: int | None = None) -> ReportDocument:
+def analyze(expr: InputExpr) -> ReportDocument:
     """The report of a parsed expression, with its exponent stage run."""
-    return ReportDocument(expr, critical_exponent(expr.poly, max_steps=max_steps),
-                          max_steps, series_order)
+    return ReportDocument(expr, critical_exponent(expr.poly))

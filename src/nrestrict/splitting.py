@@ -32,7 +32,6 @@ class RootJet:
     """A finite fractional jet ``sum c_j * x1^(e_j)`` with increasing exponents."""
 
     terms: tuple[tuple[Fraction, Fraction], ...]  # (coefficient, exponent)
-    half_plane: str = "+"
 
     def __post_init__(self):
         exps = [e for (_c, e) in self.terms]
@@ -42,12 +41,12 @@ class RootJet:
             raise ValueError("jet exponents must be strictly increasing")
 
     @staticmethod
-    def from_poly(p: PuiseuxPoly, half_plane: str = "+") -> "RootJet":
+    def from_poly(p: PuiseuxPoly) -> "RootJet":
         if p.depends_on_x2():
             raise ValueError("a root jet depends on x1 only")
         terms = tuple(sorted(((c, e1) for (e1, _e2), c in p.terms.items()),
                              key=lambda t: t[1]))
-        return RootJet(terms, half_plane)
+        return RootJet(terms)
 
     def to_poly(self) -> PuiseuxPoly:
         return PuiseuxPoly({(e, 0): c for (c, e) in self.terms})
@@ -68,12 +67,10 @@ class RootJet:
         return self.terms[-1][1]
 
     def truncations(self) -> list["RootJet"]:
-        return [RootJet(self.terms[:k], self.half_plane)
-                for k in range(len(self.terms) + 1)]
+        return [RootJet(self.terms[:k]) for k in range(len(self.terms) + 1)]
 
     def plus_term(self, c, e) -> "RootJet":
-        return RootJet.from_poly(self.to_poly() + PuiseuxPoly.monomial(c, e, 0),
-                                 self.half_plane)
+        return RootJet.from_poly(self.to_poly() + PuiseuxPoly.monomial(c, e, 0))
 
 
 @dataclass(frozen=True)
@@ -82,22 +79,30 @@ class AdaptedCoordinates:
     phi_a: PuiseuxPoly
     h: Fraction
     verdict: AdaptednessVerdict            # adaptedness of phi_a
-    shear_exponents: tuple[Fraction, ...]  # exponent added at each step
 
 
-def adapted_coordinates(phi: PuiseuxPoly, max_steps: int = 64,
+#: shears ``adapted_coordinates`` takes before it gives up
+_SHEAR_BUDGET = 64
+
+
+def adapted_coordinates(phi: PuiseuxPoly,
                         verdict: Optional[AdaptednessVerdict] = None
                         ) -> AdaptedCoordinates:
     """Shear to adapted coordinates; returns the principal root jet psi,
     the adapted expression phi_a = phi(x1, x2 + psi(x1)) and the height.
 
-    Expects linearly adapted input (so every shear exponent is an integer and
-    the jet is a polynomial); already-adapted input returns psi = 0
-    immediately.  ``verdict`` is ``is_adapted(phi)`` when the caller already
-    holds it; each shear kills the witness of the current verdict.
-    Irrational root coefficients raise :class:`AlgebraicRootHalt`; polynomial
-    inputs terminate well within the step budget, so exceeding it is an
-    internal error.
+    Expects linearly adapted input (so every shear exponent is an integer);
+    already-adapted input returns psi = 0 immediately.  ``verdict`` is
+    ``is_adapted(phi)`` when the caller already holds it; each shear kills
+    the witness of the current verdict.  Irrational root coefficients raise
+    :class:`AlgebraicRootHalt`.
+
+    The step budget is fixed: psi gets at most 63 terms, and a 64th shear
+    raises :class:`InternalInvariantError` (exit 3 on the command line).
+    Termination within it is not guaranteed.  When the principal root is a
+    smooth curve of multiplicity >= 2 that is no polynomial graph, such as
+    the root of ``(x2 - (x1 + x2)^2)^2``, psi is an infinite series and each
+    shear peels off one more term until the budget runs out.
     """
     if not phi.vanishes_to_second_order():
         raise ValueError("adapted coordinates need a critical point at the "
@@ -106,12 +111,11 @@ def adapted_coordinates(phi: PuiseuxPoly, max_steps: int = 64,
     if verdict is None:
         verdict = is_adapted(cur)
     jet = PuiseuxPoly.zero()
-    exponents: list[Fraction] = []
     last_a: Fraction | None = None
-    for _ in range(max_steps):
+    for _ in range(_SHEAR_BUDGET):
         if verdict.adapted:
             return AdaptedCoordinates(RootJet.from_poly(jet), cur, verdict.d,
-                                      verdict, tuple(exponents))
+                                      verdict)
         a = verdict.weight.a
         if a.denominator != 1:
             raise InternalInvariantError(
@@ -123,7 +127,6 @@ def adapted_coordinates(phi: PuiseuxPoly, max_steps: int = 64,
         jet = jet + term
         cur = cur.shear_substitute(term)
         verdict = is_adapted(cur)
-        exponents.append(a)
         last_a = a
     raise InternalInvariantError("adapted-coordinate construction exceeded budget")
 
@@ -137,8 +140,6 @@ class LprSelection:
     case: str                  # "a" | "b" | "c1" | "c2"
     l_pr: int                  # 1-based edge index per the vertex ordering
     a: Fraction                # exponent entering the root-jet degree bound
-    face_kind: str
-    anchor_vertex: Optional[tuple[Fraction, Fraction]] = None
 
 
 def select_l_pr(n: NewtonPolyhedron, m: Fraction) -> LprSelection:
@@ -147,22 +148,19 @@ def select_l_pr(n: NewtonPolyhedron, m: Fraction) -> LprSelection:
     face = n.principal_face()
     if face.kind == "compact_edge":
         l_pr = n.edges.index(face.edge) + 1
-        return LprSelection("a", l_pr, face.edge.a, face.kind)
+        return LprSelection("a", l_pr, face.edge.a)
     if face.kind == "vertex":
         j = n.vertices.index(face.vertex)
         if j == 0:
             raise ValueError(
                 "bisectrix vertex with no edge above it; no root-jet edge")
-        return LprSelection("b", j + 1, n.edges[j - 1].a, face.kind,
-                            anchor_vertex=face.vertex)
+        return LprSelection("b", j + 1, n.edges[j - 1].a)
     if face.orientation != "horizontal":
         raise ValueError("vertical unbounded principal face has no root jet")
-    v = n.vertices[-1]
     j = len(n.vertices) - 1
     if j >= 1:
-        return LprSelection("c1", j + 1, n.edges[j - 1].a, face.kind,
-                            anchor_vertex=v)
-    return LprSelection("c2", 1, Fraction(m), face.kind, anchor_vertex=v)
+        return LprSelection("c1", j + 1, n.edges[j - 1].a)
+    return LprSelection("c2", 1, Fraction(m))
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +200,12 @@ class SplittingForest:
     branches: tuple[SplittingTrace, ...]
 
 
+#: levels one branch of ``fine_splitting_trace`` descends before it stops
+_LEVEL_BUDGET = 64
+
+
 def fine_splitting_trace(phi_a: PuiseuxPoly, verdict: AdaptednessVerdict,
-                         m: Fraction, sel: LprSelection,
-                         max_levels: int = 64) -> SplittingForest:
+                         sel: LprSelection) -> SplittingForest:
     """Explore all multiplicity->=2 real-root branches below the bisectrix.
 
     ``verdict`` is ``is_adapted(phi_a)``: its polyhedron is the one the
@@ -212,6 +213,10 @@ def fine_splitting_trace(phi_a: PuiseuxPoly, verdict: AdaptednessVerdict,
     first active edge's restriction.  Works in the adapted frame: the
     returned jets extend the principal root jet.  Only the positive
     half-plane is traced (fractional exponents are confined to it).
+
+    A branch that has not ended after 64 levels ends with the terminal
+    ``budget_exceeded``; that happens where the branch follows a root that is
+    an infinite series, as ``adapted_coordinates`` describes.
     """
     if sel.case not in ("a", "b"):
         raise ValueError("fine splitting applies to the compact-edge and "
@@ -225,18 +230,17 @@ def fine_splitting_trace(phi_a: PuiseuxPoly, verdict: AdaptednessVerdict,
         j = sel.l_pr - 1  # vertex index carrying the bisectrix
         edge = n.edges[j] if j < len(n.edges) else None
     branches: list[SplittingTrace] = []
-    _explore(phi_a, edge, 1, m, (), PuiseuxPoly.zero(), branches,
-             max_levels, prev_mult=None, roots=roots)
+    _explore(phi_a, edge, 1, (), PuiseuxPoly.zero(), branches,
+             prev_mult=None, roots=roots)
     return SplittingForest(tuple(branches))
 
 
 def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
-             m: Fraction, steps: tuple[SplitStep, ...], jet: PuiseuxPoly,
-             out: list[SplittingTrace], max_levels: int,
-             prev_mult: Optional[int],
+             steps: tuple[SplitStep, ...], jet: PuiseuxPoly,
+             out: list[SplittingTrace], prev_mult: Optional[int],
              roots: Optional[tuple[RootRecord, ...]] = None) -> None:
     # roots: those of the active edge's p(1, t) when already isolated
-    if level > max_levels:
+    if level > _LEVEL_BUDGET:
         out.append(SplittingTrace(steps, "budget_exceeded"))
         return
     if edge is None:
@@ -309,10 +313,10 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
         next_edge = n_next.edges[idx]
         if next_edge.a <= a:
             raise InternalInvariantError("edge exponents must increase")
-        _explore(phi_next, next_edge, level + 1, m,
+        _explore(phi_next, next_edge, level + 1,
                  prefix + (shear_step, SplitStep(level, w, a, c0, mult,
                                                  "CaseB_continue")),
-                 jet + term, out, max_levels, prev_mult=mult)
+                 jet + term, out, prev_mult=mult)
 
 
 def _classify_simple(pr: PuiseuxPoly, rec: RootRecord) -> str:

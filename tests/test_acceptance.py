@@ -98,8 +98,7 @@ def test_criterion_2_example_12_2_regression():
     assert rep.h_r == F(11, 4)
     assert rep.p_c_prime == F(15, 2)
     sel = select_l_pr(na, rep.m)
-    forest = fine_splitting_trace(rep.coords.phi_a, rep.coords.verdict, rep.m,
-                                  sel)
+    forest = fine_splitting_trace(rep.coords.phi_a, rep.coords.verdict, sel)
     br = forest.branches[0]
     shear = [s for s in br.steps if s.case == "Case3_shear"][0]
     assert shear.root == 1 and shear.multiplicity == 3
@@ -298,14 +297,15 @@ def test_criterion_9_oscillatory_sum_bounds():
 
 
 def test_criterion_10_dominance_and_boxes():
-    from nrestrict.numerics import dominance_decay, knapp_box_probe
+    from nrestrict.numerics import dominance_probe, knapp_box_probe
     # transition-region dominance on the worked example and two fixtures
     for text, vertex, kw in [
         ("(x2 - x1^3)*(x2 - x1^4)^3", (F(3), 3), {}),
         ("x2^4 + x1^3*x2^3 + x1^15", (F(3), 3), {}),
         ("x2^4 + x1^2*x2^2", (F(2), 2), {"horizontal_a": F(3)}),
     ]:
-        errs = dominance_decay(P(text), vertex, [6, 7, 8, 9, 10], 0.1, **kw)
+        errs = [dominance_probe(P(text), vertex, m, 0.1, **kw)
+                for m in [6, 7, 8, 9, 10]]
         assert errs[2] < 0.1, text
         for a, b in zip(errs, errs[1:]):
             assert b <= 0.75 * a or (a == 0 and b == 0), text

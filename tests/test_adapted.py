@@ -72,7 +72,9 @@ class TestIsAdapted:
 
     def test_noninteger_ratio_shortcut(self):
         v = is_adapted(P("x1^3 + x2^2"))
-        assert v.adapted and v.criterion == "a" and v.ratio_shortcut
+        assert v.adapted and v.criterion == "a"
+        a = v.weight.a
+        assert a.denominator != 1 and (1 / a).denominator != 1
         assert v.m_pr < v.d
 
     def test_vertex_criterion_b(self):

@@ -1,4 +1,4 @@
-"""The package's API surface, and a guard against dead code.
+"""The package's API surface, and guards against dead code and dead knobs.
 
 Every public top-level function or method of the modules in ``CHECKED``
 (all but ``numerics``) must be referenced elsewhere in ``src/nrestrict`` or
@@ -9,16 +9,24 @@ outside its own body.  ``Cls.name`` on one of the package's classes counts
 for that class only, so ``PuiseuxPoly.zero()`` does not keep another
 ``zero`` alive.  Code that only tests call is dead here; a test that needs a
 kernel calls it by its private name.
+
+Every defaulted parameter of a public function or method, in every module
+``numerics`` included, must be passed by some call in ``src/``, ``bench/``
+or ``tests/``, by keyword or by position.  A parameter that no call passes
+always takes its default, so it is a constant, not a knob.  Calls are
+matched by the called name alone, and a call with ``*args`` or ``**kwargs``
+counts as passing everything it could reach.
 """
 
 import ast
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 
 import nrestrict
 
 SRC = os.path.dirname(os.path.abspath(nrestrict.__file__))
 TESTS = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(TESTS)
 
 #: the modules the guard walks: all but ``numerics``
 CHECKED = ("poly", "roots", "geometry", "adapted", "splitting", "exponents",
@@ -91,6 +99,67 @@ def test_every_public_definition_is_used_or_exported():
             if not used:
                 dead.append(f"{mod}.{cls + '.' if cls else ''}{name}")
     assert dead == []
+
+
+def _calls_by_name(roots):
+    """Every call under the directories ``roots``, keyed by the called name:
+    ``f`` for ``f(...)`` and ``name`` for ``obj.name(...)``."""
+    calls = defaultdict(list)
+    for root in roots:
+        for dirpath, _dirs, files in os.walk(root):
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                for node in ast.walk(_parse(os.path.join(dirpath, name))):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        called = getattr(func, "id", None) or getattr(
+                            func, "attr", None)
+                        calls[called].append(node)
+    return calls
+
+
+def _defaulted(node):
+    """(parameter name, its position, or None if keyword-only) of each
+    parameter of ``node`` that has a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, param, position):
+    """Whether ``call`` can set ``param``, found at ``position`` among the
+    arguments a caller writes."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (position < len(call.args)
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    calls = _calls_by_name([os.path.join(REPO, d)
+                            for d in ("src", "bench", "tests")])
+    unpassed = []
+    for mod, tree in _modules().items():
+        for cls, node in _public_defs(tree):
+            # a caller writes no ``self`` for a method that is not static
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            shift = 0 if cls is None or static else 1
+            for param, i in _defaulted(node):
+                position = None if i is None else i - shift
+                if not any(_passes(c, param, position)
+                           for c in calls[node.name]):
+                    unpassed.append(
+                        f"{mod}.{cls + '.' if cls else ''}{node.name}({param})")
+    assert unpassed == []
 
 
 def test_all_names_exist_once():

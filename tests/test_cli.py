@@ -244,6 +244,12 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: frequency grid must be strictly increasing\n")
 
+    def test_decay_rejects_grid_of_fewer_than_two_points(self, capsys):
+        for points in ("0", "1"):
+            assert cli.main(["decay", "x1^2 + x2^2", "--points", points]) == 1
+            assert capsys.readouterr().err == (
+                "error: frequency grid needs at least two points\n")
+
     def test_decay_rejects_non_critical_input(self, capsys):
         # a constant or a linear term leaves no height to predict 1/h from
         for text in ("1 + x1^2 + x2^2", "x1"):

@@ -22,7 +22,7 @@ def split(phi_a, m=F(2)):
     """Edge selection and fine-splitting forest of adapted ``phi_a``."""
     verdict = is_adapted(phi_a)
     sel = select_l_pr(verdict.polyhedron, m)
-    return sel, fine_splitting_trace(phi_a, verdict, m, sel)
+    return sel, fine_splitting_trace(phi_a, verdict, sel)
 
 
 class TestAdaptedCoordinates:
@@ -53,7 +53,6 @@ class TestAdaptedCoordinates:
         phi = P("(x2 - x1^2 - x1^3)^4 + x1^14")
         ac = adapted_coordinates(phi)
         assert ac.psi.terms == ((F(1), F(2)), (F(1), F(3)))
-        assert ac.shear_exponents == (F(2), F(3))
         assert ac.phi_a == P("x2^4 + x1^14")
 
     def test_jet_leading_exponent_is_integer_ge_two(self):
