@@ -20,8 +20,8 @@ from .exponents import (ExponentReport, certificates_of_polyhedron,
 from .parser import InputExpr, parse_expression, render
 from .report import analyze
 from .diagram import render_diagram, render_loglog_plot
-from .errors import (AlgebraicRootHalt, InternalInvariantError,
-                     NRestrictError, ParseError, QuadratureError)
+from .errors import (InternalInvariantError, NRestrictError, ParseError,
+                     QuadratureError)
 
 __all__ = [
     "PuiseuxPoly",
@@ -35,6 +35,6 @@ __all__ = [
     "InputExpr", "parse_expression", "render",
     "analyze",
     "render_diagram", "render_loglog_plot",
-    "AlgebraicRootHalt", "InternalInvariantError", "NRestrictError",
-    "ParseError", "QuadratureError",
+    "InternalInvariantError", "NRestrictError", "ParseError",
+    "QuadratureError",
 ]

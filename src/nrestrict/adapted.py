@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import AlgebraicRootHalt, InternalInvariantError
-from .geometry import (Face, NewtonPolyhedron, Weight,
-                       kappa_principal_part)
+from .errors import InternalInvariantError
+from .geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from .poly import PuiseuxPoly
 from .roots import RootRecord, UniPoly, squarefree_real_roots
 
@@ -82,7 +81,6 @@ class AdaptednessVerdict:
     criterion: Optional[str]          # "a" | "b" | "c" when adapted
     m_pr: Optional[int]               # circle order of the principal part
     d: Fraction
-    face: Face
     weight: Optional[Weight]          # principal weight when face is compact
     witness: Optional[RootRecord]     # a circle root with multiplicity > d
     # the polyhedron judged and, on a compact principal edge, the real roots
@@ -104,9 +102,9 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     d = n.distance()
     face = n.principal_face()
     if face.kind == "vertex":
-        return AdaptednessVerdict(True, "b", None, d, face, None, None, n)
+        return AdaptednessVerdict(True, "b", None, d, None, None, n)
     if face.kind == "unbounded_edge":
-        return AdaptednessVerdict(True, "c", None, d, face, None, None, n)
+        return AdaptednessVerdict(True, "c", None, d, None, None, n)
     w = face.edge.weight
     m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w), w)
     ratio = w.a
@@ -114,8 +112,8 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
         raise InternalInvariantError(
             "non-integer weight ratio must force circle order < distance")
     if m_pr <= d:
-        return AdaptednessVerdict(True, "a", m_pr, d, face, w, None, n, roots)
-    return AdaptednessVerdict(False, None, m_pr, d, face, w, witness, n, roots)
+        return AdaptednessVerdict(True, "a", m_pr, d, w, None, n, roots)
+    return AdaptednessVerdict(False, None, m_pr, d, w, witness, n, roots)
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,9 @@ def linear_height(phi: PuiseuxPoly) -> LinearHeightReport:
     Follows the constructive characterization of linearly adapted
     coordinates: while the principal face is a compact edge with weight ratio
     one, shear off the unique circle root of multiplicity exceeding the
-    distance (rational required, else an algebraic-root halt); a coordinate
-    swap keeps k1 <= k2.  Stops as soon as the coordinates are adapted or the
-    weight ratio reaches 2.  After 32 changes without a stop it raises
-    :class:`InternalInvariantError`.
+    distance, which is rational; a coordinate swap keeps k1 <= k2.  Stops as
+    soon as the coordinates are adapted or the weight ratio reaches 2.  After
+    32 changes without a stop it raises :class:`InternalInvariantError`.
     """
     if phi.ramification != 1:
         raise ValueError("linear height needs an integer-exponent polynomial")
@@ -185,26 +182,30 @@ def _equal_weight_shear(cur: PuiseuxPoly, t: Matrix,
     The principal part is homogeneous of degree 2d; the verdict's witness is
     its unique circle root of multiplicity > d.
     """
-    b = _shear_root(verdict, "linear height shear")
+    b = _shear_root(verdict)
     sheared = cur.shear_substitute(PuiseuxPoly.monomial(b, 1, 0))
     return sheared, _matmul(t, _shear_matrix(b))
 
 
-def _shear_root(verdict: AdaptednessVerdict, context: str) -> Fraction:
+def _shear_root(verdict: AdaptednessVerdict) -> Fraction:
     """The root coefficient the next shear of a non-adapted polynomial kills.
 
-    It is the verdict's witness: the circle root of multiplicity > d, unique
-    because the principal edge crosses the bisectrix, and found on the ``+``
-    side.  An irrational witness halts with its square-free factor of
-    p(1, t), which the record carries.
+    It is the verdict's witness: the root of p(1, t) of multiplicity > d on
+    the ``+`` side, where p is the principal part.  The callers shear only at
+    weight ratio k2/k1 >= 1, so p(1, t) in Q[t] has degree at most
+    1/k2 <= 2/(k1 + k2) = 2d.  Hence at most one root, real or complex, has
+    multiplicity > d; every automorphism of the algebraic numbers permutes
+    the roots of p(1, t) keeping multiplicities, so it fixes that root, and
+    the root is rational.  An irrational witness is an internal error.
     """
     rec = verdict.witness
     if rec is None or rec.multiplicity <= verdict.d or rec.sign_of_variable != "+":
         raise InternalInvariantError(
             "non-adapted verdict has no + side circle root exceeding the distance")
     if not rec.is_rational:
-        raise AlgebraicRootHalt(rec.interval, rec.factor, rec.multiplicity,
-                                context=context)
+        raise InternalInvariantError(
+            f"irrational circle root of multiplicity {rec.multiplicity} "
+            f"exceeds the distance {verdict.d}")
     return rec.value
 
 

@@ -3,8 +3,9 @@
 Subcommands: analyze, diagram, knapp, decay, trace.  JSON goes to stdout or
 ``--json PATH``; diagrams and plots to ``--svg PATH``.  Exit codes: 0 success,
 1 usage or parse error, or an input or output file that cannot be read or
-written (``OSError``, printed as ``error: ...``), 2 algebraic-root halt,
-3 internal invariant violation, 4 quadrature failure.
+written (``OSError``, printed as ``error: ...``), 3 internal invariant
+violation, 4 quadrature failure.  Exit code 2 is reserved and never
+returned, so that 3 and 4 keep their meaning.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import os
 import sys
 
 from .diagram import render_diagram, render_loglog_plot
-from .errors import (AlgebraicRootHalt, InternalInvariantError, ParseError,
-                     QuadratureError)
+from .errors import InternalInvariantError, ParseError, QuadratureError
 from .parser import parse_expression
 from .report import _certs_json, _split_forest_json, analyze
 
@@ -146,9 +146,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AlgebraicRootHalt as exc:
-        print(json.dumps(exc.to_json_dict(), indent=2), file=sys.stderr)
-        return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

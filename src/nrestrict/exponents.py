@@ -85,7 +85,6 @@ class JetSample:
 @dataclass(frozen=True)
 class JetSupSample:
     sup_found: Fraction
-    witnesses: tuple[RootJet, ...]
     samples: tuple[JetSample, ...]
     bound: Fraction                # h_r (non-adapted input) or d (adapted)
     bound_kind: str
@@ -150,7 +149,6 @@ def h_r_tilde_sample(phi: PuiseuxPoly) -> JetSupSample:
         psi, bound, kind = rep.coords.psi, rep.h_r, "r_height"
     samples = []
     best: Fraction | None = None
-    witnesses: list[RootJet] = []
     for jet in default_jet_family(phi, psi):
         value = h_f(phi, jet)
         if value > bound:
@@ -159,15 +157,12 @@ def h_r_tilde_sample(phi: PuiseuxPoly) -> JetSupSample:
         samples.append(JetSample(jet, value))
         if best is None or value > best:
             best = value
-            witnesses = [jet]
-        elif value == best:
-            witnesses.append(jet)
     if psi is not None:
         exact = h_f(phi, psi)
         if exact != bound:
             raise InternalInvariantError(
                 "principal root jet did not attain the r-height")
-    return JetSupSample(best, tuple(witnesses), tuple(samples), bound, kind)
+    return JetSupSample(best, tuple(samples), bound, kind)
 
 
 @dataclass(frozen=True)

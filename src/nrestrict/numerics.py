@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AlgebraicRootHalt, QuadratureError
+from .errors import QuadratureError
 from .geometry import NewtonPolyhedron
 from .poly import PuiseuxPoly
 
@@ -520,19 +520,15 @@ def _reduce_phase(phase_poly: PuiseuxPoly,
                 _separable_reduction(phase_poly, hw))
     # shear off the principal root jet when it is an integer-exponent jet
     if phase_poly.ramification == 1:
-        try:
-            from .adapted import is_adapted
-            from .splitting import adapted_coordinates
-            verdict = is_adapted(phase_poly)
-            if not verdict.adapted and verdict.weight is not None \
-                    and verdict.weight.a.denominator == 1 and verdict.weight.a >= 2:
-                ac = adapted_coordinates(phase_poly, verdict=verdict)
-                if not ac.phi_a.depends_on_x1():
-                    return {"reduction": "sheared"}, _pure_x2_reduction(
-                        ac.phi_a, ac.psi.to_poly(), hw)
-        except AlgebraicRootHalt:
-            return {"reduction": "direct_2d",
-                    "fallback": "algebraic_root_halt"}, None
+        from .adapted import is_adapted
+        from .splitting import adapted_coordinates
+        verdict = is_adapted(phase_poly)
+        if not verdict.adapted and verdict.weight is not None \
+                and verdict.weight.a.denominator == 1 and verdict.weight.a >= 2:
+            ac = adapted_coordinates(phase_poly, verdict=verdict)
+            if not ac.phi_a.depends_on_x1():
+                return {"reduction": "sheared"}, _pure_x2_reduction(
+                    ac.phi_a, ac.psi.to_poly(), hw)
     return {"reduction": "direct_2d", "fallback": "no_reduction"}, None
 
 
@@ -758,7 +754,6 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
 
 @dataclass
 class SumBoundResult:
-    levels: list[int]
     sup_ratios: list[float]
     running_sup: list[float]
     max_growth: float          # worst step of the running sup across doublings
@@ -809,7 +804,7 @@ def oscillatory_sum_bound(trial: SumBoundTrial,
     mid = max(0, (len(running) - 1) // 2)
     growth = (running[-1] / running[mid]) if running[mid] > 1e-12 else (
         1.0 if running[-1] <= 1e-12 else math.inf)
-    return SumBoundResult(list(levels), ratios, running, growth)
+    return SumBoundResult(ratios, running, growth)
 
 
 SECTION_8_1_BETAS: tuple[tuple[Fraction, Fraction], ...] = (

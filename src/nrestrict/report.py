@@ -190,8 +190,6 @@ class ReportDocument:
                 "exact": self.singularity.exact,
                 "psi": render_unipoly(self.singularity.psi_truncation),
             },
-            # only the exponent stage raises algebraic-root halts; a
-            # splitting branch that halts records it in the branch
             "notes": [],
         }
 

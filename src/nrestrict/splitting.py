@@ -2,8 +2,8 @@
 
 ``adapted_coordinates`` iterates the classical shear construction: on a
 non-adapted compact principal face the unique circle root of multiplicity
-exceeding the Newton distance is rational or we halt, and shearing it off
-strictly increases the distance until the coordinates are adapted.
+exceeding the Newton distance is rational, and shearing it off strictly
+increases the distance until the coordinates are adapted.
 
 ``fine_splitting_trace`` continues past adaptedness inside the domain that
 contains the root jet: at each level the principal part on the active edge is
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .adapted import AdaptednessVerdict, _shear_root, is_adapted
-from .errors import AlgebraicRootHalt, InternalInvariantError
+from .errors import InternalInvariantError
 from .geometry import (EdgeData, NewtonPolyhedron, Weight,
                        kappa_principal_part)
 from .poly import PuiseuxPoly
@@ -94,8 +94,7 @@ def adapted_coordinates(phi: PuiseuxPoly,
     Expects linearly adapted input (so every shear exponent is an integer);
     already-adapted input returns psi = 0 immediately.  ``verdict`` is
     ``is_adapted(phi)`` when the caller already holds it; each shear kills
-    the witness of the current verdict.  Irrational root coefficients raise
-    :class:`AlgebraicRootHalt`.
+    the witness of the current verdict, whose coefficient is rational.
 
     The step budget is fixed: psi gets at most 63 terms, and a 64th shear
     raises :class:`InternalInvariantError` (exit 3 on the command line).
@@ -122,7 +121,7 @@ def adapted_coordinates(phi: PuiseuxPoly,
                 f"non-adapted face with non-integer ratio {a}")
         if last_a is not None and a <= last_a:
             raise InternalInvariantError("shear exponents failed to increase")
-        b = _shear_root(verdict, "adapted-coordinate shear")
+        b = _shear_root(verdict)
         term = PuiseuxPoly.monomial(b, a, 0)
         jet = jet + term
         cur = cur.shear_substitute(term)
@@ -277,11 +276,9 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
     for rec in shear_roots:
         prefix = steps + tuple(level_steps)
         if not rec.is_rational:
-            halt = AlgebraicRootHalt(rec.interval, rec.factor,
-                                     rec.multiplicity, context="fine splitting")
             out.append(SplittingTrace(prefix + (SplitStep(
                 level, w, a, None, rec.multiplicity, "Case3_shear"),),
-                "algebraic_root_halt", halt=halt.to_json_dict()))
+                "algebraic_root_halt", halt=_halt_record(rec)))
             continue
         c0 = rec.value
         mult = rec.multiplicity
@@ -317,6 +314,16 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
                  prefix + (shear_step, SplitStep(level, w, a, c0, mult,
                                                  "CaseB_continue")),
                  jet + term, out, prev_mult=mult)
+
+
+def _halt_record(rec: RootRecord) -> dict:
+    """The ``halt`` record of a branch that needs an irrational shear: the
+    root's isolating interval and its square-free factor of p(1, t)."""
+    lo, hi = rec.interval
+    return {"error": "algebraic-root", "interval": [str(lo), str(hi)],
+            "multiplicity": rec.multiplicity,
+            "witness_poly": [str(c) for c in rec.factor.coeffs],
+            "context": "fine splitting"}
 
 
 def _classify_simple(pr: PuiseuxPoly, rec: RootRecord) -> str:

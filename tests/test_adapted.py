@@ -7,11 +7,12 @@ import pytest
 from nrestrict import adapted, exponents, splitting
 from nrestrict.adapted import (circle_vanishing_order, classify_linear,
                                is_adapted, linear_height)
+from nrestrict.errors import InternalInvariantError
 from nrestrict.exponents import critical_exponent
 from nrestrict.geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from nrestrict.parser import parse_expression
 from nrestrict.report import analyze
-from nrestrict.roots import UniPoly, squarefree_real_roots
+from nrestrict.roots import RootRecord, UniPoly, squarefree_real_roots
 
 from make_golden import ACCEPTANCE, LADDER
 from test_acceptance import EX122, NORMAL_FORMS
@@ -131,6 +132,17 @@ class TestShearWitness:
             assert verdict.witness == best
             shear_steps += 1
         assert shear_steps > len(ACCEPTANCE) // 2
+
+    def test_irrational_witness_is_an_internal_error(self):
+        # no rational input yields this verdict: the root of multiplicity
+        # > d is unique, so it is rational
+        phi = P("(x2^2 - 2*x1^2)^2")
+        verdict = adapted.AdaptednessVerdict(
+            False, None, 2, F(3, 2), Weight(F(1, 4), F(1, 4)),
+            RootRecord(2, interval=(F(1), F(2)), factor=UniPoly([-2, 0, 1])),
+            NewtonPolyhedron.of(phi))
+        with pytest.raises(InternalInvariantError, match="irrational"):
+            adapted._shear_root(verdict)
 
     def test_analyze_judges_each_polynomial_once(self, monkeypatch):
         judged, linear = _record_judgements(monkeypatch)

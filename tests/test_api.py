@@ -1,4 +1,5 @@
-"""The package's API surface, and guards against dead code and dead knobs.
+"""The package's API surface, and guards against dead code, dead knobs and
+unread fields.
 
 Every public top-level function or method of the modules in ``CHECKED``
 (all but ``numerics``) must be referenced elsewhere in ``src/nrestrict`` or
@@ -16,6 +17,13 @@ or ``tests/``, by keyword or by position.  A parameter that no call passes
 always takes its default, so it is a constant, not a knob.  Calls are
 matched by the called name alone, and a call with ``*args`` or ``**kwargs``
 counts as passing everything it could reach.
+
+Every field of a dataclass of ``src/nrestrict`` must be read somewhere in
+``src/``, ``bench/`` or ``tests/``.  A read is an attribute of the field's
+name loaded anywhere, matched by name alone; that covers the reads of every
+``to_json_dict``.  Taking part in equality does not count: a field that only
+equality reads is unread unless code compares the instances, and then that
+code reads it.
 """
 
 import ast
@@ -160,6 +168,33 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                     unpassed.append(
                         f"{mod}.{cls + '.' if cls else ''}{node.name}({param})")
     assert unpassed == []
+
+
+def _is_dataclass(cls):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    reads = set()
+    for root in ("src", "bench", "tests"):
+        for dirpath, _dirs, files in os.walk(os.path.join(REPO, root)):
+            for name in files:
+                if name.endswith(".py"):
+                    reads.update(
+                        node.attr for node in ast.walk(
+                            _parse(os.path.join(dirpath, name)))
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load))
+    unread = []
+    for mod, tree in _modules().items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                unread.extend(f"{mod}.{cls.name}.{sub.target.id}"
+                              for sub in cls.body
+                              if isinstance(sub, ast.AnnAssign)
+                              and sub.target.id not in reads)
+    assert unread == []
 
 
 def test_all_names_exist_once():

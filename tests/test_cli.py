@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 import re
@@ -5,13 +7,15 @@ from fractions import Fraction as F
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrestrict import cli
-from nrestrict.errors import AlgebraicRootHalt, ParseError
+from nrestrict.errors import ParseError
+from nrestrict.exponents import critical_exponent
 from nrestrict.parser import parse_expression, render
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import analyze
-from nrestrict.roots import UniPoly
 
 
 def P(text):
@@ -118,15 +122,6 @@ class TestCommands:
 
     def test_parse_error_exit_code(self, capsys):
         assert cli.main(["analyze", "x1^2 +"]) == 1
-
-    def test_algebraic_halt_exit_code(self, capsys, monkeypatch):
-        def boom(expr, **kw):
-            raise AlgebraicRootHalt((F(1), F(2)), UniPoly([-2, 0, 1]), 2,
-                                    context="test")
-        monkeypatch.setattr(cli, "analyze", boom)
-        assert cli.main(["analyze", "x1^2+x2^2"]) == 2
-        err = capsys.readouterr().err
-        assert json.loads(err)["error"] == "algebraic-root"
 
     def test_internal_invariant_exit_code(self, capsys, monkeypatch):
         from nrestrict.errors import InternalInvariantError
@@ -274,6 +269,38 @@ class TestHaltSurfacing:
         lo, hi = F(halt["interval"][0]), F(halt["interval"][1])
         assert lo < hi and hi - lo <= F(1, 4)
         assert halt["witness_poly"]  # square-free certificate coefficients
+
+
+coefficients = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3), F(3)])
+
+
+@st.composite
+def conjugate_products(draw):
+    """``((x2 - q(x1))^2 - c*x1^j)^m``, perhaps plus ``x1^k``, with ``c`` not
+    the square of a rational: the factor's roots ``q +- sqrt(c)*x1^(j/2)``
+    are conjugate and irrational."""
+    q = " + ".join(f"({draw(coefficients)})*x1^{e}" for e in (1, 2, 3))
+    c = draw(st.sampled_from(["2", "3", "5", "7", "1/2", "2/9"]))
+    j, m = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    tail = draw(st.one_of(st.none(), st.integers(2, 14)))
+    return (f"((x2 - ({q}))^2 - {c}*x1^{j})^{m}"
+            + ("" if tail is None else f" + x1^{tail}"))
+
+
+class TestConjugateIrrationalFactors:
+    """The exponent stage never needs an irrational shear: only the unique
+    root of multiplicity above the distance is sheared off, and it is
+    rational (``adapted._shear_root``).  Only ``trace`` branches halt."""
+
+    @given(conjugate_products())
+    @example("((x2 - x1^2)^2 - 2*x1^6)^2")
+    @settings(max_examples=100, deadline=None)
+    def test_exponent_stage_never_halts_and_trace_exits_0(self, text):
+        critical_exponent(P(text))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["trace", text]) == 0, text
+        json.loads(out.getvalue())
 
 
 class TestFileInput:
