@@ -229,18 +229,31 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     """Normal-form class (A or D family) from the linear-height report of a
     polynomial of linear height < 2.
 
-    Requires that no linear coordinate system is adapted.  The root jet of
-    the normal form is the branch of critical points of x2 -> phi(x1, x2),
-    solved term by term with rational coefficients; ``b0`` is phi evaluated
-    along the jet, and its vanishing order fixes the index.  The jet is
-    solved to order ``4 * deg + 4`` for an input of total degree ``deg``.
+    Requires that no linear coordinate system is adapted.  The root jet psi
+    of the normal form is the branch of critical points of x2 -> phi(x1, x2),
+    solved to order ``4 * deg + 4`` for an input of total degree ``deg``;
+    ``b0`` is phi along the jet, and its vanishing order n fixes the index.
+
+    The branch is peeled on the shear kernel, one monomial per pass.  In
+    ``phi(x1, x2 + psi)`` the x2^1 row is d phi/d x2 along psi and the x2^0
+    row is phi along psi.  A pass reads the lowest term c*x1^v of the x2^1
+    row and shears by ``-c/unit * x1^(v - sigma)``, where ``unit * x1^sigma``
+    leads d^2 phi/d x2^2 along the branch (sigma is 0 for A, 1 for D); it
+    stops once that row vanishes below x1^(order + sigma).  Terms of x1-order
+    above ``order + sigma`` are dropped before every pass, which is exact for
+    the orders kept: a shear by c*x1^e with e >= 1 never lowers an x1-order.
+    A polynomial branch divides d phi/d x2, so its degree is below deg; only
+    such a jet gets one full shear, which decides whether it is the exact
+    branch (x2^1 row zero) and then gives the exact b0 (x2^0 row).
+    Otherwise a term of the truncated b0 of order <= ``order`` is still exact
+    (the jet error enters above it) and gives n.
     """
     if lh.h_lin >= 2:
         raise ValueError(f"linear height {lh.h_lin} is not < 2")
     if lh.adapted_linear_exists:
         raise ValueError("an adapted linear coordinate system exists")
     work = lh.transformed
-    series_order = 4 * int(work.total_degree()) + 4
+    order = 4 * int(work.total_degree()) + 4
 
     p2 = _homogeneous_part(work, 2)
     if p2:
@@ -252,26 +265,44 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
         work = _normalize_cubic(work)
         sigma = 1
 
-    f = work.partial_derivative(2, 1)
-    psi = _solve_critical_branch(f, sigma, series_order)
-    b0_series = _compose_x2(work, psi, series_order)
-    m = psi.valuation()
+    unit = 2 * work.coefficient(sigma, 2)
+    if not unit:
+        raise InternalInvariantError("branch linearization is not a unit")
+    cap = order + sigma
+    psi: dict[int, Fraction] = {}
+    last_exp = 0
+    sheared = work
+    while True:
+        sheared = PuiseuxPoly({e: c for e, c in sheared.terms.items()
+                               if e[0] <= cap})
+        residual = _x2_row(sheared, 1)
+        v = min(residual, default=cap)
+        if v >= cap:
+            break
+        exp = v - sigma
+        if exp <= last_exp:
+            raise InternalInvariantError(
+                "critical branch is obstructed at order "
+                f"{v}; no normal form of the expected shape")
+        psi[exp] = -residual[v] / unit
+        sheared = sheared.shear_substitute(PuiseuxPoly.monomial(psi[exp], exp))
+        last_exp = exp
+    m = min(psi, default=-1)
     if m < 2:
         raise InternalInvariantError("normal-form root jet must start at order >= 2")
+    jet = _unipoly(psi)
 
-    # exactness: if psi satisfies the branch equation exactly, b0 is exact;
-    # otherwise any nonzero coefficient of b0 below the truncation order is
-    # still exact (the jet error enters above it)
-    branch_exact = _exact_branch(f, psi)
-    if branch_exact:
-        b0 = _compose_exact(work, psi)
-        n = None if b0.is_zero() else b0.valuation()
-        exact_flag = True
+    full = None
+    if jet.degree() < work.total_degree():
+        full = work.shear_substitute(
+            PuiseuxPoly({(e, 0): c for e, c in psi.items()}))
+    if full is not None and not _x2_row(full, 1):
+        row = _x2_row(full, 0)
+        b0, n, exact = _unipoly(row), min(row, default=None), True
     else:
-        b0 = None
-        v = b0_series.valuation()
-        n = v if v >= 0 else None
-        exact_flag = v >= 0
+        v = min(_x2_row(sheared, 0), default=order + 1)
+        b0, n = None, (v if v <= order else None)
+        exact = n is not None
 
     if n is not None:
         lower = 2 * m + 1 if family == "A" else 2 * m + 2
@@ -288,7 +319,16 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
         raise InternalInvariantError(
             "normal-form distance does not match the classified family")
     return SingularityClass(family=family, index=index, m=m, n=n,
-                            psi_truncation=psi, b0=b0, exact=exact_flag)
+                            psi_truncation=jet, b0=b0, exact=exact)
+
+
+def _x2_row(phi: PuiseuxPoly, e2: int) -> dict[int, Fraction]:
+    """x1-exponent -> coefficient of the x2^e2 row of an integer-exponent phi."""
+    return {int(e1): c for (e1, k), c in phi.terms.items() if k == e2}
+
+
+def _unipoly(row: dict[int, Fraction]) -> UniPoly:
+    return UniPoly([row.get(i, 0) for i in range(max(row, default=-1) + 1)])
 
 
 def _homogeneous_part(phi: PuiseuxPoly, total: int) -> PuiseuxPoly:
@@ -344,62 +384,3 @@ def _normalize_cubic(phi: PuiseuxPoly) -> PuiseuxPoly:
         t = ((Fraction(1), -b / a), (Fraction(0), Fraction(1)))
         phi = phi.linear_substitute(t)
     return phi
-
-
-def _solve_critical_branch(f: PuiseuxPoly, sigma: int, order: int) -> UniPoly:
-    """Truncated series x2 = psi(x1) with f(x1, psi(x1)) = O(x1^{order+1}).
-
-    ``sigma`` is the x1-order of the linearization d f/d x2 along the branch
-    (0 for the A family, 1 for the D family); the update at residual order r
-    contributes a jet term of exponent r - sigma.
-    """
-    d2 = f.partial_derivative(2, 1)
-    unit = _coeff_x1(d2, sigma, 0)
-    if not unit:
-        raise InternalInvariantError("branch linearization is not a unit")
-    psi = UniPoly()
-    last_exp = 0
-    for _ in range(order + 2):
-        residual = _compose_x2(f, psi, order + sigma)
-        v = residual.valuation()
-        if v < 0 or v > order + sigma - 1:
-            break
-        exp = v - sigma
-        if exp <= last_exp:
-            raise InternalInvariantError(
-                "critical branch is obstructed at order "
-                f"{v}; no normal form of the expected shape")
-        c = -residual.coeffs[v] / unit
-        psi = psi + UniPoly([Fraction(0)] * exp + [c])
-        last_exp = exp
-    return psi
-
-
-def _coeff_x1(phi: PuiseuxPoly, e1: int, e2: int) -> Fraction:
-    return phi.coefficient(Fraction(e1), e2)
-
-
-def _compose_x2(phi: PuiseuxPoly, s: UniPoly, order: int) -> UniPoly:
-    """phi(x1, s(x1)) truncated at x1^order (integer exponents required)."""
-    if phi.ramification != 1:
-        raise ValueError("composition needs integer exponents")
-    by_x2 = phi.as_x2_coefficients()
-    top = max(by_x2) if by_x2 else 0
-    acc = UniPoly()
-    for k in range(top, -1, -1):
-        acc = (acc * s).truncate(order)
-        row = by_x2.get(k)
-        if row:
-            acc = acc + UniPoly([row.get(Fraction(i), Fraction(0))
-                                 for i in range(int(max(row)) + 1)])
-    return acc.truncate(order)
-
-
-def _compose_exact(phi: PuiseuxPoly, s: UniPoly) -> UniPoly:
-    deg = int(phi.total_degree()) * max(s.degree(), 1) + 1
-    return _compose_x2(phi, s, deg)
-
-
-def _exact_branch(f: PuiseuxPoly, psi: UniPoly) -> bool:
-    """True iff psi satisfies the branch equation as an exact polynomial."""
-    return _compose_exact(f, psi).is_zero()

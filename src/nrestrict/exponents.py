@@ -62,14 +62,9 @@ def critical_exponent(phi: PuiseuxPoly) -> ExponentReport:
                           m, lh, ac, rh)
 
 
-def _as_jet(f: RootJet | PuiseuxPoly) -> RootJet:
-    return f if isinstance(f, RootJet) else RootJet.from_poly(f)
-
-
-def h_f(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly) -> Fraction:
+def h_f(phi: PuiseuxPoly, jet: RootJet) -> Fraction:
     """Shear height of a non-flat jet: the r-height of phi after the
-    fractional shear by f, measured against f's leading exponent."""
-    jet = _as_jet(f)
+    fractional shear by the jet, measured against its leading exponent."""
     if jet.is_zero():
         raise ValueError("shear height needs a nonzero jet")
     sheared = phi.shear_substitute(jet.to_poly())

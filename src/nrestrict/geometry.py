@@ -3,10 +3,9 @@
 Everything here is exact, and the two r-height computations (edge formula
 vs. the augmented polyhedron met by the shifted bisectrix) are asserted equal
 on every call.  The hull runs on Python ints: support points are scaled onto
-an integer lattice (by the lcm of their denominators, or for a polynomial by
-its ramification along t1), which keeps every dominance test and every
-orientation sign, and only the vertices found are mapped back to their
-rational points.
+an integer lattice (by the polynomial's ramification along t1), which keeps
+every dominance test and every orientation sign, and only the vertices found
+are mapped back to their rational points.
 
 Conventions: points live in the exponent plane with coordinates (t1, t2);
 vertices are listed with t1 strictly increasing and t2 strictly decreasing;
@@ -16,17 +15,14 @@ a supporting line with weight ``kappa`` is ``k1*t1 + k2*t2 = 1`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import InternalInvariantError
 from .poly import PuiseuxPoly
 
 Point = tuple[Fraction, Fraction]
-
-_INF = Fraction(10 ** 12)  # stand-in for an infinite edge ratio in comparisons
 
 
 @dataclass(frozen=True)
@@ -37,14 +33,12 @@ class Weight:
     k2: Fraction
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0 or (self.k1 == 0 and self.k2 == 0):
-            raise ValueError("weight components must be >= 0, not both zero")
+        if self.k1 <= 0 or self.k2 < 0:
+            raise ValueError("weight needs k1 > 0 and k2 >= 0")
 
     @property
     def a(self) -> Fraction:
-        """k2/k1, the reciprocal slope; very large sentinel for k1 == 0."""
-        if self.k1 == 0:
-            return _INF
+        """k2/k1, the reciprocal slope."""
         return self.k2 / self.k1
 
     def dot(self, p: Point) -> Fraction:
@@ -100,17 +94,6 @@ def _staircase_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return chain
 
 
-def _on_lattice(points: Iterable[Point]) -> dict[tuple[int, int], Point]:
-    """Map each distinct rational point, scaled by the lcm of all the
-    denominators, from its integer image back to itself."""
-    pts = list(dict.fromkeys(points))
-    den = 1
-    for p in pts:
-        for t in p:
-            den = math.lcm(den, t.denominator)
-    return {(int(p[0] * den), int(p[1] * den)): p for p in pts}
-
-
 def edge_weight(left: Point, right: Point) -> Weight:
     """Weight of the line through two staircase-ordered vertices."""
     denom = right[0] * left[1] - left[0] * right[1]
@@ -122,11 +105,11 @@ def edge_weight(left: Point, right: Point) -> Weight:
 class NewtonPolyhedron:
     """Vertices, compact edges and rays of a Newton(-Puiseux) polyhedron."""
 
-    def __init__(self, support: Iterable[Point]):
-        scaled = _on_lattice(support)
-        if not scaled:
-            raise ValueError("empty support")
-        self._build(scaled)
+    support: list[Point]
+    vertices: list[Point]
+    edges: list[EdgeData]
+    vertical_ray_present: bool
+    horizontal_level: Fraction
 
     @staticmethod
     def of(phi: PuiseuxPoly) -> "NewtonPolyhedron":
@@ -145,24 +128,17 @@ class NewtonPolyhedron:
             if t2 is None:
                 t2 = t2s[e2] = Fraction(e2)
             scaled[(e1.numerator * (q // e1.denominator), e2)] = (e1, t2)
-        n = NewtonPolyhedron.__new__(NewtonPolyhedron)
-        n._build(scaled)
-        return n
-
-    def _build(self, scaled: dict[tuple[int, int], Point]) -> None:
-        """Fill in the polyhedron from its support on an integer lattice;
-        any positive scaling of each axis leaves the hull's points the same."""
+        # scaling the t1 axis by q leaves the hull's points the same
         lattice = sorted(scaled)
-        self.support = [scaled[p] for p in lattice]
-        self.vertices: list[Point] = [scaled[v]
-                                      for v in _staircase_hull(lattice)]
-        self.edges: list[EdgeData] = [
-            EdgeData(u, v, edge_weight(u, v))
-            for u, v in zip(self.vertices, self.vertices[1:])
-        ]
+        n = NewtonPolyhedron()
+        n.support = [scaled[p] for p in lattice]
+        n.vertices = [scaled[v] for v in _staircase_hull(lattice)]
+        n.edges = [EdgeData(u, v, edge_weight(u, v))
+                   for u, v in zip(n.vertices, n.vertices[1:])]
         # rays: vertical above the first vertex, horizontal right of the last
-        self.vertical_ray_present = self.vertices[0][0] > 0
-        self.horizontal_level: Fraction = self.vertices[-1][1]
+        n.vertical_ray_present = n.vertices[0][0] > 0
+        n.horizontal_level = n.vertices[-1][1]
+        return n
 
     # -- supporting lines ----------------------------------------------
 
@@ -219,9 +195,6 @@ def kappa_principal_part(phi: PuiseuxPoly, w: Weight) -> PuiseuxPoly:
 def h_l_of_edge(w: Weight, m: Fraction) -> Fraction:
     """Height contribution of an edge line: the second coordinate, minus one,
     of its intersection with the line {(t, t + m + 1)}.
-
-    For a horizontal edge (k1 = 0, k2 = 1/B) this evaluates to B - 1 with no
-    special case.
     """
     return (1 + m * w.k1 - w.k2) / (w.k1 + w.k2)
 

@@ -402,13 +402,6 @@ class PuiseuxPoly:
 
     # -- views --------------------------------------------------------
 
-    def as_x2_coefficients(self) -> dict[int, dict[Fraction, Fraction]]:
-        """Map x2-degree -> {e1: coefficient}."""
-        out: dict[int, dict[Fraction, Fraction]] = {}
-        for (e1, e2), c in self._terms.items():
-            out.setdefault(e2, {})[e1] = c
-        return out
-
     def shift_e2(self, delta: int) -> "PuiseuxPoly":
         """Multiply (delta > 0) or exactly divide (delta < 0) by x2^|delta|."""
         if delta < 0 and self.min_e2() < -delta:

@@ -150,19 +150,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def truncate(self, order: int) -> "UniPoly":
-        """Drop terms of degree > order."""
-        return UniPoly(self.coeffs[:order + 1])
-
-    def valuation(self) -> int:
-        """Order of vanishing at 0 (degree+1 convention not used; zero poly -> -1)."""
-        if self.is_zero():
-            return -1
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return -1
-
 
 # -- integer kernels -----------------------------------------------------
 #

@@ -340,8 +340,7 @@ def _classify_simple(pr: PuiseuxPoly, rec: RootRecord) -> str:
     return "Case1_no_root"
 
 
-def condition_r_check(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
-                      b: int) -> PuiseuxPoly:
+def condition_r_check(phi: PuiseuxPoly, f: RootJet, b: int) -> PuiseuxPoly:
     """Factor off ``(x2 - f(x1))^b`` in the sheared frame.
 
     ``b`` must be the maximal integer with the support of the sheared
@@ -349,8 +348,7 @@ def condition_r_check(phi: PuiseuxPoly, f: RootJet | PuiseuxPoly,
     Polynomial inputs always factor (real-analytic case), so the result is
     the cofactor; a non-maximal ``b`` raises ValueError.
     """
-    fp = f.to_poly() if isinstance(f, RootJet) else f
-    sheared = phi.shear_substitute(fp)
+    sheared = phi.shear_substitute(f.to_poly())
     b_max = sheared.min_e2()
     if b != b_max:
         raise ValueError(f"b = {b} is not maximal (support floor is {b_max})")

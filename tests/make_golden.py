@@ -2,9 +2,10 @@
 
 ``golden.json`` maps ``"<command>|<expression>"`` to ``"<exit code>:<sha256>"``
 for the ``analyze``, ``knapp``, ``trace`` and ``diagram`` subcommands of
-``nrestrict.cli.main``, over the 26 acceptance inputs, the first ladder rungs
-and one input whose reports carry an algebraic-root halt.  The digest is of
-the written output file on exit 0 and of stderr otherwise.
+``nrestrict.cli.main``, over the 26 acceptance inputs, the first ladder rungs,
+one input whose reports carry an algebraic-root halt and one A/D input whose
+critical branch is not a polynomial.  The digest is of the written output
+file on exit 0 and of stderr otherwise.
 ``tests/test_golden.py`` recomputes every entry and requires the bytes to be
 unchanged.
 
@@ -39,7 +40,10 @@ LADDER = [f"(x2 - x1^2 - x1^3)^{n}*(x2 - x1^2 - x1^4) + x1^({4 * n + 7})"
 #: irrational multiple roots: the reports carry an algebraic-root halt record
 HALT = ["((x2 - x1^2)^2 - 2*x1^6)^2"]
 
-INPUTS = ACCEPTANCE + LADDER + HALT
+#: an A13 whose critical branch x2 = psi(x1) is an infinite series
+NONPOLY_BRANCH = ["((x2 - x1)^2 - 5*x1)^2 + x1^7"]
+
+INPUTS = ACCEPTANCE + LADDER + HALT + NONPOLY_BRANCH
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden.json")

@@ -4,7 +4,9 @@ These deliberately avoid the library's own code paths: expansion works on
 plain dicts, the hull oracle tests extremality pairwise, multiplicities
 come from counting vanishing derivatives, and the real-root reference runs
 Yun and Sturm over Q with ``UniPoly``'s Fraction arithmetic instead of the
-library's integer kernels.
+library's integer kernels, and the A/D classification solves its critical
+branch term by term with a Fraction Horner composition instead of the
+library's shear kernel.
 """
 
 from __future__ import annotations
@@ -12,9 +14,22 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from nrestrict.adapted import (_homogeneous_part, _normalize_cubic,
+                               _normalize_rank_one)
+from nrestrict.errors import InternalInvariantError
 from nrestrict.roots import UniPoly
 
 Term = tuple[Fraction, int]
+
+
+def valuation(u: UniPoly) -> int:
+    """Order of vanishing of ``u`` at 0; -1 for the zero polynomial."""
+    return next((i for i, c in enumerate(u.coeffs) if c), -1)
+
+
+def truncate(u: UniPoly, order: int) -> UniPoly:
+    """``u`` without its terms of degree > order."""
+    return UniPoly(u.coeffs[:order + 1])
 
 
 def naive_mul(a: dict, b: dict) -> dict:
@@ -227,7 +242,7 @@ def q_rational_roots(p):
     if p.degree() < 1:
         return []
     roots = []
-    v = p.valuation()
+    v = valuation(p)
     work = UniPoly(p.coeffs[v:])
     if v > 0:
         roots.append(Fraction(0))
@@ -327,3 +342,84 @@ def q_real_roots(p):
     records.sort(key=lambda r: r[1] if r[1] is not None
                  else (r[2][0] + r[2][1]) / 2)
     return records
+
+
+# -- the A/D classification by a term-by-term series solver ---------------
+#
+# The critical branch x2 = psi(x1) is solved one series term at a time,
+# each time composing d phi/d x2 with the jet from scratch by a truncated
+# Horner loop on Fraction ``UniPoly``s.  Slow (quadratic in the order per
+# term), but free of the library's shear kernel.
+
+
+def compose_x2(phi, s: UniPoly, order: int) -> UniPoly:
+    """phi(x1, s(x1)) truncated at x1^order (integer exponents)."""
+    by_x2: dict[int, dict[int, Fraction]] = {}
+    for (e1, e2), c in phi.terms.items():
+        by_x2.setdefault(e2, {})[int(e1)] = c
+    acc = UniPoly()
+    for k in range(max(by_x2, default=0), -1, -1):
+        acc = truncate(acc * s, order)
+        row = by_x2.get(k)
+        if row:
+            acc = acc + UniPoly([row.get(i, 0) for i in range(max(row) + 1)])
+    return truncate(acc, order)
+
+
+def compose_x2_exact(phi, s: UniPoly) -> UniPoly:
+    return compose_x2(phi, s, int(phi.total_degree()) * max(s.degree(), 1) + 1)
+
+
+def solve_critical_branch(f, sigma: int, order: int) -> UniPoly:
+    """Truncated series x2 = psi(x1) with f(x1, psi(x1)) = O(x1^(order+1)).
+
+    ``sigma`` is the x1-order of d f/d x2 along the branch (0 for the A
+    family, 1 for the D family); the update at residual order r contributes
+    a jet term of exponent r - sigma.
+    """
+    unit = f.partial_derivative(2, 1).coefficient(sigma, 0)
+    if not unit:
+        raise InternalInvariantError("branch linearization is not a unit")
+    psi = UniPoly()
+    last_exp = 0
+    for _ in range(order + 2):
+        residual = compose_x2(f, psi, order + sigma)
+        v = valuation(residual)
+        if v < 0 or v > order + sigma - 1:
+            break
+        exp = v - sigma
+        if exp <= last_exp:
+            raise InternalInvariantError(
+                f"critical branch is obstructed at order {v}")
+        c = -residual.coeffs[v] / unit
+        psi = psi + UniPoly([Fraction(0)] * exp + [c])
+        last_exp = exp
+    return psi
+
+
+def series_classification(lh):
+    """``(psi_truncation, n, exact, b0, label)`` of ``classify_linear`` on
+    the same linear-height report, from the term-by-term solver: the branch
+    is exact iff d phi/d x2 vanishes along it, and otherwise n is the
+    valuation of phi along the jet when it is at most the series order."""
+    work = lh.transformed
+    order = 4 * int(work.total_degree()) + 4
+    p2 = _homogeneous_part(work, 2)
+    if p2:
+        family, work, sigma = "A", _normalize_rank_one(work, p2), 0
+    else:
+        family, work, sigma = "D", _normalize_cubic(work), 1
+    f = work.partial_derivative(2, 1)
+    psi = solve_critical_branch(f, sigma, order)
+    if compose_x2_exact(f, psi).is_zero():
+        b0 = compose_x2_exact(work, psi)
+        n = None if b0.is_zero() else valuation(b0)
+        exact = True
+    else:
+        b0 = None
+        v = valuation(compose_x2(work, psi, order))
+        n = v if v >= 0 else None
+        exact = v >= 0
+    index = None if n is None else (n - 1 if family == "A" else n + 1)
+    label = f"{family}{'inf' if index is None else index}"
+    return psi, n, exact, b0, label

@@ -187,7 +187,8 @@ def test_criterion_5_hull_oracle():
     for _ in range(500):
         support = sorted({(F(rng.randint(0, 30)), F(rng.randint(0, 30)))
                           for _ in range(rng.randint(1, 12))})
-        assert NewtonPolyhedron(support).vertices == \
+        phi = PuiseuxPoly({(e1, int(e2)): F(1) for (e1, e2) in support})
+        assert NewtonPolyhedron.of(phi).vertices == \
             brute_hull_vertices(support)
     report(5, True, "staircase hull equals brute-force hull on 500 supports")
 

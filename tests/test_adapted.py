@@ -3,6 +3,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from nrestrict import adapted, exponents, splitting
 from nrestrict.adapted import (circle_vanishing_order, classify_linear,
@@ -11,11 +13,21 @@ from nrestrict.errors import InternalInvariantError
 from nrestrict.exponents import critical_exponent
 from nrestrict.geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from nrestrict.parser import parse_expression
+from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import analyze
 from nrestrict.roots import RootRecord, UniPoly, squarefree_real_roots
 
 from make_golden import ACCEPTANCE, LADDER
+from oracles import series_classification
 from test_acceptance import EX122, NORMAL_FORMS
+
+#: (k, label) of ((x2 - x1)^2 - 5*x1)^2 + x1^k, whose critical branch is an
+#: infinite series
+K_FAMILY = [(7, "A13"), (11, "A21")]
+
+
+def k_family(k):
+    return f"((x2 - x1)^2 - 5*x1)^2 + x1^{k}"
 
 
 def P(text):
@@ -293,3 +305,77 @@ class TestClassification:
             expect = F(2 * m, m + 1) if fam == "A" else F(2 * m + 1, m + 1)
             assert d == expect
             assert linear_height(P(text)).h_lin == d
+
+    def test_non_polynomial_branch(self):
+        for k, label in K_FAMILY:
+            c = classify(P(k_family(k)))
+            assert c.label == label and c.exact, k
+            assert c.b0 is None and c.m == 2, k
+
+    def test_index_agrees_with_height(self):
+        # h = 2n/(n+2) for A_(n-1), 2n/(n+1) for D_(n+1), 2 for an infinite
+        # index
+        texts = [t for t, *_ in NORMAL_FORMS] + [k_family(k) for k, _ in K_FAMILY]
+        for text in texts:
+            rep = critical_exponent(P(text))
+            label = classify_linear(rep.linear).label
+            family, index = label[0], label[1:]
+            if index == "inf":
+                assert rep.h == 2, text
+            elif family == "A":
+                n = int(index) + 1
+                assert rep.h == F(2 * n, n + 2), text
+            else:
+                n = int(index) - 1
+                assert rep.h == F(2 * n, n + 1), text
+
+
+X1, X2 = PuiseuxPoly.x1(), PuiseuxPoly.x2()
+small = st.sampled_from([F(1), F(-1), F(2), F(1, 2), F(-3), F(2, 3)])
+
+
+@st.composite
+def ad_inputs(draw):
+    """A/D inputs with polynomial and with series critical branches:
+    ``(x2 - q)^2*u + c*x1^k``, ``x1*(x2 - q)^2 + c*x1^k`` and
+    ``((x2 - a*x1)^2 - b*x1)^2 + c*x1^k``, perhaps under a rational linear
+    change of coordinates; ``c = 0`` gives an infinite index."""
+    c = draw(st.sampled_from([F(0), F(1), F(-2), F(1, 2)]))
+    shape = draw(st.sampled_from(["A", "D", "quartic"]))
+    if shape == "quartic":
+        a, b = draw(st.integers(-2, 2)), draw(small)
+        phi = ((X2 - a * X1) ** 2 - b * X1) ** 2 + c * X1 ** draw(
+            st.integers(3, 5))
+    else:
+        q = draw(small) * X1 ** 2 + draw(st.sampled_from([F(0), F(1), F(-2)])) \
+            * X1 ** 3
+        k = draw(st.integers(4, 6))
+        if shape == "A":
+            u = draw(st.sampled_from([1, 1 + X1, 1 - X2, 2 + X1]))
+            phi = (X2 - q) ** 2 * u + c * X1 ** k
+        else:
+            phi = X1 * (X2 - q) ** 2 + c * X1 ** k
+    if draw(st.booleans()):
+        s, t = draw(small), draw(st.sampled_from([F(0), F(1, 2), F(-1)]))
+        assume(s * t != 1)
+        phi = phi.linear_substitute(((F(1), s), (t, F(1))))
+    return phi
+
+
+class TestClassificationOracle:
+    """``classify_linear`` peels the critical branch on the shear kernel;
+    the oracle solves it term by term with a Fraction Horner composition."""
+
+    @given(ad_inputs())
+    @example(P(k_family(5)))
+    @example(P("(x2 - x1^2 - x1^3)^2 + x1^7"))
+    @example(P("(x2 - x1^2)^2").linear_substitute(((F(1), F(1, 3)),
+                                                    (F(1, 2), F(1)))))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_series_solver(self, phi):
+        lh = linear_height(phi)
+        assume(lh.h_lin < 2 and not lh.adapted_linear_exists)
+        c = classify_linear(lh)
+        got = (c.psi_truncation, c.n, c.exact, c.b0, c.label)
+        assert got == series_classification(lh)
+
