@@ -12,9 +12,8 @@ from .roots import RootRecord, UniPoly, squarefree_real_roots
 from .geometry import NewtonPolyhedron, Weight, h_l_of_edge, r_height
 from .adapted import (circle_vanishing_order, classify_linear, is_adapted,
                       linear_height)
-from .splitting import (LprSelection, RootJet, SplittingForest,
-                        adapted_coordinates, condition_r_check,
-                        fine_splitting_trace, select_l_pr)
+from .splitting import (LprSelection, SplittingForest, adapted_coordinates,
+                        condition_r_check, fine_splitting_trace, select_l_pr)
 from .exponents import (ExponentReport, certificates_of_polyhedron,
                         critical_exponent, h_f, h_r_tilde_sample)
 from .parser import InputExpr, parse_expression, render
@@ -28,7 +27,7 @@ __all__ = [
     "RootRecord", "UniPoly", "squarefree_real_roots",
     "NewtonPolyhedron", "Weight", "h_l_of_edge", "r_height",
     "circle_vanishing_order", "classify_linear", "is_adapted", "linear_height",
-    "LprSelection", "RootJet", "SplittingForest", "adapted_coordinates",
+    "LprSelection", "SplittingForest", "adapted_coordinates",
     "condition_r_check", "fine_splitting_trace", "select_l_pr",
     "ExponentReport", "certificates_of_polyhedron", "critical_exponent", "h_f",
     "h_r_tilde_sample",

@@ -69,7 +69,7 @@ def _circle_roots(p: PuiseuxPoly, w: Weight
     order = 0 if best is None else best.multiplicity
     # axis points: orders of vanishing along the coordinate restrictions
     order = max(order, p.min_e2())
-    min_e1 = min(e1 for (e1, _e2) in p.support())
+    min_e1 = p.min_e1()
     if min_e1.denominator == 1:
         order = max(order, int(min_e1))
     return order, best, found[0]
@@ -215,8 +215,8 @@ class SingularityClass:
     index: Optional[int]             # None encodes the infinite index
     m: int
     n: Optional[int]                 # vanishing order of b0; None = infinite
-    psi_truncation: UniPoly          # root jet of the normal form, in x1
-    b0: Optional[UniPoly]            # exact b0 when psi is exactly polynomial
+    psi_truncation: PuiseuxPoly      # x1-only root jet of the normal form
+    b0: Optional[PuiseuxPoly]        # x1-only; exact b0 when psi is polynomial
     exact: bool                      # n (incl. infinity) certified exactly
 
     @property
@@ -290,15 +290,14 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     m = min(psi, default=-1)
     if m < 2:
         raise InternalInvariantError("normal-form root jet must start at order >= 2")
-    jet = _unipoly(psi)
+    jet = _x1_poly(psi)
 
     full = None
-    if jet.degree() < work.total_degree():
-        full = work.shear_substitute(
-            PuiseuxPoly({(e, 0): c for e, c in psi.items()}))
+    if jet.total_degree() < work.total_degree():
+        full = work.shear_substitute(jet)
     if full is not None and not _x2_row(full, 1):
         row = _x2_row(full, 0)
-        b0, n, exact = _unipoly(row), min(row, default=None), True
+        b0, n, exact = _x1_poly(row), min(row, default=None), True
     else:
         v = min(_x2_row(sheared, 0), default=order + 1)
         b0, n = None, (v if v <= order else None)
@@ -327,8 +326,8 @@ def _x2_row(phi: PuiseuxPoly, e2: int) -> dict[int, Fraction]:
     return {int(e1): c for (e1, k), c in phi.terms.items() if k == e2}
 
 
-def _unipoly(row: dict[int, Fraction]) -> UniPoly:
-    return UniPoly([row.get(i, 0) for i in range(max(row, default=-1) + 1)])
+def _x1_poly(row: dict[int, Fraction]) -> PuiseuxPoly:
+    return PuiseuxPoly({(e1, 0): c for e1, c in row.items()})
 
 
 def _homogeneous_part(phi: PuiseuxPoly, total: int) -> PuiseuxPoly:

@@ -62,8 +62,7 @@ class _Canvas:
 
 
 def render_diagram(polyhedron: NewtonPolyhedron,
-                   rh: Optional[RHeightResult] = None,
-                   title: str = "") -> str:
+                   rh: Optional[RHeightResult], title: str) -> str:
     """SVG for one polyhedron; pass the r-height result to overlay the
     shifted bisectrix, augmented half-line and their boundary crossing."""
     pts = [(float(e1), float(e2)) for (e1, e2) in polyhedron.support]

@@ -19,7 +19,7 @@ from .errors import InternalInvariantError
 from .geometry import (NewtonPolyhedron, RHeightResult, h_l_of_edge,
                        r_height)
 from .poly import PuiseuxPoly
-from .splitting import AdaptedCoordinates, RootJet, adapted_coordinates
+from .splitting import AdaptedCoordinates, adapted_coordinates
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,19 @@ def critical_exponent(phi: PuiseuxPoly) -> ExponentReport:
                           m, lh, ac, rh)
 
 
-def h_f(phi: PuiseuxPoly, jet: RootJet) -> Fraction:
-    """Shear height of a non-flat jet: the r-height of phi after the
-    fractional shear by the jet, measured against its leading exponent."""
+def h_f(phi: PuiseuxPoly, jet: PuiseuxPoly) -> Fraction:
+    """Shear height of a non-flat jet, an x1-only ``PuiseuxPoly``: the
+    r-height of phi after the fractional shear by the jet, measured against
+    its leading exponent."""
     if jet.is_zero():
         raise ValueError("shear height needs a nonzero jet")
-    sheared = phi.shear_substitute(jet.to_poly())
-    return r_height(NewtonPolyhedron.of(sheared), jet.leading_exponent).value
+    sheared = phi.shear_substitute(jet)
+    return r_height(NewtonPolyhedron.of(sheared), jet.min_e1()).value
 
 
 @dataclass(frozen=True)
 class JetSample:
-    jet: RootJet
+    jet: PuiseuxPoly               # x1-only
     value: Fraction
 
 
@@ -86,18 +87,19 @@ class JetSupSample:
 
 
 def default_jet_family(phi: PuiseuxPoly,
-                       psi: Optional[RootJet]) -> list[RootJet]:
-    """Candidate jets: truncations of psi, psi plus one higher-order term
-    with exponent denominator up to 6, and pure monomials of degree up to
-    12."""
-    family: list[RootJet] = []
+                       psi: Optional[PuiseuxPoly]) -> list[PuiseuxPoly]:
+    """Candidate x1-only jets: truncations of psi, psi plus one higher-order
+    term with exponent denominator up to 6, and pure monomials of degree up
+    to 12, without repeats."""
+    family: list[PuiseuxPoly] = []
     deg_cap = int(phi.total_degree()) + 2
     for n in range(1, 13):
         for c in (Fraction(1), Fraction(-1), Fraction(1, 2)):
-            family.append(RootJet(((c, Fraction(n)),)))
+            family.append(PuiseuxPoly.monomial(c, n))
     if psi is not None and not psi.is_zero():
-        family.extend(t for t in psi.truncations() if not t.is_zero())
-        top = psi.degree
+        terms = list(psi.items())
+        family.extend(PuiseuxPoly(terms[:k]) for k in range(1, len(terms) + 1))
+        top = psi.total_degree()
         extra_exps = []
         for q in range(1, 7):
             e = top + Fraction(1, q)
@@ -107,15 +109,8 @@ def default_jet_family(phi: PuiseuxPoly,
         for e in sorted(set(extra_exps)):
             if e <= deg_cap:
                 for c in (Fraction(1), Fraction(-1), Fraction(2, 3)):
-                    family.append(psi.plus_term(c, e))
-    # dedupe, preserving order
-    seen = set()
-    out = []
-    for jet in family:
-        if jet.terms not in seen:
-            seen.add(jet.terms)
-            out.append(jet)
-    return out
+                    family.append(psi + PuiseuxPoly.monomial(c, e))
+    return list(dict.fromkeys(family))
 
 
 def h_r_tilde_sample(phi: PuiseuxPoly) -> JetSupSample:
@@ -170,7 +165,7 @@ class KnappCertificate:
     and yields the limiting exponent 2*B.
     """
 
-    f: RootJet
+    f: PuiseuxPoly                   # x1-only
     m0: Fraction
     target: str                      # "edge" | "principal" | "horizontal"
     edge_index: Optional[int]
@@ -180,13 +175,13 @@ class KnappCertificate:
     delta: Optional[Fraction] = None
 
 
-def certificates_of_polyhedron(jet: RootJet,
+def certificates_of_polyhedron(jet: PuiseuxPoly,
                                n: NewtonPolyhedron) -> list[KnappCertificate]:
     """All qualifying targets of the polyhedron ``n`` of the input sheared by
-    ``jet``, with ``m0`` the jet's leading exponent: the supporting line of
-    ratio ``m0``, each edge steeper than ``m0``, and the horizontal face when
-    it sits at level 1 or above."""
-    m0 = jet.leading_exponent
+    the x1-only ``jet``, with ``m0`` the jet's leading exponent: the
+    supporting line of ratio ``m0``, each edge steeper than ``m0``, and the
+    horizontal face when it sits at level 1 or above."""
+    m0 = jet.min_e1()
     w = n.supporting_weight_for_ratio(m0)
     certs = [KnappCertificate(jet, m0, "principal", None,
                               2 * w.homogeneous_distance() + 2,

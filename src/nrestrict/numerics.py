@@ -48,6 +48,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 BUMP_D1 = (3 * math.sqrt(3) / 8) * math.pi
 #: sup of |d^2/dz^2 cos^4(pi z / 2)| = pi^2 * max|c^2 (4c^2 - 3)|
 BUMP_D2 = math.pi ** 2
+#: integral of cos^4(pi z / 2) over [-1, 1]
+BUMP_MASS = 0.75
 
 
 def bump(z):
@@ -212,6 +214,8 @@ def _split(cells: np.ndarray) -> np.ndarray:
 
 
 def lambda_grid(lo: float = 1e2, hi: float = 1e5, points: int = 40) -> np.ndarray:
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValueError("frequency grid bounds must be positive and finite")
     return np.geomspace(lo, hi, points)
 
 
@@ -528,7 +532,7 @@ def _reduce_phase(phase_poly: PuiseuxPoly,
             ac = adapted_coordinates(phase_poly, verdict=verdict)
             if not ac.phi_a.depends_on_x1():
                 return {"reduction": "sheared"}, _pure_x2_reduction(
-                    ac.phi_a, ac.psi.to_poly(), hw)
+                    ac.phi_a, ac.psi, hw)
     return {"reduction": "direct_2d", "fallback": "no_reduction"}, None
 
 
@@ -539,7 +543,7 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
     f_xy = _poly_xy_eval(pure)
     phase = lambda y: f_xy(0.0, y)
     if jet is None or not jet:
-        mass = float(_trapezoid(bump(np.linspace(-1, 1, 2049)), dx=2 / 2048)) * hw
+        mass = BUMP_MASS * hw
 
         def amp_plain(y):
             return mass * bump(np.asarray(y) / hw)
@@ -981,8 +985,7 @@ def knapp_box_probe(phi: PuiseuxPoly, cert) -> dict:
     enough that the inhomogeneous corrections (as slow as eps^(1/12) on the
     shipped examples) drop below the fitted-slope tolerance.
     """
-    f_poly = cert.f.to_poly()
-    sheared = phi.shear_substitute(f_poly) if f_poly else phi
+    sheared = phi.shear_substitute(cert.f) if cert.f else phi
     k1 = cert.delta if cert.target == "horizontal" else cert.box_exponents[0]
     k2 = cert.box_exponents[1]
     grid = 33

@@ -81,8 +81,8 @@ class PuiseuxPoly:
         return PuiseuxPoly({(_as_fraction(e1), int(e2)): _as_fraction(c)})
 
     @staticmethod
-    def x1(e1=1) -> "PuiseuxPoly":
-        return PuiseuxPoly.monomial(1, e1, 0)
+    def x1() -> "PuiseuxPoly":
+        return PuiseuxPoly.monomial(1, 1, 0)
 
     @staticmethod
     def x2() -> "PuiseuxPoly":
@@ -125,6 +125,9 @@ class PuiseuxPoly:
         if not self._terms:
             return -1
         return max(e2 for (_e1, e2) in self._terms)
+
+    def min_e1(self) -> Fraction:
+        return min(e1 for (e1, _e2) in self._terms)
 
     def min_e2(self) -> int:
         return min(e2 for (_e1, e2) in self._terms)

@@ -54,9 +54,10 @@ def _poly_json(n: NewtonPolyhedron) -> dict:
     }
 
 
-def _jet_json(jet) -> list[dict]:
-    return [{"coefficient": _frac(c), "exponent": _frac(e)}
-            for (c, e) in jet.terms]
+def _jet_json(jet: PuiseuxPoly) -> list[dict]:
+    """An x1-only jet's terms in increasing exponent order."""
+    return [{"coefficient": _frac(c), "exponent": _frac(e1)}
+            for (e1, _e2), c in jet.items()]
 
 
 def _split_forest_json(forest: SplittingForest) -> dict:
@@ -188,20 +189,13 @@ class ReportDocument:
                 "m": self.singularity.m,
                 "n": self.singularity.n,
                 "exact": self.singularity.exact,
-                "psi": render_unipoly(self.singularity.psi_truncation),
+                "psi": render(self.singularity.psi_truncation),
             },
             "notes": [],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
-
-
-def render_unipoly(u) -> str:
-    if u.is_zero():
-        return "0"
-    poly = PuiseuxPoly({(Fraction(i), 0): c for i, c in enumerate(u.coeffs) if c})
-    return render(poly)
 
 
 def analyze(expr: InputExpr) -> ReportDocument:

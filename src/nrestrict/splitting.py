@@ -28,54 +28,8 @@ from .roots import RootRecord, UniPoly, squarefree_real_roots
 
 
 @dataclass(frozen=True)
-class RootJet:
-    """A finite fractional jet ``sum c_j * x1^(e_j)`` with increasing exponents."""
-
-    terms: tuple[tuple[Fraction, Fraction], ...]  # (coefficient, exponent)
-
-    def __post_init__(self):
-        exps = [e for (_c, e) in self.terms]
-        if any(c == 0 for (c, _e) in self.terms):
-            raise ValueError("zero coefficient in jet")
-        if exps != sorted(set(exps)):
-            raise ValueError("jet exponents must be strictly increasing")
-
-    @staticmethod
-    def from_poly(p: PuiseuxPoly) -> "RootJet":
-        if p.depends_on_x2():
-            raise ValueError("a root jet depends on x1 only")
-        terms = tuple(sorted(((c, e1) for (e1, _e2), c in p.terms.items()),
-                             key=lambda t: t[1]))
-        return RootJet(terms)
-
-    def to_poly(self) -> PuiseuxPoly:
-        return PuiseuxPoly({(e, 0): c for (c, e) in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def leading_exponent(self) -> Fraction:
-        if not self.terms:
-            raise ValueError("zero jet has no leading exponent")
-        return self.terms[0][1]
-
-    @property
-    def degree(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[-1][1]
-
-    def truncations(self) -> list["RootJet"]:
-        return [RootJet(self.terms[:k]) for k in range(len(self.terms) + 1)]
-
-    def plus_term(self, c, e) -> "RootJet":
-        return RootJet.from_poly(self.to_poly() + PuiseuxPoly.monomial(c, e, 0))
-
-
-@dataclass(frozen=True)
 class AdaptedCoordinates:
-    psi: RootJet
+    psi: PuiseuxPoly                       # x1-only principal root jet
     phi_a: PuiseuxPoly
     h: Fraction
     verdict: AdaptednessVerdict            # adaptedness of phi_a
@@ -88,8 +42,9 @@ _SHEAR_BUDGET = 64
 def adapted_coordinates(phi: PuiseuxPoly,
                         verdict: Optional[AdaptednessVerdict] = None
                         ) -> AdaptedCoordinates:
-    """Shear to adapted coordinates; returns the principal root jet psi,
-    the adapted expression phi_a = phi(x1, x2 + psi(x1)) and the height.
+    """Shear to adapted coordinates; returns the principal root jet psi (an
+    x1-only ``PuiseuxPoly``), the adapted expression
+    phi_a = phi(x1, x2 + psi(x1)) and the height.
 
     Expects linearly adapted input (so every shear exponent is an integer);
     already-adapted input returns psi = 0 immediately.  ``verdict`` is
@@ -113,8 +68,7 @@ def adapted_coordinates(phi: PuiseuxPoly,
     last_a: Fraction | None = None
     for _ in range(_SHEAR_BUDGET):
         if verdict.adapted:
-            return AdaptedCoordinates(RootJet.from_poly(jet), cur, verdict.d,
-                                      verdict)
+            return AdaptedCoordinates(jet, cur, verdict.d, verdict)
         a = verdict.weight.a
         if a.denominator != 1:
             raise InternalInvariantError(
@@ -180,7 +134,7 @@ class SplitStep:
 
 @dataclass(frozen=True)
 class Factorization:
-    jet: RootJet                       # shear terms accumulated past psi
+    jet: PuiseuxPoly                   # x1-only: shear terms past psi
     power: int                         # B: multiplicity of the divided factor
     cofactor: PuiseuxPoly              # phi / y2^B in the final sheared frame
 
@@ -245,7 +199,7 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
     if edge is None:
         # support already confined above the last vertex's horizontal line
         b = phi_cur.min_e2()
-        fact = Factorization(RootJet.from_poly(jet), b, phi_cur.shift_e2(-b))
+        fact = Factorization(jet, b, phi_cur.shift_e2(-b))
         out.append(SplittingTrace(steps, "stop_12_9", fact))
         return
 
@@ -301,8 +255,7 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
             if b != mult:
                 raise InternalInvariantError(
                     "stop condition height disagrees with the multiplicity")
-            fact = Factorization(RootJet.from_poly(jet_next), mult,
-                                 phi_next.shift_e2(-mult))
+            fact = Factorization(jet_next, mult, phi_next.shift_e2(-mult))
             out.append(SplittingTrace(prefix + (shear_step, SplitStep(
                 level, w, a, c0, mult, "CaseA_stop")), "stop_12_9", fact))
             continue
@@ -340,15 +293,16 @@ def _classify_simple(pr: PuiseuxPoly, rec: RootRecord) -> str:
     return "Case1_no_root"
 
 
-def condition_r_check(phi: PuiseuxPoly, f: RootJet, b: int) -> PuiseuxPoly:
-    """Factor off ``(x2 - f(x1))^b`` in the sheared frame.
+def condition_r_check(phi: PuiseuxPoly, f: PuiseuxPoly, b: int) -> PuiseuxPoly:
+    """Factor off ``(x2 - f(x1))^b`` in the sheared frame, for an x1-only
+    ``PuiseuxPoly`` jet ``f``.
 
     ``b`` must be the maximal integer with the support of the sheared
     polynomial on or above level b; exact division is then a term shift.
     Polynomial inputs always factor (real-analytic case), so the result is
     the cofactor; a non-maximal ``b`` raises ValueError.
     """
-    sheared = phi.shear_substitute(f.to_poly())
+    sheared = phi.shear_substitute(f)
     b_max = sheared.min_e2()
     if b != b_max:
         raise ValueError(f"b = {b} is not maximal (support floor is {b_max})")

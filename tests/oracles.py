@@ -17,6 +17,7 @@ from math import gcd
 from nrestrict.adapted import (_homogeneous_part, _normalize_cubic,
                                _normalize_rank_one)
 from nrestrict.errors import InternalInvariantError
+from nrestrict.poly import PuiseuxPoly
 from nrestrict.roots import UniPoly
 
 Term = tuple[Fraction, int]
@@ -399,7 +400,8 @@ def solve_critical_branch(f, sigma: int, order: int) -> UniPoly:
 
 def series_classification(lh):
     """``(psi_truncation, n, exact, b0, label)`` of ``classify_linear`` on
-    the same linear-height report, from the term-by-term solver: the branch
+    the same linear-height report, jets as x1-only ``PuiseuxPoly``s, from
+    the term-by-term solver: the branch
     is exact iff d phi/d x2 vanishes along it, and otherwise n is the
     valuation of phi along the jet when it is at most the series order."""
     work = lh.transformed
@@ -422,4 +424,5 @@ def series_classification(lh):
         exact = v >= 0
     index = None if n is None else (n - 1 if family == "A" else n + 1)
     label = f"{family}{'inf' if index is None else index}"
-    return psi, n, exact, b0, label
+    as_x1 = lambda u: PuiseuxPoly({(i, 0): c for i, c in enumerate(u.coeffs)})
+    return as_x1(psi), n, exact, None if b0 is None else as_x1(b0), label

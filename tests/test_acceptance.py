@@ -17,7 +17,7 @@ from nrestrict.exponents import (certificates_of_polyhedron,
 from nrestrict.geometry import NewtonPolyhedron, r_height
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
-from nrestrict.splitting import RootJet, fine_splitting_trace, select_l_pr
+from nrestrict.splitting import fine_splitting_trace, select_l_pr
 
 from oracles import brute_hull_vertices
 
@@ -29,7 +29,7 @@ def P(text):
 def knapp_certificates(phi, jet):
     """Certificates of ``phi`` sheared by the whole of ``jet`` at once."""
     return certificates_of_polyhedron(
-        jet, NewtonPolyhedron.of(phi.shear_substitute(jet.to_poly())))
+        jet, NewtonPolyhedron.of(phi.shear_substitute(jet)))
 
 
 EX122 = "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"
@@ -103,7 +103,7 @@ def test_criterion_2_example_12_2_regression():
     shear = [s for s in br.steps if s.case == "Case3_shear"][0]
     assert shear.root == 1 and shear.multiplicity == 3
     assert br.terminal == "stop_12_9"
-    full_jet = rep.coords.psi.to_poly() + br.factorization.jet.to_poly()
+    full_jet = rep.coords.psi + br.factorization.jet
     cof_x = br.factorization.cofactor.shear_substitute(-full_jet)
     factor = PuiseuxPoly.x2() - full_jet
     assert (factor ** 3) * cof_x == phi
@@ -227,7 +227,7 @@ def test_criterion_7_jet_sampling():
         phi = P(text)
         d = NewtonPolyhedron.of(phi).distance()
         assert is_adapted(phi).adapted
-        values = [h_f(phi, RootJet(((F(1), F(n)),))) for n in range(1, 13)]
+        values = [h_f(phi, PuiseuxPoly.monomial(1, n)) for n in range(1, 13)]
         running = []
         acc = values[0]
         for v in values:

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import warnings
 from fractions import Fraction as F
 from xml.etree import ElementTree
 
@@ -244,6 +245,16 @@ class TestCommands:
             assert cli.main(["decay", "x1^2 + x2^2", "--points", points]) == 1
             assert capsys.readouterr().err == (
                 "error: frequency grid needs at least two points\n")
+
+    def test_decay_rejects_bad_grid_bounds_before_numpy(self, capsys):
+        for flag, value in [("--lambda-min", "-5"), ("--lambda-max", "inf"),
+                            ("--lambda-min", "nan"), ("--lambda-max", "0")]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = cli.main(["decay", "x1^2 + x2^2", flag, value])
+            assert rc == 1, (flag, value)
+            assert capsys.readouterr().err == (
+                "error: frequency grid bounds must be positive and finite\n")
 
     def test_decay_rejects_non_critical_input(self, capsys):
         # a constant or a linear term leaves no height to predict 1/h from

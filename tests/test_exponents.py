@@ -7,8 +7,8 @@ from nrestrict.exponents import (certificates_of_polyhedron,
                                  critical_exponent, h_f, h_r_tilde_sample)
 from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.parser import parse_expression
+from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import analyze
-from nrestrict.splitting import RootJet
 
 from make_golden import ACCEPTANCE
 from test_adapted import _record_judgements
@@ -21,7 +21,7 @@ def P(text):
 def knapp_certificates(phi, f):
     """Certificates of ``phi`` sheared by the whole of ``f`` at once."""
     return certificates_of_polyhedron(
-        f, NewtonPolyhedron.of(phi.shear_substitute(f.to_poly())))
+        f, NewtonPolyhedron.of(phi.shear_substitute(f)))
 
 
 def knapp_max(phi, f):
@@ -29,8 +29,9 @@ def knapp_max(phi, f):
 
 
 def jet(*terms):
-    return RootJet(tuple(
-        (F(c), F(*e) if isinstance(e, tuple) else F(e)) for c, e in terms))
+    """The x1-only jet of ``(c, e)`` terms; ``e`` may be a pair ``(p, q)``."""
+    return PuiseuxPoly({(F(*e) if isinstance(e, tuple) else F(e), 0): F(c)
+                        for c, e in terms})
 
 
 EX122 = "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"
@@ -120,7 +121,7 @@ class TestShearHeight:
             ((F(1), F(3)),): F(5, 2),
         }
         for terms, expect in values.items():
-            assert h_f(phi, RootJet(terms)) == expect
+            assert h_f(phi, jet(*terms)) == expect
 
     def test_fractional_jet(self):
         # shear by x1^(3/2): all support lands on the single line of ratio
@@ -130,7 +131,11 @@ class TestShearHeight:
 
     def test_rejects_zero_jet(self):
         with pytest.raises(ValueError):
-            h_f(P("x2^2"), RootJet(()))
+            h_f(P("x2^2"), jet())
+
+    def test_rejects_jet_in_x2(self):
+        with pytest.raises(ValueError):
+            h_f(P("(x2 - x1^2)^2"), P("x1^2 + x1*x2"))
 
 
 class TestJetSampling:
@@ -199,7 +204,7 @@ class TestKnapp:
         rep = critical_exponent(phi)
         for terms in [((F(1), F(1)),), ((F(1), F(2)), (F(1), F(3))),
                       ((F(1), F(2)), (F(1), F(7, 2)))]:
-            assert knapp_max(phi, RootJet(terms)) <= rep.p_c_prime
+            assert knapp_max(phi, jet(*terms)) <= rep.p_c_prime
 
 
 class TestCertificatesFromAdaptedPolyhedron:
@@ -215,7 +220,7 @@ class TestCertificatesFromAdaptedPolyhedron:
                 continue
             psi = rep.coords.psi
             assert rep.coords.phi_a == \
-                rep.linear.transformed.shear_substitute(psi.to_poly()), text
+                rep.linear.transformed.shear_substitute(psi), text
             assert doc.certificates == \
                 knapp_certificates(rep.linear.transformed, psi), text
             checked += 1

@@ -12,8 +12,8 @@ from nrestrict import numerics
 from nrestrict.errors import QuadratureError
 from nrestrict.exponents import certificates_of_polyhedron, critical_exponent
 from nrestrict.geometry import NewtonPolyhedron
-from nrestrict.numerics import (BUMP_D1, BUMP_D2, SumBoundTrial, _level_sups,
-                                _masked_bump_values, _poly_xy_eval,
+from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, SumBoundTrial,
+                                _level_sups, _masked_bump_values, _poly_xy_eval,
                                 _sup_over_t, bump,
                                 airy_prefactor_scan, airy_scaling_check,
                                 dominance_probe,
@@ -34,7 +34,7 @@ def P(text):
 def knapp_certificates(phi, jet):
     """Certificates of ``phi`` sheared by the whole of ``jet`` at once."""
     return certificates_of_polyhedron(
-        jet, NewtonPolyhedron.of(phi.shear_substitute(jet.to_poly())))
+        jet, NewtonPolyhedron.of(phi.shear_substitute(jet)))
 
 
 SHORT = lambda_grid(1e2, 1e5, 16)
@@ -367,6 +367,8 @@ class TestSumBounds:
         d2 = np.max(np.abs(np.gradient(np.gradient(vals, z), z)))
         assert d1 == pytest.approx(BUMP_D1, rel=1e-3)
         assert d2 == pytest.approx(BUMP_D2, rel=1e-2)
+        # the bump vanishes at both ends, so the Riemann sum is the trapezoid
+        assert np.sum(vals) * (z[1] - z[0]) == pytest.approx(BUMP_MASS, rel=1e-9)
 
     def test_plateau_is_flat_and_compact(self):
         z = np.array([-1.2, -1.0, -0.5, 0.0, 0.3, 0.5, 0.75, 1.0, 2.0])

@@ -19,7 +19,7 @@ x2 = PuiseuxPoly.x2
 class TestShear:
     def test_cancels_matching_jet(self):
         phi = P("(x2 - x1^2)^2")
-        assert phi.shear_substitute(x1(2)) == P("x2^2")
+        assert phi.shear_substitute(PuiseuxPoly.monomial(1, 2)) == P("x2^2")
 
     def test_identity_shear(self):
         assert P("x2^2").shear_substitute(PuiseuxPoly.zero()) == P("x2^2")
@@ -27,7 +27,7 @@ class TestShear:
     def test_example_12_2(self):
         phi = P("(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3")
         expect = P("(x2 - x1^3)*(x2 - x1^4)^3")
-        assert phi.shear_substitute(x1(2)) == expect
+        assert phi.shear_substitute(PuiseuxPoly.monomial(1, 2)) == expect
 
     def test_fractional_shear_ramifies(self):
         sheared = P("x2^2").shear_substitute(PuiseuxPoly.monomial(1, F(3, 2), 0))

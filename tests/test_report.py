@@ -2,12 +2,14 @@
 stage redoes the work of an earlier one."""
 
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
 from nrestrict import adapted, cli, report, splitting
 from nrestrict.parser import parse_expression
-from nrestrict.report import analyze
+from nrestrict.poly import PuiseuxPoly
+from nrestrict.report import _jet_json, analyze
 
 from make_golden import COMMANDS, INPUTS
 
@@ -72,3 +74,11 @@ def test_no_restriction_is_isolated_twice(monkeypatch):
         assert [key for key in split if key in judged] == [], text
         total += len(calls)
     assert total == 132
+
+
+def test_jet_json_lists_terms_by_increasing_exponent():
+    jet = PuiseuxPoly([((F(7, 2), 0), -1), ((2, 0), 3), ((F(5, 2), 0), F(1, 2))])
+    assert _jet_json(jet) == [
+        {"coefficient": "3", "exponent": "2"},
+        {"coefficient": "1/2", "exponent": "5/2"},
+        {"coefficient": "-1", "exponent": "7/2"}]
