@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import InternalInvariantError
 from .geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from .poly import PuiseuxPoly
-from .roots import RootRecord, UniPoly, squarefree_real_roots
+from .roots import RootRecord, gcd, squarefree_real_roots
 
 Matrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -34,11 +34,6 @@ def _matmul(s: Matrix, t: Matrix) -> Matrix:
 def _shear_matrix(b: Fraction) -> Matrix:
     # x1 = y1, x2 = b*y1 + y2: kills the root x2 = b*x1
     return ((Fraction(1), Fraction(0)), (Fraction(b), Fraction(1)))
-
-
-def circle_vanishing_order(p: PuiseuxPoly, w: Weight) -> int:
-    """Maximal vanishing order of a kappa-homogeneous ``p`` on the unit circle."""
-    return _circle_roots(p, w)[0]
 
 
 def _circle_roots(p: PuiseuxPoly, w: Weight
@@ -59,8 +54,8 @@ def _circle_roots(p: PuiseuxPoly, w: Weight
     sides = [("+", 1)] + ([("-", -1)] if p.ramification == 1 else [])
     found: list[tuple[RootRecord, ...]] = []
     for label, sign in sides:
-        u = UniPoly(p.restrict_x1(sign))
-        if u.is_zero():
+        u = p.restrict_x1(sign)
+        if not any(u):
             raise InternalInvariantError("homogeneous part restricts to zero")
         found.append(tuple(squarefree_real_roots(u, sign_of_variable=label)))
     # max keeps the first of equal multiplicities: the + side wins ties
@@ -355,20 +350,20 @@ def _normalize_cubic(phi: PuiseuxPoly) -> PuiseuxPoly:
     p3 = _homogeneous_part(phi, 3)
     if p3.is_zero():
         raise ValueError("vanishing 2- and 3-jets put the linear height at >= 2")
-    r = UniPoly(p3.restrict_x1(1))
-    x1_mult = 3 - r.degree()
-    from .roots import gcd as _gcd
+    # p3(1, t), of degree 3 minus the power of x1 dividing p3
+    r = p3.restrict_x1(1)
+    x1_mult = 4 - len(r)
     if x1_mult >= 2:
         if x1_mult == 3:
             raise ValueError("cubic part is a perfect cube; linear height >= 2")
         phi = phi.swap_variables()
         p3 = _homogeneous_part(phi, 3)
-        r = UniPoly(p3.restrict_x1(1))
-    g = _gcd(r, r.derivative())
-    if g.degree() >= 2:
+        r = p3.restrict_x1(1)
+    g = gcd(r, [i * c for i, c in enumerate(r)][1:])  # monic
+    if len(g) > 2:
         raise ValueError("cubic part is a perfect cube; linear height >= 2")
-    if g.degree() == 1:
-        beta = -g.coeffs[0] / g.coeffs[1]
+    if len(g) == 2:
+        beta = -g[0]
         if beta:
             phi = phi.shear_substitute(PuiseuxPoly.monomial(beta, 1, 0))
             p3 = _homogeneous_part(phi, 3)

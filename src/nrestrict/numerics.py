@@ -522,8 +522,9 @@ def _reduce_phase(phase_poly: PuiseuxPoly,
     if all(e1 == 0 or e2 == 0 for (e1, e2) in phase_poly.support()):
         return ({"reduction": "separable"},
                 _separable_reduction(phase_poly, hw))
-    # shear off the principal root jet when it is an integer-exponent jet
-    if phase_poly.ramification == 1:
+    # shear off the principal root jet when it is an integer-exponent jet;
+    # adapted coordinates need a critical point at the origin
+    if phase_poly.ramification == 1 and phase_poly.vanishes_to_second_order():
         from .adapted import is_adapted
         from .splitting import adapted_coordinates
         verdict = is_adapted(phase_poly)
@@ -542,7 +543,7 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
     along y1 over the sheared box (the shear has unit Jacobian)."""
     f_xy = _poly_xy_eval(pure)
     phase = lambda y: f_xy(0.0, y)
-    if jet is None or not jet:
+    if jet is None:
         mass = BUMP_MASS * hw
 
         def amp_plain(y):
@@ -553,7 +554,7 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
     else:
         jf = _poly_xy_eval(jet)
         y1 = np.linspace(-hw, hw, 1025)
-        psi_vals = jf(np.abs(y1) if jet.ramification > 1 else y1, 0.0)
+        psi_vals = jf(y1, 0.0)
         pad = float(np.max(np.abs(psi_vals)))
         y_max = hw + pad
         grid = np.linspace(-y_max, y_max, 4097)

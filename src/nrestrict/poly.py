@@ -388,7 +388,9 @@ class PuiseuxPoly:
     # -- restriction --------------------------------------------------
 
     def restrict_x1(self, sign: int = 1) -> list[Fraction]:
-        """Coefficient list (by x2-degree) of ``phi(sign*1, t)``.
+        """Coefficient list (by x2-degree) of ``phi(sign*1, t)``: the list
+        ``roots.squarefree_real_roots`` takes.  The last entry is zero when
+        the top x2-row cancels.
 
         ``sign=-1`` requires integer exponents; fractional powers live on
         x1 > 0 only.

@@ -1,15 +1,16 @@
-"""Univariate exact polynomials and real-root isolation.
+"""Exact real-root isolation for univariate polynomials over Q.
 
-Real roots are reported with exact multiplicities obtained from Yun's
-square-free decomposition; rational roots are returned exactly and the
-remaining ones as isolating intervals with rational endpoints, refined until
-pairwise disjoint.  No floating point enters the symbolic path.
+A polynomial is the list of its ``Fraction`` coefficients indexed by degree,
+as ``PuiseuxPoly.restrict_x1`` returns it; trailing zeros are allowed.  Real
+roots are reported with exact multiplicities obtained from Yun's square-free
+decomposition; rational roots are returned exactly and the remaining ones as
+isolating intervals with rational endpoints, refined until pairwise
+disjoint.  No floating point enters the symbolic path.
 
-:class:`UniPoly` holds ``Fraction`` coefficients, but Yun, the rational
-roots, the Sturm chain, the isolation and the refinement run on primitive
-integer coefficient lists (primitive pseudo-remainder sequences).  The rule
-that keeps them exact is that every integer polynomial is a *positive*
-multiple of the rational one it stands for:
+Yun, the rational roots, the Sturm chain, the isolation and the refinement
+run on primitive integer coefficient lists (primitive pseudo-remainder
+sequences).  The rule that keeps them exact is that every integer polynomial
+is a *positive* multiple of the rational one it stands for:
 
 - a pseudo-remainder scales by ``|lc|``, never by ``lc``, so it keeps the
   sign of the true remainder at every point;
@@ -21,7 +22,8 @@ multiple of the rational one it stands for:
 So every Sturm count and every refinement step sees the same signs as over
 Q: the bisection from ``(-B-1, B+1)`` returns the same intervals, and the
 monic witness factors are the same.  ``Fraction`` appears only at the
-boundary: interval endpoints, rational roots and the monic factors returned.
+boundary: the coefficients taken, and the interval endpoints, rational roots
+and monic factors returned.
 """
 
 from __future__ import annotations
@@ -30,142 +32,26 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional
-
-
-class UniPoly:
-    """Dense univariate polynomial over Q, coefficients indexed by degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)})"
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return UniPoly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "UniPoly":
-        return self + (-other if isinstance(other, UniPoly) else UniPoly([-Fraction(other)]))
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        result = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(quot), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return self.divmod(other)[1]
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return UniPoly([c / lead for c in self.coeffs])
-
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+from typing import Optional, Sequence
 
 
 # -- integer kernels -----------------------------------------------------
 #
 # An integer polynomial is a list of ints indexed by degree, with no trailing
-# zeros.  Each one stands for a positive rational multiple of the UniPoly it
-# came from, so it has the same roots and the same sign at every point.
+# zeros.  Each one stands for a positive rational multiple of the coefficient
+# list it came from, so it has the same roots and the same sign at every
+# point.
 
 
-def _primitive(p: UniPoly) -> list[int]:
+def _primitive(p: Sequence[Fraction]) -> list[int]:
     """Integer coefficients of ``p`` over the lcm of its denominators,
-    divided by their content: a positive multiple of ``p``."""
+    divided by their content, without trailing zeros: a positive multiple
+    of ``p`` (``[]`` for the zero polynomial)."""
     den = 1
-    for c in p.coeffs:
+    for c in p:
         den = math.lcm(den, c.denominator)
-    return _content_free([c.numerator * (den // c.denominator)
-                          for c in p.coeffs])
+    return _content_free(_strip([c.numerator * (den // c.denominator)
+                                 for c in p]))
 
 
 def _content_free(a: list[int]) -> list[int]:
@@ -391,47 +277,56 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction,
     return lo, hi
 
 
-# -- UniPoly boundary ----------------------------------------------------
+# -- Fraction boundary ---------------------------------------------------
 
 
-def gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd (the zero polynomial when both inputs are zero)."""
-    return UniPoly(_gcd(_primitive(a), _primitive(b))).monic()
+def _monic(a: list[int]) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, a[-1]) for c in a)
+
+
+def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Monic gcd of two coefficient lists (``()`` when both are zero)."""
+    return _monic(_gcd(_primitive(a), _primitive(b)))
 
 
 @dataclass(frozen=True)
 class RootRecord:
     """One real root: exact value or isolating interval, with multiplicity.
 
-    An irrational root also carries ``factor``, the square-free factor of its
-    multiplicity with the rational roots divided out; it vanishes on the
-    interval and takes no part in record equality.
+    An irrational root also carries ``factor``, the monic coefficients of
+    the square-free factor of its multiplicity with the rational roots
+    divided out; it vanishes on the interval and takes no part in record
+    equality.
     """
 
     multiplicity: int
     value: Optional[Fraction] = None
     interval: Optional[tuple[Fraction, Fraction]] = None
     sign_of_variable: str = "+"
-    factor: Optional[UniPoly] = field(default=None, compare=False, repr=False)
+    factor: Optional[tuple[Fraction, ...]] = field(default=None, compare=False,
+                                                   repr=False)
 
     @property
     def is_rational(self) -> bool:
         return self.value is not None
 
 
-def squarefree_real_roots(p: UniPoly, sign_of_variable: str = "+") -> list[RootRecord]:
-    """Every real root of ``p`` once, with exact multiplicity.
+def squarefree_real_roots(p: Sequence[Fraction],
+                          sign_of_variable: str = "+") -> list[RootRecord]:
+    """Every real root of the coefficient list ``p`` once, with exact
+    multiplicity.
 
     Rational roots carry exact values; irrational roots carry isolating
     intervals, refined until all intervals are pairwise disjoint and contain
     no reported rational root.
     """
-    if p.is_zero():
+    a = _primitive(p)
+    if not a:
         raise ValueError("zero polynomial")
     records: list[RootRecord] = []
     pending: list[tuple[list[int], Fraction, Fraction, int]] = []
     rational_values: list[Fraction] = []
-    factors = _yun(_primitive(p)) if p.degree() >= 1 else []
+    factors = _yun(a) if len(a) > 1 else []
     for factor, mult in factors:
         work = factor
         for r in _rational_roots(factor):
@@ -464,7 +359,7 @@ def squarefree_real_roots(p: UniPoly, sign_of_variable: str = "+") -> list[RootR
     for f, lo, hi, mult in pending:
         records.append(RootRecord(multiplicity=mult, interval=(lo, hi),
                                   sign_of_variable=sign_of_variable,
-                                  factor=UniPoly(f).monic()))
+                                  factor=_monic(f)))
     records.sort(key=lambda r: r.value if r.value is not None
                  else (r.interval[0] + r.interval[1]) / 2)
     return records

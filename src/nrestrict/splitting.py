@@ -24,7 +24,7 @@ from .errors import InternalInvariantError
 from .geometry import (EdgeData, NewtonPolyhedron, Weight,
                        kappa_principal_part)
 from .poly import PuiseuxPoly
-from .roots import RootRecord, UniPoly, squarefree_real_roots
+from .roots import RootRecord, squarefree_real_roots
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
     a = edge.a
     pr = kappa_principal_part(phi_cur, w)
     if roots is None:
-        roots = squarefree_real_roots(UniPoly(pr.restrict_x1(1)))
+        roots = squarefree_real_roots(pr.restrict_x1(1))
     shear_roots: list[RootRecord] = []
     level_steps: list[SplitStep] = []
     for rec in roots:
@@ -275,7 +275,7 @@ def _halt_record(rec: RootRecord) -> dict:
     lo, hi = rec.interval
     return {"error": "algebraic-root", "interval": [str(lo), str(hi)],
             "multiplicity": rec.multiplicity,
-            "witness_poly": [str(c) for c in rec.factor.coeffs],
+            "witness_poly": [str(c) for c in rec.factor],
             "context": "fine splitting"}
 
 
@@ -288,22 +288,8 @@ def _classify_simple(pr: PuiseuxPoly, rec: RootRecord) -> str:
     """
     if rec.is_rational:
         d2 = pr.partial_derivative(2, 1)
-        if not d2 or not UniPoly(d2.restrict_x1(1)).evaluate(rec.value):
+        if not sum(c * rec.value ** i
+                   for i, c in enumerate(d2.restrict_x1(1))):
             raise InternalInvariantError("simple root with vanishing x2-partial")
     return "Case1_no_root"
 
-
-def condition_r_check(phi: PuiseuxPoly, f: PuiseuxPoly, b: int) -> PuiseuxPoly:
-    """Factor off ``(x2 - f(x1))^b`` in the sheared frame, for an x1-only
-    ``PuiseuxPoly`` jet ``f``.
-
-    ``b`` must be the maximal integer with the support of the sheared
-    polynomial on or above level b; exact division is then a term shift.
-    Polynomial inputs always factor (real-analytic case), so the result is
-    the cofactor; a non-maximal ``b`` raises ValueError.
-    """
-    sheared = phi.shear_substitute(f)
-    b_max = sheared.min_e2()
-    if b != b_max:
-        raise ValueError(f"b = {b} is not maximal (support floor is {b_max})")
-    return sheared.shift_e2(-b)

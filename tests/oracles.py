@@ -3,7 +3,7 @@
 These deliberately avoid the library's own code paths: expansion works on
 plain dicts, the hull oracle tests extremality pairwise, multiplicities
 come from counting vanishing derivatives, and the real-root reference runs
-Yun and Sturm over Q with ``UniPoly``'s Fraction arithmetic instead of the
+Yun and Sturm over Q on Fraction coefficient tuples instead of the
 library's integer kernels, and the A/D classification solves its critical
 branch term by term with a Fraction Horner composition instead of the
 library's shear kernel.
@@ -12,25 +12,91 @@ library's shear kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from nrestrict.adapted import (_homogeneous_part, _normalize_cubic,
                                _normalize_rank_one)
 from nrestrict.errors import InternalInvariantError
 from nrestrict.poly import PuiseuxPoly
-from nrestrict.roots import UniPoly
 
 Term = tuple[Fraction, int]
 
 
-def valuation(u: UniPoly) -> int:
+# -- univariate polynomials over Q -----------------------------------------
+#
+# A tuple of Fractions indexed by degree, with no trailing zeros; ``()`` is
+# the zero polynomial.  The arithmetic is schoolbook, and shares no type
+# with the library's integer kernels.
+
+
+def qpoly(coeffs) -> tuple:
+    cs = [Fraction(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def q_add(a, b):
+    return qpoly(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def q_sub(a, b):
+    return qpoly(x - y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def q_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return qpoly(out)
+
+
+def q_pow(a, n: int):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = q_mul(out, a)
+    return out
+
+
+def q_divmod(a, b):
+    """Quotient and remainder of ``a`` by a nonzero ``b``."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return qpoly(quot), qpoly(rem)
+
+
+def q_derivative(a):
+    return qpoly([i * c for i, c in enumerate(a)][1:])
+
+
+def q_monic(a):
+    return tuple(c / a[-1] for c in a)
+
+
+def q_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def valuation(u) -> int:
     """Order of vanishing of ``u`` at 0; -1 for the zero polynomial."""
-    return next((i for i, c in enumerate(u.coeffs) if c), -1)
+    return next((i for i, c in enumerate(u) if c), -1)
 
 
-def truncate(u: UniPoly, order: int) -> UniPoly:
+def truncate(u, order: int):
     """``u`` without its terms of degree > order."""
-    return UniPoly(u.coeffs[:order + 1])
+    return qpoly(u[:order + 1])
 
 
 def naive_mul(a: dict, b: dict) -> dict:
@@ -162,36 +228,37 @@ def sign_change_root_count(coeffs: list[Fraction], lo: Fraction, hi: Fraction,
 
 def _q_gcd(a, b):
     while b:
-        a, b = b, a % b
-    return a.monic() if a else a
+        a, b = b, q_divmod(a, b)[1]
+    return q_monic(a) if a else a
 
 
 def q_yun_squarefree(p):
     """Yun's square-free decomposition over Q: [(monic factor, multiplicity)]."""
-    if p.degree() < 1:
+    p = qpoly(p)
+    if len(p) < 2:
         return []
-    d = p.derivative()
+    d = q_derivative(p)
     a = _q_gcd(p, d)
-    b = p.divmod(a)[0]
-    c = d.divmod(a)[0]
-    z = c - b.derivative()
+    b = q_divmod(p, a)[0]
+    c = q_divmod(d, a)[0]
+    z = q_sub(c, q_derivative(b))
     out = []
     i = 1
-    while b.degree() > 0:
+    while len(b) > 1:
         g = _q_gcd(b, z)
-        if g.degree() > 0:
+        if len(g) > 1:
             out.append((g, i))
-        b = b.divmod(g)[0]
-        c = z.divmod(g)[0]
-        z = c - b.derivative()
+        b = q_divmod(b, g)[0]
+        c = q_divmod(z, g)[0]
+        z = q_sub(c, q_derivative(b))
         i += 1
     return out
 
 
 def _q_sturm_chain(p):
-    chain = [p, p.derivative()]
+    chain = [p, q_derivative(p)]
     while chain[-1]:
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(q_sub((), q_divmod(chain[-2], chain[-1])[1]))
     chain.pop()
     return chain
 
@@ -199,7 +266,7 @@ def _q_sturm_chain(p):
 def _q_variations(chain, x):
     signs = []
     for q in chain:
-        v = q.evaluate(x)
+        v = q_eval(q, x)
         if v:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -210,8 +277,8 @@ def _q_count(chain, lo, hi):
 
 
 def _q_root_bound(p):
-    lead = abs(p.leading())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
+    lead = abs(p[-1])
+    m = max((abs(c) for c in p[:-1]), default=Fraction(0))
     return 1 + m / lead
 
 
@@ -229,7 +296,7 @@ def _q_integer_roots_monic(p):
             continue
         if hi - lo <= 1:
             k = floor(hi)
-            if p.evaluate(k) == 0:
+            if q_eval(p, k) == 0:
                 out.append(int(k))
             continue
         mid = Fraction(2 * floor((lo + hi) / 2) + 1, 2)
@@ -240,20 +307,21 @@ def _q_integer_roots_monic(p):
 
 def q_rational_roots(p):
     """Rational roots over Q, through the monic integer transform."""
-    if p.degree() < 1:
+    p = qpoly(p)
+    if len(p) < 2:
         return []
     roots = []
     v = valuation(p)
-    work = UniPoly(p.coeffs[v:])
+    work = p[v:]
     if v > 0:
         roots.append(Fraction(0))
-    if work.degree() >= 1:
-        g = _q_gcd(work, work.derivative())
-        sf = work.divmod(g)[0] if g.degree() > 0 else work
+    if len(work) > 1:
+        g = _q_gcd(work, q_derivative(work))
+        sf = q_divmod(work, g)[0] if len(g) > 1 else work
         den = 1
-        for c in sf.coeffs:
+        for c in sf:
             den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in sf.coeffs]
+        ints = [int(c * den) for c in sf]
         content = 0
         for x in ints:
             content = gcd(content, abs(x))
@@ -262,13 +330,13 @@ def q_rational_roots(p):
         an = ints[-1]
         coeffs = [Fraction(c * an ** (n - 1 - i))
                   for i, c in enumerate(ints[:-1])] + [Fraction(1)]
-        for u in _q_integer_roots_monic(UniPoly(coeffs)):
+        for u in _q_integer_roots_monic(qpoly(coeffs)):
             roots.append(Fraction(u, an))
     return sorted(roots)
 
 
 def q_isolate_real_roots(p):
-    if p.degree() < 1:
+    if len(p) < 2:
         return []
     chain = _q_sturm_chain(p)
     bound = _q_root_bound(p)
@@ -289,10 +357,10 @@ def q_isolate_real_roots(p):
 
 
 def q_refine_interval(p, lo, hi, steps=1):
-    slo = p.evaluate(lo)
+    slo = q_eval(p, lo)
     for _ in range(steps):
         mid = (lo + hi) / 2
-        vmid = p.evaluate(mid)
+        vmid = q_eval(p, mid)
         if vmid == 0:
             eps = (hi - lo) / 4
             lo, hi = mid - eps, mid + eps
@@ -316,7 +384,7 @@ def q_real_roots(p):
         for r in q_rational_roots(factor):
             records.append((mult, r, None, None))
             rational_values.append(r)
-            work = work.divmod(UniPoly([-r, 1]))[0]
+            work = q_divmod(work, (-r, Fraction(1)))[0]
         for lo, hi in q_isolate_real_roots(work):
             while hi - lo > Fraction(1, 4):
                 lo, hi = q_refine_interval(work, lo, hi)
@@ -339,7 +407,7 @@ def q_real_roots(p):
                     pending[j] = (g, *q_refine_interval(g, lo2, hi2, 2), m2)
                     changed = True
     for f, lo, hi, mult in pending:
-        records.append((mult, None, (lo, hi), f.coeffs))
+        records.append((mult, None, (lo, hi), f))
     records.sort(key=lambda r: r[1] if r[1] is not None
                  else (r[2][0] + r[2][1]) / 2)
     return records
@@ -349,29 +417,29 @@ def q_real_roots(p):
 #
 # The critical branch x2 = psi(x1) is solved one series term at a time,
 # each time composing d phi/d x2 with the jet from scratch by a truncated
-# Horner loop on Fraction ``UniPoly``s.  Slow (quadratic in the order per
-# term), but free of the library's shear kernel.
+# Horner loop on Fraction tuples.  Slow (quadratic in the order per term),
+# but free of the library's shear kernel.
 
 
-def compose_x2(phi, s: UniPoly, order: int) -> UniPoly:
+def compose_x2(phi, s, order: int):
     """phi(x1, s(x1)) truncated at x1^order (integer exponents)."""
     by_x2: dict[int, dict[int, Fraction]] = {}
     for (e1, e2), c in phi.terms.items():
         by_x2.setdefault(e2, {})[int(e1)] = c
-    acc = UniPoly()
+    acc = ()
     for k in range(max(by_x2, default=0), -1, -1):
-        acc = truncate(acc * s, order)
+        acc = truncate(q_mul(acc, s), order)
         row = by_x2.get(k)
         if row:
-            acc = acc + UniPoly([row.get(i, 0) for i in range(max(row) + 1)])
+            acc = q_add(acc, [row.get(i, 0) for i in range(max(row) + 1)])
     return truncate(acc, order)
 
 
-def compose_x2_exact(phi, s: UniPoly) -> UniPoly:
-    return compose_x2(phi, s, int(phi.total_degree()) * max(s.degree(), 1) + 1)
+def compose_x2_exact(phi, s):
+    return compose_x2(phi, s, int(phi.total_degree()) * max(len(s) - 1, 1) + 1)
 
 
-def solve_critical_branch(f, sigma: int, order: int) -> UniPoly:
+def solve_critical_branch(f, sigma: int, order: int):
     """Truncated series x2 = psi(x1) with f(x1, psi(x1)) = O(x1^(order+1)).
 
     ``sigma`` is the x1-order of d f/d x2 along the branch (0 for the A
@@ -381,7 +449,7 @@ def solve_critical_branch(f, sigma: int, order: int) -> UniPoly:
     unit = f.partial_derivative(2, 1).coefficient(sigma, 0)
     if not unit:
         raise InternalInvariantError("branch linearization is not a unit")
-    psi = UniPoly()
+    psi = ()
     last_exp = 0
     for _ in range(order + 2):
         residual = compose_x2(f, psi, order + sigma)
@@ -392,8 +460,8 @@ def solve_critical_branch(f, sigma: int, order: int) -> UniPoly:
         if exp <= last_exp:
             raise InternalInvariantError(
                 f"critical branch is obstructed at order {v}")
-        c = -residual.coeffs[v] / unit
-        psi = psi + UniPoly([Fraction(0)] * exp + [c])
+        c = -residual[v] / unit
+        psi = q_add(psi, [0] * exp + [c])
         last_exp = exp
     return psi
 
@@ -413,9 +481,9 @@ def series_classification(lh):
         family, work, sigma = "D", _normalize_cubic(work), 1
     f = work.partial_derivative(2, 1)
     psi = solve_critical_branch(f, sigma, order)
-    if compose_x2_exact(f, psi).is_zero():
+    if not compose_x2_exact(f, psi):
         b0 = compose_x2_exact(work, psi)
-        n = None if b0.is_zero() else valuation(b0)
+        n = None if not b0 else valuation(b0)
         exact = True
     else:
         b0 = None
@@ -424,5 +492,5 @@ def series_classification(lh):
         exact = v >= 0
     index = None if n is None else (n - 1 if family == "A" else n + 1)
     label = f"{family}{'inf' if index is None else index}"
-    as_x1 = lambda u: PuiseuxPoly({(i, 0): c for i, c in enumerate(u.coeffs)})
+    as_x1 = lambda u: PuiseuxPoly({(i, 0): c for i, c in enumerate(u)})
     return as_x1(psi), n, exact, None if b0 is None else as_x1(b0), label

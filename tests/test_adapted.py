@@ -7,15 +7,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nrestrict import adapted, exponents, splitting
-from nrestrict.adapted import (circle_vanishing_order, classify_linear,
-                               is_adapted, linear_height)
+from nrestrict.adapted import classify_linear, is_adapted, linear_height
 from nrestrict.errors import InternalInvariantError
 from nrestrict.exponents import critical_exponent
 from nrestrict.geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import analyze
-from nrestrict.roots import RootRecord, UniPoly, squarefree_real_roots
+from nrestrict.roots import RootRecord, squarefree_real_roots
 
 from make_golden import ACCEPTANCE, LADDER
 from oracles import series_classification
@@ -40,25 +39,26 @@ def classify(phi):
 
 class TestCircleVanishingOrder:
     def test_double_root_on_circle(self):
-        assert circle_vanishing_order(P("(x2 - x1^2)^2"),
-                                      Weight(F(1, 4), F(1, 2))) == 2
+        assert adapted._circle_roots(P("(x2 - x1^2)^2"),
+                                     Weight(F(1, 4), F(1, 2)))[0] == 2
 
     def test_positive_on_circle(self):
-        assert circle_vanishing_order(P("x1^2 + x2^2"),
-                                      Weight(F(1, 2), F(1, 2))) == 0
+        assert adapted._circle_roots(P("x1^2 + x2^2"),
+                                     Weight(F(1, 2), F(1, 2)))[0] == 0
 
     def test_axis_zeros(self):
-        assert circle_vanishing_order(P("x1*x2"), Weight(F(1, 2), F(1, 2))) == 1
+        assert adapted._circle_roots(P("x1*x2"),
+                                     Weight(F(1, 2), F(1, 2)))[0] == 1
 
     def test_negative_halfplane_root(self):
         # root only at x1 = -1: (x2 + x1^3)^2 restricted to x1 = 1 has root -1,
         # so both restrictions are scanned; use an odd asymmetric case
         p = P("(x2 + x1)^3")
-        assert circle_vanishing_order(p, Weight(F(1, 3), F(1, 3))) == 3
+        assert adapted._circle_roots(p, Weight(F(1, 3), F(1, 3)))[0] == 3
 
     def test_rejects_inhomogeneous(self):
         with pytest.raises(ValueError):
-            circle_vanishing_order(P("x2^2 + x1^5"), Weight(F(1, 4), F(1, 2)))
+            adapted._circle_roots(P("x2^2 + x1^5"), Weight(F(1, 4), F(1, 2)))
 
     def test_homogeneous_height_formula(self):
         # height of a kappa-homogeneous part is max(circle order, 1/|kappa|)
@@ -67,7 +67,7 @@ class TestCircleVanishingOrder:
             ("x1^2 + x2^2", Weight(F(1, 2), F(1, 2)), 1),
         ]:
             p = P(text)
-            m = circle_vanishing_order(p, k)
+            m = adapted._circle_roots(p, k)[0]
             d_h = 1 / (k.k1 + k.k2)
             assert critical_exponent(p).h == max(m, d_h) == expect_h
 
@@ -137,7 +137,7 @@ class TestShearWitness:
             # reference: the distance-exceeding root of p(1, t), isolated here
             pr = kappa_principal_part(phi, verdict.weight)
             best = None
-            for rec in squarefree_real_roots(UniPoly(pr.restrict_x1(1))):
+            for rec in squarefree_real_roots(pr.restrict_x1(1)):
                 if rec.multiplicity > verdict.d and (
                         best is None or rec.multiplicity > best.multiplicity):
                     best = rec
@@ -151,7 +151,7 @@ class TestShearWitness:
         phi = P("(x2^2 - 2*x1^2)^2")
         verdict = adapted.AdaptednessVerdict(
             False, None, 2, F(3, 2), Weight(F(1, 4), F(1, 4)),
-            RootRecord(2, interval=(F(1), F(2)), factor=UniPoly([-2, 0, 1])),
+            RootRecord(2, interval=(F(1), F(2)), factor=(F(-2), F(0), F(1))),
             NewtonPolyhedron.of(phi))
         with pytest.raises(InternalInvariantError, match="irrational"):
             adapted._shear_root(verdict)

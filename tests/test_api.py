@@ -11,6 +11,10 @@ for that class only, so ``PuiseuxPoly.zero()`` does not keep another
 ``zero`` alive.  Code that only tests call is dead here; a test that needs a
 kernel calls it by its private name.
 
+Exporting a name keeps it alive only if the export is itself used: every
+name in ``nrestrict.__all__`` must be read in ``src/nrestrict`` outside its
+own definition, or imported by ``tests/test_acceptance.py``.
+
 Every defaulted parameter of a public function or method, in every module
 ``numerics`` included, must be passed by some call in ``src/``, ``bench/``
 or ``tests/``, by keyword or by position.  A parameter that no call passes
@@ -203,18 +207,48 @@ def test_all_names_exist_once():
     assert missing == []
 
 
+def _imported_from_package(path):
+    """(module, name) of each name that ``path`` imports from a module of
+    the package, by a relative or a ``nrestrict.``-qualified import."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level == 1 or node.module.startswith("nrestrict.")):
+            mod = node.module.rsplit(".", 1)[-1]
+            yield from ((mod, a.name) for a in node.names)
+
+
+def test_every_exported_name_is_used_by_the_package_or_the_claims():
+    """A name in ``nrestrict.__all__`` is read in ``src/nrestrict`` outside
+    its own definition, or imported by the paper-claim tests: exporting a
+    name does not keep alive code that only other tests call."""
+    trees = _modules()
+    names, attrs, own = Counter(), Counter(), {}
+    for tree in trees.values():
+        n, a = _references(tree, ())
+        names += n
+        attrs += a
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own[node.name] = _references(node, ())
+    claimed = {name for _mod, name in _imported_from_package(
+        os.path.join(TESTS, "test_acceptance.py"))}
+    unused = []
+    for name in nrestrict.__all__:
+        own_names, own_attrs = own.get(name, (Counter(), Counter()))
+        reads = (names[name] - own_names[name]
+                 + attrs[(None, name)] - own_attrs[(None, name)])
+        if reads == 0 and name not in claimed:
+            unused.append(name)
+    assert unused == []
+
+
 def test_all_lists_what_the_cli_report_and_claims_import():
     """Public names that the CLI, the report and the paper-claim tests
     import from the package's modules are all exported."""
-    wanted = set()
-    for path in (os.path.join(SRC, "cli.py"), os.path.join(SRC, "report.py"),
-                 os.path.join(TESTS, "test_acceptance.py")):
-        for node in ast.walk(_parse(path)):
-            if not isinstance(node, ast.ImportFrom) or not node.module:
-                continue
-            mod = node.module.rsplit(".", 1)[-1]
-            inside = node.level == 1 or node.module.startswith("nrestrict.")
-            if inside and mod not in SEPARATE:
-                wanted.update(a.name for a in node.names
-                              if not a.name.startswith("_"))
+    wanted = {name
+              for path in (os.path.join(SRC, "cli.py"),
+                           os.path.join(SRC, "report.py"),
+                           os.path.join(TESTS, "test_acceptance.py"))
+              for mod, name in _imported_from_package(path)
+              if mod not in SEPARATE and not name.startswith("_")}
     assert wanted - set(nrestrict.__all__) == set()

@@ -282,6 +282,11 @@ class TestSurfaceDecay:
         assert fit.meta == {"reduction": "direct_2d",
                             "fallback": "no_reduction"}
         assert fit.to_json_dict()["meta"] == fit.meta
+        # a tilted direction adds a linear term: no critical point to shear
+        tilted = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 1, 1),
+                                   lams=np.geomspace(4.0, 400.0, 5))
+        assert tilted.meta == {"reduction": "direct_2d",
+                               "fallback": "no_reduction"}
 
     def test_fallback_honours_tau(self):
         # the direct 2-D tree accepts a cell when lam * variation <= 2 * tau,

@@ -62,7 +62,7 @@ def test_no_restriction_is_isolated_twice(monkeypatch):
     for mod in (adapted, splitting):
         def spy(u, sign_of_variable="+", _mod=mod,
                 _real=mod.squarefree_real_roots):
-            calls.append((_mod, (tuple(u.coeffs), sign_of_variable)))
+            calls.append((_mod, (tuple(u), sign_of_variable)))
             return _real(u, sign_of_variable)
         monkeypatch.setattr(mod, "squarefree_real_roots", spy)
     total = 0

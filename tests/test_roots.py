@@ -5,23 +5,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nrestrict import roots
-from nrestrict.roots import UniPoly, squarefree_real_roots
+from nrestrict.parser import parse_expression
+from nrestrict.roots import squarefree_real_roots
 
-from oracles import (derivative_multiplicity, q_rational_roots, q_real_roots,
-                     q_yun_squarefree, sign_change_root_count)
+from oracles import (derivative_multiplicity, q_mul, q_pow, q_rational_roots,
+                     q_real_roots, q_yun_squarefree, qpoly,
+                     sign_change_root_count)
+
+
+def P(text):
+    return parse_expression(text).poly
 
 
 def from_roots(*roots_mults):
-    p = UniPoly([1])
+    p = qpoly([1])
     for r, m in roots_mults:
-        p = p * (UniPoly([-F(r), 1]) ** m)
+        p = q_mul(p, q_pow(qpoly([-F(r), 1]), m))
     return p
 
 
 def yun(p):
     """Yun's monic factors of ``p`` with multiplicities, from the kernel."""
-    return [(UniPoly(f).monic(), m)
-            for f, m in roots._yun(roots._primitive(p))]
+    return [(roots._monic(f), m) for f, m in roots._yun(roots._primitive(p))]
 
 
 def rational_roots(p):
@@ -36,12 +41,17 @@ class TestSquarefreeRealRoots:
         p = from_roots((1, 3), (-2, 1))
         recs = squarefree_real_roots(p)
         assert [(r.value, r.multiplicity) for r in recs] == [(F(-2), 1), (F(1), 3)]
+        # a restriction whose top x2-row cancels ends in a zero
+        u = P("x2 + x2^2 + x1*x2^2").restrict_x1(-1)
+        assert u == [0, 1, 0]
+        assert squarefree_real_roots(u) == squarefree_real_roots([F(0), F(1)]) \
+            == [roots.RootRecord(1, value=F(0))]
 
     def test_no_real_roots(self):
-        assert squarefree_real_roots(UniPoly([1, 0, 1])) == []
+        assert squarefree_real_roots(qpoly([1, 0, 1])) == []
 
     def test_cube_root_of_two_isolated(self):
-        p = UniPoly([-2, 0, 0, 1])
+        p = qpoly([-2, 0, 0, 1])
         recs = squarefree_real_roots(p)
         assert len(recs) == 1
         rec = recs[0]
@@ -53,24 +63,25 @@ class TestSquarefreeRealRoots:
                                       F(1), F(2)) == 1
 
     def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            squarefree_real_roots(UniPoly())
+        for zero in ([], P("x2^2 + x1*x2^2").restrict_x1(-1)):
+            with pytest.raises(ValueError, match="zero polynomial"):
+                squarefree_real_roots(zero)
 
     def test_multiplicity_against_derivative_oracle(self):
         p = from_roots((F(1, 2), 2), (-3, 4), (5, 1))
         for rec in squarefree_real_roots(p):
             assert rec.is_rational
             assert rec.multiplicity == derivative_multiplicity(
-                list(p.coeffs), rec.value)
+                list(p), rec.value)
 
     def test_total_multiplicity_bounded_by_degree(self):
-        p = from_roots((0, 2), (1, 3)) * UniPoly([1, 0, 1])
+        p = q_mul(from_roots((0, 2), (1, 3)), qpoly([1, 0, 1]))
         recs = squarefree_real_roots(p)
-        assert sum(r.multiplicity for r in recs) <= p.degree()
+        assert sum(r.multiplicity for r in recs) <= len(p) - 1
 
     def test_mixed_rational_irrational_disjoint(self):
         # (t - sqrt(2))(t + sqrt(2)) * (t - 3/2)^2
-        p = UniPoly([-2, 0, 1]) * (UniPoly([F(-3, 2), 1]) ** 2)
+        p = q_mul(qpoly([-2, 0, 1]), q_pow(qpoly([F(-3, 2), 1]), 2))
         recs = squarefree_real_roots(p)
         assert len(recs) == 3
         intervals = [r.interval for r in recs if not r.is_rational]
@@ -82,17 +93,21 @@ class TestSquarefreeRealRoots:
                 assert hi1 <= lo2 or hi2 <= lo1
             for v in values:
                 assert not lo1 < v < hi1
+        # each irrational root carries the monic factor t^2 - 2, as a tuple
+        for u in ([F(-2), F(0), F(1)], [F(-4), F(0), F(2)]):
+            assert [r.factor for r in squarefree_real_roots(u)] \
+                == [(F(-2), F(0), F(1))] * 2
 
 
 class TestYun:
     def test_decomposition(self):
-        p = from_roots((1, 2), (-1, 1)) * UniPoly([1, 0, 1])
+        p = q_mul(from_roots((1, 2), (-1, 1)), qpoly([1, 0, 1]))
         factors = yun(p)
         mults = sorted(m for _f, m in factors)
         assert mults == [1, 2]
-        rebuilt = UniPoly([p.leading()])
+        rebuilt = (p[-1],)
         for f, m in factors:
-            rebuilt = rebuilt * (f ** m)
+            rebuilt = q_mul(rebuilt, q_pow(f, m))
         assert rebuilt == p
 
 
@@ -102,12 +117,12 @@ class TestRationalRoots:
         assert rational_roots(p) == [F(-5), F(2, 3)]
 
     def test_zero_root(self):
-        p = UniPoly([0, 0, 1, 1])
+        p = qpoly([0, 0, 1, 1])
         assert F(0) in rational_roots(p)
 
 
 def _factor(coeffs):
-    return UniPoly([F(n, d) for n, d in coeffs])
+    return qpoly(F(n, d) for n, d in coeffs)
 
 
 # (n, d) pairs for rational coefficients n/d; leading ones nonzero
@@ -126,9 +141,9 @@ products = st.lists(
 
 
 def _product(parts):
-    p = UniPoly([1])
+    p = qpoly([1])
     for f, m in parts:
-        p = p * f ** m
+        p = q_mul(p, q_pow(f, m))
     return p
 
 
@@ -137,12 +152,10 @@ class TestAgainstRationalRoute:
     factors of the Sturm bisection over Q (``oracles.q_real_roots``)."""
 
     def _check(self, p):
-        got = [(r.multiplicity, r.value, r.interval,
-                None if r.factor is None else r.factor.coeffs)
+        got = [(r.multiplicity, r.value, r.interval, r.factor)
                for r in squarefree_real_roots(p)]
         assert got == q_real_roots(p)
-        assert [(f.coeffs, m) for f, m in yun(p)] == \
-            [(f.coeffs, m) for f, m in q_yun_squarefree(p)]
+        assert yun(p) == q_yun_squarefree(p)
         assert rational_roots(p) == q_rational_roots(p)
 
     @given(products)
@@ -152,9 +165,10 @@ class TestAgainstRationalRoute:
 
     def test_close_irrational_roots_need_refinement(self):
         # sqrt(2) and 10/7 lie 0.014 apart; 7/5 sits between them
-        p = UniPoly([-2, 0, 1]) * UniPoly([-10, 7]) ** 2 * UniPoly([-7, 5])
+        p = _product([(qpoly([-2, 0, 1]), 1), (qpoly([-10, 7]), 2),
+                      (qpoly([-7, 5]), 1)])
         self._check(p)
-        self._check(UniPoly([-2, 0, 1]) * UniPoly([F(-201, 100), 0, 1]))
+        self._check(q_mul(qpoly([-2, 0, 1]), qpoly([F(-201, 100), 0, 1])))
 
 
 class TestAgainstSympy:
@@ -163,12 +177,12 @@ class TestAgainstSympy:
 
     @given(products)
     @settings(max_examples=80, deadline=None)
-    @example(UniPoly([0, F(1, 3), 2, 1]))  # an interval ends at the root 0
+    @example(qpoly([0, F(1, 3), 2, 1]))  # an interval ends at the root 0
     def test_values_multiplicities_and_intervals(self, p):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                         for c in reversed(p.coeffs)], x, domain="QQ")
+                         for c in reversed(p)], x, domain="QQ")
         recs = squarefree_real_roots(p)
         rational = {r.value: r.multiplicity for r in recs if r.is_rational}
         assert rational == {F(int(v.p), int(v.q)): m

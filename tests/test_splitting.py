@@ -1,13 +1,11 @@
 from fractions import Fraction as F
 
-import pytest
-
 from nrestrict.adapted import is_adapted
 from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
-from nrestrict.splitting import (adapted_coordinates, condition_r_check,
-                                 fine_splitting_trace, select_l_pr)
+from nrestrict.splitting import (adapted_coordinates, fine_splitting_trace,
+                                 select_l_pr)
 
 
 def P(text):
@@ -160,29 +158,6 @@ class TestFineSplitting:
                   if b.terminal == "algebraic_root_halt"]
         assert len(halted) == 2  # one branch per sign of sqrt(2)
         assert halted[0].halt["multiplicity"] == 2
-
-
-class TestConditionR:
-    def test_example_12_2(self):
-        phi = P(EX122)
-        cof = condition_r_check(phi, P("x1^2 + x1^4"), 3)
-        assert cof == P("x2 - x1^3 + x1^4")
-
-    def test_square_cofactor_one(self):
-        cof = condition_r_check(P("(x2 - x1^2)^2"), P("x1^2"), 2)
-        assert cof == PuiseuxPoly.constant(1)
-
-    def test_vacuous_at_level_zero(self):
-        cof = condition_r_check(P("(x2 - x1^2)^2 + x1^5"), P("x1^2"), 0)
-        assert cof == P("x2^2 + x1^5")
-
-    def test_rejects_non_maximal_level(self):
-        with pytest.raises(ValueError):
-            condition_r_check(P("(x2 - x1^2)^2"), P("x1^2"), 1)
-
-    def test_rejects_jet_in_x2(self):
-        with pytest.raises(ValueError):
-            condition_r_check(P("(x2 - x1^2)^2"), P("x1^2 + x1*x2"), 2)
 
 
 class TestRandomizedFactorizations:
