@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import InternalInvariantError
 from .geometry import NewtonPolyhedron, Weight, kappa_principal_part
 from .poly import PuiseuxPoly
-from .roots import RootRecord, gcd, squarefree_real_roots
+from .roots import RootRecord, squarefree_real_roots
 
 Matrix = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
@@ -36,28 +36,25 @@ def _shear_matrix(b: Fraction) -> Matrix:
     return ((Fraction(1), Fraction(0)), (Fraction(b), Fraction(1)))
 
 
-def _circle_roots(p: PuiseuxPoly, w: Weight
+def _circle_roots(p: PuiseuxPoly
                   ) -> tuple[int, Optional[RootRecord], tuple[RootRecord, ...]]:
     """Circle order of a kappa-homogeneous ``p``, its off-axis root of
     highest multiplicity, and the real roots of p(1, t), from one isolation
     per restriction.
 
-    Off-axis zeros come from real roots of p(1, t) and (for integer
-    exponents) p(-1, t); the axis points (+-1, 0) and (0, +-1) contribute the
-    minimal e2 respectively minimal e1 of the support.  The ``+`` side wins
-    ties: with an integer weight ratio the ``-`` side roots mirror the ``+``
-    side roots with the same multiplicities.
+    ``p`` is ``kappa_principal_part`` output, one term per power of x2, so
+    neither restriction vanishes.  Off-axis zeros come from real roots of
+    p(1, t) and (for integer exponents) p(-1, t); the axis points (+-1, 0)
+    and (0, +-1) contribute the minimal e2 respectively minimal e1 of the
+    support.  The ``+`` side wins ties: with an integer weight ratio the
+    ``-`` side roots mirror the ``+`` side roots with the same
+    multiplicities.
     """
-    values = {w.k1 * e1 + w.k2 * e2 for (e1, e2) in p.support()}
-    if len(values) > 1:
-        raise ValueError("principal part is not kappa-homogeneous")
     sides = [("+", 1)] + ([("-", -1)] if p.ramification == 1 else [])
     found: list[tuple[RootRecord, ...]] = []
     for label, sign in sides:
-        u = p.restrict_x1(sign)
-        if not any(u):
-            raise InternalInvariantError("homogeneous part restricts to zero")
-        found.append(tuple(squarefree_real_roots(u, sign_of_variable=label)))
+        found.append(tuple(squarefree_real_roots(p.restrict_x1(sign),
+                                                 sign_of_variable=label)))
     # max keeps the first of equal multiplicities: the + side wins ties
     best = max((rec for side in found for rec in side),
                key=lambda rec: rec.multiplicity, default=None)
@@ -101,7 +98,7 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     if face.kind == "unbounded_edge":
         return AdaptednessVerdict(True, "c", None, d, None, None, n)
     w = face.edge.weight
-    m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w), w)
+    m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w))
     ratio = w.a
     if ratio.denominator != 1 and (1 / ratio).denominator != 1 and m_pr >= d:
         raise InternalInvariantError(
@@ -156,9 +153,8 @@ def linear_height(phi: PuiseuxPoly) -> LinearHeightReport:
         if w.a >= 2:
             return LinearHeightReport(verdict.d, t, cur, False, w.a, verdict,
                                       first)
-        if w.a != 1:
-            # non-integer ratio in (1, 2) would have been adapted already
-            raise InternalInvariantError(f"unexpected principal ratio {w.a}")
+        # here w.a == 1: a non-integer ratio in (1, 2) is adapted, and
+        # is_adapted raises on any other verdict at such a ratio
         cur, t = _equal_weight_shear(cur, t, verdict)
     raise InternalInvariantError("linear height search did not stabilize")
 
@@ -224,16 +220,35 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     """Normal-form class (A or D family) from the linear-height report of a
     polynomial of linear height < 2.
 
-    Requires that no linear coordinate system is adapted.  The root jet psi
-    of the normal form is the branch of critical points of x2 -> phi(x1, x2),
-    solved to order ``4 * deg + 4`` for an input of total degree ``deg``;
-    ``b0`` is phi along the jet, and its vanishing order n fixes the index.
+    Requires a critical point at the origin and that no linear coordinate
+    system is adapted.  The root jet psi of the normal form is the branch of
+    critical points of x2 -> phi(x1, x2), solved to order ``4 * deg + 4`` for
+    an input of total degree ``deg``; ``b0`` is phi along the jet, and its
+    vanishing order n fixes the index.
+
+    The normal form is read off the coordinates ``linear_height`` returns:
+    the 2-jet is c02*x2^2 and, if c02 = 0, the 3-jet is x2^2*(c12*x1 +
+    c03*x2) with c12 != 0.  There the principal edge has weight (k1, k2),
+    k2 >= 2*k1, and distance d = 1/(k1 + k2) in [1, 2) (no term has degree
+    < 2), and every support point e has k1*e1 + k2*e2 >= 1.  So:
+
+    - (2, 0) would give k1 >= 1/2, k2 >= 1, so d <= 2/3;
+    - (1, 1) would give d = 1, so (1, 1) = (d, d) on the edge's line; a
+      lattice point above it there needs e1 = 0 and e2 = 1/k2 <= 3/2, so
+      the principal face would be the vertex (1, 1), which is adapted;
+    - once c02 = 0, every term has degree >= 3, so d >= 3/2; but (3, 0)
+      would give k1 + k2 >= 1, and (2, 1) k1 + k2 >= 3/4*(2*k1 + k2) >= 3/4;
+    - if also c12 = 0, the edge's upper end e has e1 <= d < 2, so e2 >= 3
+      and d, the k-weighted mean of e1 and e2, is >= 3*k2/(k1 + k2) >= 2.
+
+    Family A (sigma = 0) keeps the coordinates; family D (sigma = 1) maps
+    x1 -> x1 - (c03/c12)*x2, which makes the 3-jet c12*x1*x2^2.
 
     The branch is peeled on the shear kernel, one monomial per pass.  In
     ``phi(x1, x2 + psi)`` the x2^1 row is d phi/d x2 along psi and the x2^0
     row is phi along psi.  A pass reads the lowest term c*x1^v of the x2^1
     row and shears by ``-c/unit * x1^(v - sigma)``, where ``unit * x1^sigma``
-    leads d^2 phi/d x2^2 along the branch (sigma is 0 for A, 1 for D); it
+    leads d^2 phi/d x2^2 along the branch (``unit`` is 2*c02 or 2*c12); it
     stops once that row vanishes below x1^(order + sigma).  Terms of x1-order
     above ``order + sigma`` are dropped before every pass, which is exact for
     the orders kept: a shear by c*x1^e with e >= 1 never lowers an x1-order.
@@ -250,19 +265,20 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     work = lh.transformed
     order = 4 * int(work.total_degree()) + 4
 
-    p2 = _homogeneous_part(work, 2)
-    if p2:
-        family = "A"
-        work = _normalize_rank_one(work, p2)
-        sigma = 0
+    c02 = work.coefficient(0, 2)
+    if c02:
+        family, sigma, unit = "A", 0, 2 * c02
     else:
-        family = "D"
-        work = _normalize_cubic(work)
-        sigma = 1
-
-    unit = 2 * work.coefficient(sigma, 2)
-    if not unit:
-        raise InternalInvariantError("branch linearization is not a unit")
+        family, sigma = "D", 1
+        c12 = work.coefficient(1, 2)
+        if not c12:
+            raise InternalInvariantError(
+                "D-type linear coordinates have no x1*x2^2 term")
+        c03 = work.coefficient(0, 3)
+        if c03:
+            work = work.linear_substitute(((Fraction(1), -c03 / c12),
+                                           (Fraction(0), Fraction(1))))
+        unit = 2 * c12
     cap = order + sigma
     psi: dict[int, Fraction] = {}
     last_exp = 0
@@ -323,58 +339,3 @@ def _x2_row(phi: PuiseuxPoly, e2: int) -> dict[int, Fraction]:
 
 def _x1_poly(row: dict[int, Fraction]) -> PuiseuxPoly:
     return PuiseuxPoly({(e1, 0): c for e1, c in row.items()})
-
-
-def _homogeneous_part(phi: PuiseuxPoly, total: int) -> PuiseuxPoly:
-    return PuiseuxPoly({(e1, e2): c for (e1, e2), c in phi.terms.items()
-                        if e1 + e2 == total})
-
-
-def _normalize_rank_one(phi: PuiseuxPoly, p2: PuiseuxPoly) -> PuiseuxPoly:
-    """Linear change making the quadratic part a multiple of x2^2."""
-    c20 = p2.coefficient(2, 0)
-    c11 = p2.coefficient(1, 1)
-    c02 = p2.coefficient(0, 2)
-    if c11 * c11 - 4 * c20 * c02 != 0:
-        raise ValueError("quadratic part has full rank; coordinates are adapted")
-    if c02:
-        b = -c11 / (2 * c02)
-        return phi.shear_substitute(PuiseuxPoly.monomial(b, 1, 0)) if b else phi
-    if c20:
-        return phi.swap_variables()
-    raise InternalInvariantError("rank-one quadratic part with no square term")
-
-
-def _normalize_cubic(phi: PuiseuxPoly) -> PuiseuxPoly:
-    """Linear change making the cubic part a multiple of x1*x2^2."""
-    p3 = _homogeneous_part(phi, 3)
-    if p3.is_zero():
-        raise ValueError("vanishing 2- and 3-jets put the linear height at >= 2")
-    # p3(1, t), of degree 3 minus the power of x1 dividing p3
-    r = p3.restrict_x1(1)
-    x1_mult = 4 - len(r)
-    if x1_mult >= 2:
-        if x1_mult == 3:
-            raise ValueError("cubic part is a perfect cube; linear height >= 2")
-        phi = phi.swap_variables()
-        p3 = _homogeneous_part(phi, 3)
-        r = p3.restrict_x1(1)
-    g = gcd(r, [i * c for i, c in enumerate(r)][1:])  # monic
-    if len(g) > 2:
-        raise ValueError("cubic part is a perfect cube; linear height >= 2")
-    if len(g) == 2:
-        beta = -g[0]
-        if beta:
-            phi = phi.shear_substitute(PuiseuxPoly.monomial(beta, 1, 0))
-            p3 = _homogeneous_part(phi, 3)
-    elif x1_mult != 2:
-        raise ValueError("cubic part has no double real factor (circle order != 2)")
-    # now p3 = x2^2 * (a*x1 + b*x2); move the simple factor onto x1
-    a = p3.coefficient(1, 2)
-    b = p3.coefficient(0, 3)
-    if not a:
-        raise ValueError("cubic part is a perfect cube after normalization")
-    if b:
-        t = ((Fraction(1), -b / a), (Fraction(0), Fraction(1)))
-        phi = phi.linear_substitute(t)
-    return phi

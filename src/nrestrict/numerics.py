@@ -219,16 +219,17 @@ def lambda_grid(lo: float = 1e2, hi: float = 1e5, points: int = 40) -> np.ndarra
     return np.geomspace(lo, hi, points)
 
 
-def log_log_fit(lams: Sequence[float], mags: Sequence[float],
-                top_fraction: float = 0.5) -> tuple[float, float]:
-    """Least-squares slope of log|I| against log(lam) on the top of the grid.
+def log_log_fit(lams: Sequence[float],
+                mags: Sequence[float]) -> tuple[float, float]:
+    """Least-squares slope of log|I| against log(lam) on the top half of the
+    grid (at least three points).
 
     Returns (fitted decay exponent, rms residual in log10); the exponent is
     the negated slope.
     """
     lams = np.asarray(lams, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    k = max(3, int(round(len(lams) * top_fraction)))
+    k = max(3, int(round(len(lams) * 0.5)))
     x = np.log10(lams[-k:])
     y = np.log10(np.maximum(mags[-k:], 1e-300))
     coef = np.polyfit(x, y, 1)
@@ -330,13 +331,13 @@ def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
     return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, expected, 0.05)
 
 
-def smooth_plateau(z, flat: float = 0.5):
-    """C-infinity cutoff: 1 on [-flat, flat], 0 outside [-1, 1]."""
+def smooth_plateau(z):
+    """C-infinity cutoff: 1 on [-1/2, 1/2], 0 outside [-1, 1]."""
     z = np.abs(np.asarray(z, dtype=float))
     out = np.zeros_like(z)
-    out[z <= flat] = 1.0
-    mid = (z > flat) & (z < 1.0)
-    s = (z[mid] - flat) / (1.0 - flat)
+    out[z <= 0.5] = 1.0
+    mid = (z > 0.5) & (z < 1.0)
+    s = (z[mid] - 0.5) / 0.5
     f0 = np.exp(-1.0 / np.maximum(s, 1e-9))
     f1 = np.exp(-1.0 / np.maximum(1.0 - s, 1e-9))
     out[mid] = f1 / (f0 + f1)
@@ -405,28 +406,6 @@ def airy_scaling_check(u: float, lams: np.ndarray | None = None) -> DecayFit:
     if regime == "straddling":
         fit.verdict = "inconclusive"
     return fit
-
-
-def airy_prefactor_scan(us: Sequence[float], lam0: float = 3e4) -> float:
-    """Slope of log(|J| sqrt(lam)) against log|u| in the off-cone regime of
-    ``airy_scaling_check``'s integral.
-
-    Each u is measured at its own constructive beat phase near lam0 and the
-    stationary points must sit on the cutoff's plateau |t| <= 1/2; the
-    stationary-phase prediction for cubics is -(deg-2)/(2 deg - 2) = -1/4.
-    """
-    mags = []
-    for u in us:
-        if math.sqrt(abs(u) / 3) > 0.5:
-            raise ValueError("stationary point off the cutoff plateau")
-        period = 2 * math.pi / _stationary_gap(u)
-        lam = max(1, round(lam0 / period)) * period
-        val = abs(oscillatory_integral_1d(
-            lambda t: t ** 3 - u * t, smooth_plateau, -1.0, 1.0, lam,
-            tau=math.pi))
-        mags.append(val * math.sqrt(lam))
-    coef = np.polyfit(np.log(np.abs(us)), np.log(mags), 1)
-    return float(coef[0])
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +742,6 @@ class SumBoundResult:
     running_sup: list[float]
     max_growth: float          # worst step of the running sup across doublings
 
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.max_growth <= 1.10 else "fail"
-
 
 def oscillatory_sum_bound(trial: SumBoundTrial,
                           levels: Sequence[int] | None = None,
@@ -1003,7 +978,7 @@ def knapp_box_probe(phi: PuiseuxPoly, cert) -> dict:
         u = (e ** float(k2)) * y2s[None, :]
         vals = np.abs(fsh(x1[:, None] * np.ones_like(u), u))
         sups.append(float(vals.max()))
-    beta, resid = log_log_fit(1.0 / eps, sups, top_fraction=0.5)
+    beta, resid = log_log_fit(1.0 / eps, sups)
     ratios = [s / e for s, e in zip(sups, eps)]
     return {"beta": beta, "residual": resid, "sups": sups,
             "eps": list(map(float, eps)), "min_ratio": min(ratios),

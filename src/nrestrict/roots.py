@@ -261,14 +261,11 @@ def _isolate(p: list[int]) -> list[tuple[Fraction, Fraction]]:
 
 def _refine(p: list[int], lo: Fraction, hi: Fraction,
             steps: int = 1) -> tuple[Fraction, Fraction]:
+    # p has its rational roots divided out, so no midpoint is a root
     slo = _value(p, lo)
     for _ in range(steps):
         mid = (lo + hi) / 2
         vmid = _value(p, mid)
-        if vmid == 0:  # cannot happen when rational roots were removed
-            eps = (hi - lo) / 4
-            lo, hi = mid - eps, mid + eps
-            continue
         if (slo > 0) == (vmid > 0):
             lo = mid
             slo = vmid
@@ -282,11 +279,6 @@ def _refine(p: list[int], lo: Fraction, hi: Fraction,
 
 def _monic(a: list[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, a[-1]) for c in a)
-
-
-def gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Monic gcd of two coefficient lists (``()`` when both are zero)."""
-    return _monic(_gcd(_primitive(a), _primitive(b)))
 
 
 @dataclass(frozen=True)

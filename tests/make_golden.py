@@ -3,8 +3,10 @@
 ``golden.json`` maps ``"<command>|<expression>"`` to ``"<exit code>:<sha256>"``
 for the ``analyze``, ``knapp``, ``trace`` and ``diagram`` subcommands of
 ``nrestrict.cli.main``, over the 26 acceptance inputs, the first ladder rungs,
-one input whose reports carry an algebraic-root halt and one A/D input whose
-critical branch is not a polynomial.  The digest is of the written output
+one input whose reports carry an algebraic-root halt, one A/D input whose
+critical branch is not a polynomial, and two A/D inputs whose linear stage
+ends in coordinates that ``classify_linear`` still moves or that a linear
+transform reached.  The digest is of the written output
 file on exit 0 and of stderr otherwise.
 ``tests/test_golden.py`` recomputes every entry and requires the bytes to be
 unchanged.
@@ -43,7 +45,12 @@ HALT = ["((x2 - x1^2)^2 - 2*x1^6)^2"]
 #: an A13 whose critical branch x2 = psi(x1) is an infinite series
 NONPOLY_BRANCH = ["((x2 - x1)^2 - 5*x1)^2 + x1^7"]
 
-INPUTS = ACCEPTANCE + LADDER + HALT + NONPOLY_BRANCH
+#: a D7 whose cubic part has an x2^3 term, so the D branch maps
+#: x1 -> x1 - x2, and an A4 whose linear transform is ((1, 0), (-3, 1))
+LINEAR_NORMALIZATION = ["x1*(x2 - x1^2)^2 + x2^3 + x1^9",
+                        "(x2 + 3*x1 - x1^2)^2 + x1^5"]
+
+INPUTS = ACCEPTANCE + LADDER + HALT + NONPOLY_BRANCH + LINEAR_NORMALIZATION
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden.json")

@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
-from nrestrict.adapted import (_homogeneous_part, _normalize_cubic,
-                               _normalize_rank_one)
 from nrestrict.errors import InternalInvariantError
 from nrestrict.poly import PuiseuxPoly
 
@@ -474,11 +472,14 @@ def series_classification(lh):
     valuation of phi along the jet when it is at most the series order."""
     work = lh.transformed
     order = 4 * int(work.total_degree()) + 4
-    p2 = _homogeneous_part(work, 2)
-    if p2:
-        family, work, sigma = "A", _normalize_rank_one(work, p2), 0
+    if work.coefficient(0, 2):
+        family, sigma = "A", 0
     else:
-        family, work, sigma = "D", _normalize_cubic(work), 1
+        # the 3-jet is x2^2*(c12*x1 + c03*x2); make it c12*x1*x2^2
+        family, sigma = "D", 1
+        c12, c03 = work.coefficient(1, 2), work.coefficient(0, 3)
+        work = work.linear_substitute(((Fraction(1), -c03 / c12),
+                                       (Fraction(0), Fraction(1))))
     f = work.partial_derivative(2, 1)
     psi = solve_critical_branch(f, sigma, order)
     if not compose_x2_exact(f, psi):

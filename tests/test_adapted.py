@@ -39,26 +39,19 @@ def classify(phi):
 
 class TestCircleVanishingOrder:
     def test_double_root_on_circle(self):
-        assert adapted._circle_roots(P("(x2 - x1^2)^2"),
-                                     Weight(F(1, 4), F(1, 2)))[0] == 2
+        assert adapted._circle_roots(P("(x2 - x1^2)^2"))[0] == 2
 
     def test_positive_on_circle(self):
-        assert adapted._circle_roots(P("x1^2 + x2^2"),
-                                     Weight(F(1, 2), F(1, 2)))[0] == 0
+        assert adapted._circle_roots(P("x1^2 + x2^2"))[0] == 0
 
     def test_axis_zeros(self):
-        assert adapted._circle_roots(P("x1*x2"),
-                                     Weight(F(1, 2), F(1, 2)))[0] == 1
+        assert adapted._circle_roots(P("x1*x2"))[0] == 1
 
     def test_negative_halfplane_root(self):
         # root only at x1 = -1: (x2 + x1^3)^2 restricted to x1 = 1 has root -1,
         # so both restrictions are scanned; use an odd asymmetric case
         p = P("(x2 + x1)^3")
-        assert adapted._circle_roots(p, Weight(F(1, 3), F(1, 3)))[0] == 3
-
-    def test_rejects_inhomogeneous(self):
-        with pytest.raises(ValueError):
-            adapted._circle_roots(P("x2^2 + x1^5"), Weight(F(1, 4), F(1, 2)))
+        assert adapted._circle_roots(p)[0] == 3
 
     def test_homogeneous_height_formula(self):
         # height of a kappa-homogeneous part is max(circle order, 1/|kappa|)
@@ -67,7 +60,7 @@ class TestCircleVanishingOrder:
             ("x1^2 + x2^2", Weight(F(1, 2), F(1, 2)), 1),
         ]:
             p = P(text)
-            m = adapted._circle_roots(p, k)[0]
+            m = adapted._circle_roots(p)[0]
             d_h = 1 / (k.k1 + k.k2)
             assert critical_exponent(p).h == max(m, d_h) == expect_h
 
@@ -375,6 +368,14 @@ class TestClassificationOracle:
     def test_matches_the_series_solver(self, phi):
         lh = linear_height(phi)
         assume(lh.h_lin < 2 and not lh.adapted_linear_exists)
+        # the shape classify_linear reads the normal form off: the 2-jet is
+        # c02*x2^2 and, when c02 = 0, the 3-jet is x2^2*(c12*x1 + c03*x2)
+        # with c12 != 0
+        work = lh.transformed
+        assert not work.coefficient(2, 0) and not work.coefficient(1, 1)
+        if not work.coefficient(0, 2):
+            assert not work.coefficient(3, 0) and not work.coefficient(2, 1)
+            assert work.coefficient(1, 2)
         c = classify_linear(lh)
         got = (c.psi_truncation, c.n, c.exact, c.b0, c.label)
         assert got == series_classification(lh)

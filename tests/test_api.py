@@ -11,13 +11,19 @@ for that class only, so ``PuiseuxPoly.zero()`` does not keep another
 ``zero`` alive.  Code that only tests call is dead here; a test that needs a
 kernel calls it by its private name.
 
+Every public function or method of ``numerics`` must be referenced, by the
+same rule, elsewhere in ``src/nrestrict`` (the CLI) or in ``bench/`` (the
+benchmark), or imported by ``tests/test_acceptance.py`` (the paper's
+claims).
+
 Exporting a name keeps it alive only if the export is itself used: every
 name in ``nrestrict.__all__`` must be read in ``src/nrestrict`` outside its
 own definition, or imported by ``tests/test_acceptance.py``.
 
 Every defaulted parameter of a public function or method, in every module
 ``numerics`` included, must be passed by some call in ``src/``, ``bench/``
-or ``tests/``, by keyword or by position.  A parameter that no call passes
+or ``tests/``, by keyword or by position, as something other than the same
+literal as its default.  A parameter that no call sets to another value
 always takes its default, so it is a constant, not a knob.  Calls are
 matched by the called name alone, and a call with ``*args`` or ``**kwargs``
 counts as passing everything it could reach.
@@ -88,29 +94,48 @@ def _public_defs(tree):
                     yield node.name, sub
 
 
-def test_every_public_definition_is_used_or_exported():
+def _py_trees(root):
+    """Syntax trees of every Python file under ``root``."""
+    for dirpath, _dirs, files in os.walk(root):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield _parse(os.path.join(dirpath, name))
+
+
+def _dead_definitions(modules, readers=(), kept=frozenset()):
+    """Public functions and methods of ``modules`` that no code of the
+    package outside their own bodies, nor any tree of ``readers``,
+    references; a function named in ``kept`` is alive."""
     trees = _modules()
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
     names, attrs = Counter(), Counter()
-    for tree in trees.values():
+    for tree in [*trees.values(), *readers]:
         n, a = _references(tree, classes)
         names += n
         attrs += a
-    exported = set(nrestrict.__all__)
     dead = []
-    for mod in CHECKED:
+    for mod in modules:
         for cls, node in _public_defs(trees[mod]):
             own_names, own_attrs = _references(node, classes)
             name = node.name
             if cls is None:
-                used = names[name] > own_names[name] or name in exported
+                used = names[name] > own_names[name] or name in kept
             else:
                 used = any(attrs[key] > own_attrs[key]
                            for key in ((cls, name), (None, name)))
             if not used:
                 dead.append(f"{mod}.{cls + '.' if cls else ''}{name}")
-    assert dead == []
+    return dead
+
+
+def test_every_public_definition_is_used_or_exported():
+    assert _dead_definitions(CHECKED, kept=set(nrestrict.__all__)) == []
+
+
+def test_every_numerics_definition_serves_the_cli_bench_or_claims():
+    bench = list(_py_trees(os.path.join(REPO, "bench")))
+    assert _dead_definitions(SEPARATE, bench, _claimed()) == []
 
 
 def _calls_by_name(roots):
@@ -118,41 +143,52 @@ def _calls_by_name(roots):
     ``f`` for ``f(...)`` and ``name`` for ``obj.name(...)``."""
     calls = defaultdict(list)
     for root in roots:
-        for dirpath, _dirs, files in os.walk(root):
-            for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                for node in ast.walk(_parse(os.path.join(dirpath, name))):
-                    if isinstance(node, ast.Call):
-                        func = node.func
-                        called = getattr(func, "id", None) or getattr(
-                            func, "attr", None)
-                        calls[called].append(node)
+        for tree in _py_trees(root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    called = getattr(func, "id", None) or getattr(
+                        func, "attr", None)
+                    calls[called].append(node)
     return calls
 
 
 def _defaulted(node):
-    """(parameter name, its position, or None if keyword-only) of each
-    parameter of ``node`` that has a default."""
+    """(parameter name, its position, or None if keyword-only, its default)
+    of each parameter of ``node`` that has a default."""
     args = node.args
     positional = args.posonlyargs + args.args
     first = len(positional) - len(args.defaults)
-    for i, arg in enumerate(positional[first:], start=first):
-        yield arg.arg, i
+    for i, (arg, default) in enumerate(
+            zip(positional[first:], args.defaults), start=first):
+        yield arg.arg, i, default
     for arg, default in zip(args.kwonlyargs, args.kw_defaults):
         if default is not None:
-            yield arg.arg, None
+            yield arg.arg, None, default
 
 
-def _passes(call, param, position):
+def _restates(arg, default):
+    """Whether the argument ``arg`` is the same literal as ``default``."""
+    try:
+        a, d = ast.literal_eval(arg), ast.literal_eval(default)
+    except ValueError:
+        return False
+    return type(a) is type(d) and a == d
+
+
+def _passes(call, param, position, default):
     """Whether ``call`` can set ``param``, found at ``position`` among the
-    arguments a caller writes."""
-    if any(kw.arg in (param, None) for kw in call.keywords):
-        return True
+    arguments a caller writes, to something other than its ``default``."""
+    for kw in call.keywords:
+        if kw.arg is None or (kw.arg == param
+                              and not _restates(kw.value, default)):
+            return True
     if position is None:
         return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
     return (position < len(call.args)
-            or any(isinstance(a, ast.Starred) for a in call.args))
+            and not _restates(call.args[position], default))
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -165,9 +201,9 @@ def test_every_defaulted_parameter_is_passed_somewhere():
             static = any(getattr(d, "id", None) == "staticmethod"
                          for d in node.decorator_list)
             shift = 0 if cls is None or static else 1
-            for param, i in _defaulted(node):
+            for param, i, default in _defaulted(node):
                 position = None if i is None else i - shift
-                if not any(_passes(c, param, position)
+                if not any(_passes(c, param, position, default)
                            for c in calls[node.name]):
                     unpassed.append(
                         f"{mod}.{cls + '.' if cls else ''}{node.name}({param})")
@@ -182,14 +218,10 @@ def _is_dataclass(cls):
 def test_every_dataclass_field_is_read_somewhere():
     reads = set()
     for root in ("src", "bench", "tests"):
-        for dirpath, _dirs, files in os.walk(os.path.join(REPO, root)):
-            for name in files:
-                if name.endswith(".py"):
-                    reads.update(
-                        node.attr for node in ast.walk(
-                            _parse(os.path.join(dirpath, name)))
-                        if isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Load))
+        for tree in _py_trees(os.path.join(REPO, root)):
+            reads.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load))
     unread = []
     for mod, tree in _modules().items():
         for cls in tree.body:
@@ -217,6 +249,12 @@ def _imported_from_package(path):
             yield from ((mod, a.name) for a in node.names)
 
 
+def _claimed():
+    """Names that the paper-claim tests import from the package."""
+    return {name for _mod, name in _imported_from_package(
+        os.path.join(TESTS, "test_acceptance.py"))}
+
+
 def test_every_exported_name_is_used_by_the_package_or_the_claims():
     """A name in ``nrestrict.__all__`` is read in ``src/nrestrict`` outside
     its own definition, or imported by the paper-claim tests: exporting a
@@ -230,8 +268,7 @@ def test_every_exported_name_is_used_by_the_package_or_the_claims():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 own[node.name] = _references(node, ())
-    claimed = {name for _mod, name in _imported_from_package(
-        os.path.join(TESTS, "test_acceptance.py"))}
+    claimed = _claimed()
     unused = []
     for name in nrestrict.__all__:
         own_names, own_attrs = own.get(name, (Counter(), Counter()))

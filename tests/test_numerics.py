@@ -15,7 +15,7 @@ from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, SumBoundTrial,
                                 _level_sups, _masked_bump_values, _poly_xy_eval,
                                 _sup_over_t, bump,
-                                airy_prefactor_scan, airy_scaling_check,
+                                airy_scaling_check,
                                 dominance_probe,
                                 knapp_box_probe, lambda_grid, log_log_fit,
                                 oscillatory_integral_1d,
@@ -164,7 +164,7 @@ class TestFrequencyLadder:
         # relative tolerance
         fit = airy_scaling_check(-0.5)
         phase = lambda t: 1.0 * t ** 3 - (-0.5) * t
-        amp = lambda t: smooth_plateau(t / 1.0, 0.5)
+        amp = lambda t: smooth_plateau(t / 1.0)
         scalars = [abs(oscillatory_integral_1d(phase, amp, -1.0, 1.0, lam,
                                                tau=math.pi))
                    for lam in fit.lambda_grid]
@@ -315,10 +315,6 @@ class TestAiry:
         fit = airy_scaling_check(0.5, lams=lambda_grid(1.0, 1e3, 8))
         assert fit.verdict == "inconclusive"
 
-    def test_prefactor_tracks_quarter_power(self):
-        slope = airy_prefactor_scan([0.2, 0.25, 0.3, 0.35, 0.4], lam0=2e4)
-        assert slope == pytest.approx(-0.25, abs=0.05)
-
 
 class TestSumBounds:
     def test_geometric_identity(self):
@@ -377,7 +373,7 @@ class TestSumBounds:
 
     def test_plateau_is_flat_and_compact(self):
         z = np.array([-1.2, -1.0, -0.5, 0.0, 0.3, 0.5, 0.75, 1.0, 2.0])
-        vals = smooth_plateau(z, flat=0.5)
+        vals = smooth_plateau(z)
         assert np.all(vals[np.abs(z) <= 0.5] == 1.0)
         assert np.all(vals[np.abs(z) >= 1.0] == 0.0)
         assert 0 < smooth_plateau(np.array([0.75]))[0] < 1

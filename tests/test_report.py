@@ -57,7 +57,7 @@ def test_each_subcommand_runs_only_the_stages_it_prints(stage_calls,
 def test_no_restriction_is_isolated_twice(monkeypatch):
     """The splitting stage reads the roots the adaptedness verdict holds:
     over the golden inputs no restriction is isolated by both, and one
-    ``analyze(...).to_json()`` each isolates 132 restrictions in all."""
+    ``analyze(...).to_json()`` each isolates 142 restrictions in all."""
     calls = []
     for mod in (adapted, splitting):
         def spy(u, sign_of_variable="+", _mod=mod,
@@ -73,7 +73,7 @@ def test_no_restriction_is_isolated_twice(monkeypatch):
         split = [key for mod, key in calls if mod is splitting]
         assert [key for key in split if key in judged] == [], text
         total += len(calls)
-    assert total == 132
+    assert total == 142
 
 
 def test_jet_json_lists_terms_by_increasing_exponent():
