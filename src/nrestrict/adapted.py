@@ -24,13 +24,6 @@ IDENTITY: Matrix = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 SWAP: Matrix = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
 
 
-def _matmul(s: Matrix, t: Matrix) -> Matrix:
-    return (
-        (s[0][0] * t[0][0] + s[0][1] * t[1][0], s[0][0] * t[0][1] + s[0][1] * t[1][1]),
-        (s[1][0] * t[0][0] + s[1][1] * t[1][0], s[1][0] * t[0][1] + s[1][1] * t[1][1]),
-    )
-
-
 def _shear_matrix(b: Fraction) -> Matrix:
     # x1 = y1, x2 = b*y1 + y2: kills the root x2 = b*x1
     return ((Fraction(1), Fraction(0)), (Fraction(b), Fraction(1)))
@@ -119,63 +112,43 @@ class LinearHeightReport:
     input_verdict: AdaptednessVerdict  # adaptedness of the input itself
 
 
-#: coordinate changes ``linear_height`` makes before it gives up
-_LINEAR_BUDGET = 32
-
-
 def linear_height(phi: PuiseuxPoly) -> LinearHeightReport:
     """Maximal Newton distance over linear coordinate changes.
 
-    Follows the constructive characterization of linearly adapted
-    coordinates: while the principal face is a compact edge with weight ratio
-    one, shear off the unique circle root of multiplicity exceeding the
-    distance, which is rational; a coordinate swap keeps k1 <= k2.  Stops as
-    soon as the coordinates are adapted or the weight ratio reaches 2.  After
-    32 changes without a stop it raises :class:`InternalInvariantError`.
+    The given coordinates are judged once.  Unless they are adapted or the
+    principal weight ratio a = k2/k1 is at least 2, one linear change is
+    made and judged, and that ends the search:
+
+    - at a < 1 the edge is non-adapted only if 1/a is an integer (see
+      :func:`is_adapted`), so the swap x1 <-> x2 gives the ratio 1/a >= 2 and
+      keeps the verdict;
+    - at a = 1 the principal part is homogeneous of degree 2d, and the shear
+      x2 -> x2 + b*x1 kills its unique circle root b of multiplicity mu > d
+      (rational, see :func:`_shear_root`).  The new part of degree 2d is
+      x2^mu times a form that does not vanish at (1, 0), so the polyhedron
+      has the vertex (2d - mu, mu) above the bisectrix, and every edge of the
+      principal face, right of it and below the bisectrix, has ratio > 1.
+
+    A ratio above 1 is adapted unless it is an integer >= 2, so the second
+    verdict is adapted or has ratio >= 2.  The transform is ``IDENTITY``,
+    ``SWAP`` or ``_shear_matrix(b)``.
     """
     if phi.ramification != 1:
         raise ValueError("linear height needs an integer-exponent polynomial")
-    t: Matrix = IDENTITY
-    cur = phi
-    first = None
-    for _ in range(_LINEAR_BUDGET):
+    first = verdict = is_adapted(phi)
+    t, cur = IDENTITY, phi
+    if not verdict.adapted and verdict.weight.a < 2:
+        if verdict.weight.a < 1:
+            t, cur = SWAP, phi.swap_variables()
+        else:
+            b = _shear_root(verdict)
+            t = _shear_matrix(b)
+            cur = phi.shear_substitute(PuiseuxPoly.monomial(b, 1, 0))
         verdict = is_adapted(cur)
-        if first is None:
-            first = verdict
-        if verdict.adapted:
-            return LinearHeightReport(verdict.d, t, cur, True,
-                                      _final_ratio(verdict), verdict, first)
-        w = verdict.weight
-        if w.a < 1:
-            cur = cur.swap_variables()
-            t = _matmul(t, SWAP)
-            continue
-        if w.a >= 2:
-            return LinearHeightReport(verdict.d, t, cur, False, w.a, verdict,
-                                      first)
-        # here w.a == 1: a non-integer ratio in (1, 2) is adapted, and
-        # is_adapted raises on any other verdict at such a ratio
-        cur, t = _equal_weight_shear(cur, t, verdict)
-    raise InternalInvariantError("linear height search did not stabilize")
-
-
-def _final_ratio(verdict: AdaptednessVerdict) -> Optional[Fraction]:
-    if verdict.weight is None:
-        return None
-    a = verdict.weight.a
-    return a if a > 1 else (1 / a if a < 1 else a)
-
-
-def _equal_weight_shear(cur: PuiseuxPoly, t: Matrix,
-                        verdict: AdaptednessVerdict) -> tuple[PuiseuxPoly, Matrix]:
-    """One Varchenko step at weight ratio one.
-
-    The principal part is homogeneous of degree 2d; the verdict's witness is
-    its unique circle root of multiplicity > d.
-    """
-    b = _shear_root(verdict)
-    sheared = cur.shear_substitute(PuiseuxPoly.monomial(b, 1, 0))
-    return sheared, _matmul(t, _shear_matrix(b))
+    w = verdict.weight
+    m = None if w is None else max(w.a, 1 / w.a)
+    return LinearHeightReport(verdict.d, t, cur, verdict.adapted, m, verdict,
+                              first)
 
 
 def _shear_root(verdict: AdaptednessVerdict) -> Fraction:
@@ -205,10 +178,8 @@ class SingularityClass:
     family: str                      # "A" | "D"
     index: Optional[int]             # None encodes the infinite index
     m: int
-    n: Optional[int]                 # vanishing order of b0; None = infinite
+    n: Optional[int]                 # from h; None encodes the infinite n
     psi_truncation: PuiseuxPoly      # x1-only root jet of the normal form
-    b0: Optional[PuiseuxPoly]        # x1-only; exact b0 when psi is polynomial
-    exact: bool                      # n (incl. infinity) certified exactly
 
     @property
     def label(self) -> str:
@@ -216,15 +187,16 @@ class SingularityClass:
         return f"{self.family}{idx}"
 
 
-def classify_linear(lh: LinearHeightReport) -> SingularityClass:
-    """Normal-form class (A or D family) from the linear-height report of a
-    polynomial of linear height < 2.
+def classify_linear(lh: LinearHeightReport, h: Fraction) -> SingularityClass:
+    """Normal-form class (A or D family) of a polynomial of linear height
+    < 2, from its linear-height report and its height ``h``.
 
     Requires a critical point at the origin and that no linear coordinate
-    system is adapted.  The root jet psi of the normal form is the branch of
-    critical points of x2 -> phi(x1, x2), solved to order ``4 * deg + 4`` for
-    an input of total degree ``deg``; ``b0`` is phi along the jet, and its
-    vanishing order n fixes the index.
+    system is adapted.  The index is read off ``h``, an analytic invariant
+    (Varchenko): the normal forms x2^2 +- x1^n of A_(n-1) and x1*x2^2 +-
+    x1^n of D_(n+1) are adapted, with h = 2n/(n+2) and h = 2n/(n+1), and
+    the infinite-index forms x2^2 and x1*x2^2 have h = 2.  So n = 2h/(2 - h)
+    for A and h/(2 - h) for D, and n is infinite exactly when h = 2.
 
     The normal form is read off the coordinates ``linear_height`` returns:
     the 2-jet is c02*x2^2 and, if c02 = 0, the 3-jet is x2^2*(c12*x1 +
@@ -244,19 +216,19 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     Family A (sigma = 0) keeps the coordinates; family D (sigma = 1) maps
     x1 -> x1 - (c03/c12)*x2, which makes the 3-jet c12*x1*x2^2.
 
-    The branch is peeled on the shear kernel, one monomial per pass.  In
-    ``phi(x1, x2 + psi)`` the x2^1 row is d phi/d x2 along psi and the x2^0
-    row is phi along psi.  A pass reads the lowest term c*x1^v of the x2^1
-    row and shears by ``-c/unit * x1^(v - sigma)``, where ``unit * x1^sigma``
-    leads d^2 phi/d x2^2 along the branch (``unit`` is 2*c02 or 2*c12); it
-    stops once that row vanishes below x1^(order + sigma).  Terms of x1-order
-    above ``order + sigma`` are dropped before every pass, which is exact for
-    the orders kept: a shear by c*x1^e with e >= 1 never lowers an x1-order.
-    A polynomial branch divides d phi/d x2, so its degree is below deg; only
-    such a jet gets one full shear, which decides whether it is the exact
-    branch (x2^1 row zero) and then gives the exact b0 (x2^0 row).
-    Otherwise a term of the truncated b0 of order <= ``order`` is still exact
-    (the jet error enters above it) and gives n.
+    The printed root jet psi is the branch of critical points of x2 ->
+    phi(x1, x2), solved to order ``4 * deg + 4`` for an input of total
+    degree ``deg`` and peeled on the shear kernel, one monomial per pass.
+    In ``phi(x1, x2 + psi)`` the x2^1 row is d phi/d x2 along psi and the
+    x2^0 row, b0, is phi along psi.  A pass reads the lowest term c*x1^v of
+    the x2^1 row and shears by ``-c/unit * x1^(v - sigma)``, where ``unit *
+    x1^sigma`` leads d^2 phi/d x2^2 along the branch (``unit`` is 2*c02 or
+    2*c12); it stops once that row vanishes below x1^(order + sigma).  Terms
+    of x1-order above ``order + sigma`` are dropped before every pass, which
+    is exact for the orders kept: a shear by c*x1^e with e >= 1 never lowers
+    an x1-order.  The terms of b0 up to x1^order are exact (the jet error
+    enters above them), so b0 is a second route to n: when either its
+    valuation or n is at most ``order``, the two must be equal.
     """
     if lh.h_lin >= 2:
         raise ValueError(f"linear height {lh.h_lin} is not < 2")
@@ -301,41 +273,32 @@ def classify_linear(lh: LinearHeightReport) -> SingularityClass:
     m = min(psi, default=-1)
     if m < 2:
         raise InternalInvariantError("normal-form root jet must start at order >= 2")
-    jet = _x1_poly(psi)
 
-    full = None
-    if jet.total_degree() < work.total_degree():
-        full = work.shear_substitute(jet)
-    if full is not None and not _x2_row(full, 1):
-        row = _x2_row(full, 0)
-        b0, n, exact = _x1_poly(row), min(row, default=None), True
-    else:
-        v = min(_x2_row(sheared, 0), default=order + 1)
-        b0, n = None, (v if v <= order else None)
-        exact = n is not None
-
-    if n is not None:
+    n = None
+    if h != 2:
         lower = 2 * m + 1 if family == "A" else 2 * m + 2
-        if n < lower:
+        q = (2 * h if family == "A" else h) / (2 - h)
+        if q.denominator != 1 or q < lower:
             raise InternalInvariantError(
-                f"type {family} index out of range: n = {n} < {lower}")
-        index = n - 1 if family == "A" else n + 1
-    else:
-        index = None
+                f"height {h} gives no type {family} index with n >= {lower}")
+        n = int(q)
+    v = min(_x2_row(sheared, 0), default=order + 1)
+    if min(v, order + 1) != (order + 1 if n is None else min(n, order + 1)):
+        raise InternalInvariantError(
+            f"phi vanishes to order {v} along the critical branch, "
+            f"but the height {h} gives n = {n}")
+    index = None if n is None else (n - 1 if family == "A" else n + 1)
 
     d_expected = (Fraction(2 * m, m + 1) if family == "A"
                   else Fraction(2 * m + 1, m + 1))
     if NewtonPolyhedron.of(work).distance() != d_expected:
         raise InternalInvariantError(
             "normal-form distance does not match the classified family")
+    jet = PuiseuxPoly({(e1, 0): c for e1, c in psi.items()})
     return SingularityClass(family=family, index=index, m=m, n=n,
-                            psi_truncation=jet, b0=b0, exact=exact)
+                            psi_truncation=jet)
 
 
 def _x2_row(phi: PuiseuxPoly, e2: int) -> dict[int, Fraction]:
     """x1-exponent -> coefficient of the x2^e2 row of an integer-exponent phi."""
     return {int(e1): c for (e1, k), c in phi.terms.items() if k == e2}
-
-
-def _x1_poly(row: dict[int, Fraction]) -> PuiseuxPoly:
-    return PuiseuxPoly({(e1, 0): c for e1, c in row.items()})

@@ -142,7 +142,7 @@ class ReportDocument:
         rep = self.exponent
         if rep.h_lin >= 2 or rep.linear.adapted_linear_exists:
             return None
-        return classify_linear(rep.linear)
+        return classify_linear(rep.linear, rep.h)
 
     def to_json_dict(self) -> dict:
         rep = self.exponent
@@ -188,7 +188,7 @@ class ReportDocument:
                 "index": self.singularity.index,
                 "m": self.singularity.m,
                 "n": self.singularity.n,
-                "exact": self.singularity.exact,
+                "exact": True,  # n is read off h
                 "psi": render(self.singularity.psi_truncation),
             },
             "notes": [],

@@ -6,10 +6,13 @@ for the ``analyze``, ``knapp``, ``trace`` and ``diagram`` subcommands of
 one input whose reports carry an algebraic-root halt, one A/D input whose
 critical branch is not a polynomial, and two A/D inputs whose linear stage
 ends in coordinates that ``classify_linear`` still moves or that a linear
-transform reached.  The digest is of the written output
+transform reached, and four high-contact A/D inputs whose index lies above
+the classifier's series order.  The digest is of the written output
 file on exit 0 and of stderr otherwise.
 ``tests/test_golden.py`` recomputes every entry and requires the bytes to be
-unchanged.
+unchanged; so does ``--check``, which needs no pytest::
+
+    PYTHONPATH=src python tests/make_golden.py --check
 
 Regenerate the file only when an output change is intended::
 
@@ -28,7 +31,7 @@ import tempfile
 
 from nrestrict.cli import main
 
-from test_acceptance import EX122, NORMAL_FORMS, POWER_CASES
+from inputs import EX122, NORMAL_FORMS, POWER_CASES, high_contact
 
 COMMANDS = ("analyze", "knapp", "trace", "diagram")
 
@@ -50,7 +53,11 @@ NONPOLY_BRANCH = ["((x2 - x1)^2 - 5*x1)^2 + x1^7"]
 LINEAR_NORMALIZATION = ["x1*(x2 - x1^2)^2 + x2^3 + x1^9",
                         "(x2 + 3*x1 - x1^2)^2 + x1^5"]
 
-INPUTS = ACCEPTANCE + LADDER + HALT + NONPOLY_BRANCH + LINEAR_NORMALIZATION
+#: A49, D52, A71 and D74, whose n lies above the classifier's series order
+HIGH_INDEX = [high_contact(a, x1) for a in (5, 6) for x1 in (False, True)]
+
+INPUTS = (ACCEPTANCE + LADDER + HALT + NONPOLY_BRANCH + LINEAR_NORMALIZATION
+          + HIGH_INDEX)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden.json")
@@ -77,8 +84,21 @@ def compute() -> dict[str, str]:
                 for text in INPUTS for cmd in COMMANDS}
 
 
+def changed(got: dict[str, str]) -> list[str]:
+    """The keys of ``golden.json`` that ``got`` lacks, adds or differs on."""
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        want = json.load(fh)
+    return sorted(key for key in want.keys() | got.keys()
+                  if got.get(key) != want.get(key))
+
+
 if __name__ == "__main__":
     table = compute()
+    if sys.argv[1:] == ["--check"]:
+        bad = changed(table)
+        print(f"{len(table) - len(bad)} of {len(table)} digests match; "
+              f"changed: {bad[:3]}", file=sys.stderr)
+        sys.exit(1 if bad else 0)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(table, fh, indent=1, sort_keys=True)
         fh.write("\n")

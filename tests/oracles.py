@@ -4,17 +4,23 @@ These deliberately avoid the library's own code paths: expansion works on
 plain dicts, the hull oracle tests extremality pairwise, multiplicities
 come from counting vanishing derivatives, and the real-root reference runs
 Yun and Sturm over Q on Fraction coefficient tuples instead of the
-library's integer kernels, and the A/D classification solves its critical
+library's integer kernels, the A/D classification solves its critical
 branch term by term with a Fraction Horner composition instead of the
-library's shear kernel.
+library's shear kernel, and the report oracle re-derives an ``analyze``
+report's numbers from the report and its input text alone.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
+import io
+import json
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
+from nrestrict import cli
 from nrestrict.errors import InternalInvariantError
 from nrestrict.poly import PuiseuxPoly
 
@@ -171,6 +177,21 @@ def brute_hull_vertices(points: list[tuple[Fraction, Fraction]]):
         return False
 
     return [p for p in pts if not dominated(p) and not covered_by_pair(p)]
+
+
+def newton_distance(points: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """The least t with (t, t) in conv(union of p + R+^2), from first
+    principles: min(max(x, y)) over the hull is taken at a vertex or where
+    a segment between two vertices crosses the diagonal."""
+    pts = brute_hull_vertices(points)
+    best = min(max(p) for p in pts)
+    for q in pts:
+        for r in pts:
+            a, b = q[0] - q[1], r[0] - r[1]
+            if a < 0 < b:
+                lam = Fraction(b) / (b - a)
+                best = min(best, lam * q[0] + (1 - lam) * r[0])
+    return best
 
 
 def derivative_multiplicity(coeffs: list[Fraction], root: Fraction) -> int:
@@ -465,11 +486,11 @@ def solve_critical_branch(f, sigma: int, order: int):
 
 
 def series_classification(lh):
-    """``(psi_truncation, n, exact, b0, label)`` of ``classify_linear`` on
-    the same linear-height report, jets as x1-only ``PuiseuxPoly``s, from
-    the term-by-term solver: the branch
-    is exact iff d phi/d x2 vanishes along it, and otherwise n is the
-    valuation of phi along the jet when it is at most the series order."""
+    """``(psi_truncation, n, label)`` of ``classify_linear`` on the same
+    linear-height report, the jet as an x1-only ``PuiseuxPoly``, from the
+    term-by-term solver: when d phi/d x2 vanishes along the jet, n is the
+    valuation of phi along it, and otherwise the valuation of phi along the
+    jet when it is at most the series order (else n is taken as infinite)."""
     work = lh.transformed
     order = 4 * int(work.total_degree()) + 4
     if work.coefficient(0, 2):
@@ -484,14 +505,89 @@ def series_classification(lh):
     psi = solve_critical_branch(f, sigma, order)
     if not compose_x2_exact(f, psi):
         b0 = compose_x2_exact(work, psi)
-        n = None if not b0 else valuation(b0)
-        exact = True
+        n = valuation(b0) if b0 else None
     else:
-        b0 = None
         v = valuation(compose_x2(work, psi, order))
         n = v if v >= 0 else None
-        exact = v >= 0
     index = None if n is None else (n - 1 if family == "A" else n + 1)
     label = f"{family}{'inf' if index is None else index}"
-    as_x1 = lambda u: PuiseuxPoly({(i, 0): c for i, c in enumerate(u)})
-    return as_x1(psi), n, exact, None if b0 is None else as_x1(b0), label
+    return PuiseuxPoly({(i, 0): c for i, c in enumerate(psi)}), n, label
+
+
+# -- a report-level oracle ------------------------------------------------
+#
+# One ``analyze`` report, checked against the definitions written out again
+# here.  Only ``cli.main`` runs library code: the input text is expanded on
+# plain dicts by walking its Python syntax tree.
+
+
+def expand_input(text: str) -> dict:
+    """``{(e1, e2): coefficient}`` of an input of integers, x1, x2, + - * /
+    ^ and parentheses, expanded on plain dicts."""
+    def ev(node) -> dict:
+        if isinstance(node, ast.Constant) and isinstance(node.value, int):
+            return {(0, 0): Fraction(node.value)} if node.value else {}
+        if isinstance(node, ast.Name) and node.id in ("x1", "x2"):
+            return {(1, 0) if node.id == "x1" else (0, 1): Fraction(1)}
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return naive_sub({}, ev(node.operand))
+        if isinstance(node, ast.BinOp):
+            a = ev(node.left)
+            if isinstance(node.op, ast.Pow):
+                return naive_pow(a, node.right.value)
+            b = ev(node.right)
+            if isinstance(node.op, ast.Add):
+                return naive_sub(a, naive_sub({}, b))
+            if isinstance(node.op, ast.Sub):
+                return naive_sub(a, b)
+            if isinstance(node.op, ast.Mult):
+                return naive_mul(a, b)
+            if isinstance(node.op, ast.Div) and set(b) == {(0, 0)}:
+                return naive_mul(a, {(0, 0): 1 / b[(0, 0)]})
+        raise ValueError(f"unsupported input syntax: {ast.dump(node)}")
+    return ev(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def analyze_report_mismatches(text: str) -> list[str]:
+    """The checks that one ``nrestrict analyze`` report of ``text`` fails:
+
+    - the input polyhedron's vertices and ``d`` against the brute-force hull;
+    - ``p_c_prime`` = 2*``h_r`` + 2 or 2*``h`` + 2, as ``source`` says, and
+      ``theta``*``p_c_prime`` = 2;
+    - the largest Knapp ``derived_exponent`` equals ``p_c_prime``;
+    - the singularity's n, index and label follow from ``h``: h = 2n/(n+2)
+      for A_(n-1), 2n/(n+1) for D_(n+1), and h = 2 for an infinite index.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["analyze", text])
+    if code:
+        return [f"analyze exits {code}"]
+    doc = json.loads(out.getvalue())
+    q = lambda s: None if s is None else Fraction(s)
+    bad = []
+    support = list(expand_input(doc["input"]))
+    vertices = sorted((Fraction(a), Fraction(b))
+                      for a, b in doc["polyhedron"]["vertices"])
+    if vertices != brute_hull_vertices(support):
+        bad.append(f"polyhedron vertices {vertices}")
+    if q(doc["d"]) != newton_distance(support):
+        bad.append(f"d = {doc['d']}, hull gives {newton_distance(support)}")
+    h, p = q(doc["h"]), q(doc["p_c_prime"])
+    base = q(doc["h_r"]) if doc["source"] == "r_height_2hr_plus_2" else h
+    if p != 2 * base + 2:
+        bad.append(f"p_c_prime = {p} with source {doc['source']}")
+    if q(doc["theta"]) * p != 2:
+        bad.append(f"theta = {doc['theta']}")
+    certs = doc["knapp_certificates"]
+    if certs is not None and max(q(c["derived_exponent"]) for c in certs) != p:
+        bad.append("the largest Knapp exponent is not p_c_prime")
+    s = doc["singularity"]
+    if s is not None:
+        n = None if h == 2 else (2 * h if s["family"] == "A" else h) / (2 - h)
+        index = None if n is None else n - 1 if s["family"] == "A" else n + 1
+        label = s["family"] + ("inf" if index is None else str(index))
+        if (s["n"], s["index"], s["label"]) != (n, index, label):
+            bad.append(f"singularity {s['label']} (n = {s['n']}) but h = {h}"
+                       f" gives {label} (n = {n})")
+    return bad

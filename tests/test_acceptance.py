@@ -19,6 +19,7 @@ from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.splitting import fine_splitting_trace, select_l_pr
 
+from inputs import EX122, NORMAL_FORMS, POWER_CASES
 from oracles import brute_hull_vertices
 
 
@@ -30,35 +31,6 @@ def knapp_certificates(phi, jet):
     """Certificates of ``phi`` sheared by the whole of ``jet`` at once."""
     return certificates_of_polyhedron(
         jet, NewtonPolyhedron.of(phi.shear_substitute(jet)))
-
-
-EX122 = "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3"
-
-POWER_CASES = [(2, 2), (2, 3), (2, 5), (3, 4), (3, 8)]
-
-# (expression, family, m, n or None for the flat case)
-NORMAL_FORMS = [
-    ("(x2 - x1^2)^2 + x1^5", "A", 2, 5),
-    ("(x2 - x1^2)^2 + x1^6", "A", 2, 6),
-    ("(x2 - x1^2)^2 - x1^8", "A", 2, 8),
-    ("(x2 - x1^3)^2 + x1^7", "A", 3, 7),
-    ("(x2 - x1^3)^2 + x1^9", "A", 3, 9),
-    ("(x2 - x1^4)^2 + x1^9", "A", 4, 9),
-    ("(x2 - x1^2)^2", "A", 2, None),
-    ("(x2 - x1^3)^2", "A", 3, None),
-    ("(x2 - x1^2 - x1^3)^2 + x1^7", "A", 2, 7),
-    ("(1 + x1)*(x2 - x1^2)^2 + x1^5", "A", 2, 5),
-    ("(x2 + 2*x1 - x1^2)^2 + x1^5", "A", 2, 5),
-    ("x1*(x2 - x1^2)^2 + x1^7", "D", 2, 7),
-    ("x1*(x2 - x1^2)^2 + x1^8", "D", 2, 8),
-    ("x1*(x2 - x1^3)^2 + x1^9", "D", 3, 9),
-    ("x1*(x2 - x1^3)^2 + x1^10", "D", 3, 10),
-    ("x1*(x2 - x1^4)^2 + x1^11", "D", 4, 11),
-    ("x1*(x2 - x1^2)^2", "D", 2, None),
-    ("x1*(x2 - x1^3)^2", "D", 3, None),
-    ("(x1 + x2^2)*(x2 - x1^2)^2 + x1^7", "D", 2, 7),
-    ("x1*(x2 - x1^2 + 2*x1^3)^2 + x1^8", "D", 2, 8),
-]
 
 
 def report(number: int, ok: bool, detail: str):
@@ -116,12 +88,12 @@ def test_criterion_3_normal_form_suite():
     for text, fam, m, n in NORMAL_FORMS:
         phi = P(text)
         lh = linear_height(phi)
-        cls = classify_linear(lh)
+        rep = critical_exponent(phi)
+        cls = classify_linear(lh, rep.h)
         assert cls.family == fam and cls.m == m, text
         assert cls.n == n, text
         d_expect = F(2 * m, m + 1) if fam == "A" else F(2 * m + 1, m + 1)
         assert lh.h_lin == d_expect, text
-        rep = critical_exponent(phi)
         assert rep.p_c_prime == 2 * d_expect + 2, text
         theta_expect = (F(m + 1, 3 * m + 1) if fam == "A"
                         else F(m + 1, 3 * m + 2))

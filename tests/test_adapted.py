@@ -17,8 +17,8 @@ from nrestrict.report import analyze
 from nrestrict.roots import RootRecord, squarefree_real_roots
 
 from make_golden import ACCEPTANCE, LADDER
+from inputs import EX122, HIGH_CONTACT, NORMAL_FORMS, high_contact
 from oracles import series_classification
-from test_acceptance import EX122, NORMAL_FORMS
 
 #: (k, label) of ((x2 - x1)^2 - 5*x1)^2 + x1^k, whose critical branch is an
 #: infinite series
@@ -34,7 +34,15 @@ def P(text):
 
 
 def classify(phi):
-    return classify_linear(linear_height(phi))
+    rep = critical_exponent(phi)
+    return classify_linear(rep.linear, rep.h)
+
+
+def height_of_class(family, n):
+    """h = 2n/(n+2) for A_(n-1), 2n/(n+1) for D_(n+1), 2 for n infinite."""
+    if n is None:
+        return F(2)
+    return F(2 * n, n + 2) if family == "A" else F(2 * n, n + 1)
 
 
 class TestCircleVanishingOrder:
@@ -227,6 +235,18 @@ class TestLinearHeight:
         assert lh.adapted_linear_exists
         assert lh.transformed == P("x2^2")
 
+    def test_one_change_reaches_a_ratio_of_two(self):
+        # a swap at ratio 1/2, and a shear at ratio 1, each end non-adapted
+        # at ratio 2 after the second judgement
+        for text, t in [("(x1 - x2^2)^2 + x2^5", adapted.SWAP),
+                        ("(x2 - x1 - x1^2)^2 + x1^5",
+                         adapted._shear_matrix(F(1)))]:
+            lh = linear_height(P(text))
+            assert lh.transform == t, text
+            assert lh.transformed == P("(x2 - x1^2)^2 + x1^5"), text
+            assert not lh.adapted_linear_exists and lh.m == 2, text
+            assert lh.h_lin == F(4, 3), text
+
     def test_vertex_adapted(self):
         lh = linear_height(P("x1*x2"))
         assert lh.h_lin == 1 and lh.adapted_linear_exists
@@ -254,12 +274,11 @@ class TestClassification:
     def test_a4(self):
         c = classify(P("(x2 - x1^2)^2 + x1^5"))
         assert (c.family, c.index, c.m, c.n) == ("A", 4, 2, 5)
-        assert c.label == "A4" and c.exact
+        assert c.label == "A4"
 
     def test_a_infinity_exactly_zero(self):
         c = classify(P("(x2 - x1^2)^2"))
         assert c.family == "A" and c.index is None and c.n is None
-        assert c.exact and c.b0 is not None and c.b0.is_zero()
 
     def test_d8(self):
         c = classify(P("x1*(x2 - x1^2)^2 + x1^7"))
@@ -267,7 +286,7 @@ class TestClassification:
 
     def test_d_infinity(self):
         c = classify(P("x1*(x2 - x1^2)^2"))
-        assert c.family == "D" and c.index is None and c.exact
+        assert c.family == "D" and c.index is None and c.n is None
 
     def test_nontrivial_jet_and_unit(self):
         c = classify(P("(x2 - x1^2 - x1^3)^2 + x1^9"))
@@ -302,25 +321,38 @@ class TestClassification:
     def test_non_polynomial_branch(self):
         for k, label in K_FAMILY:
             c = classify(P(k_family(k)))
-            assert c.label == label and c.exact, k
-            assert c.b0 is None and c.m == 2, k
+            assert c.label == label and c.m == 2, k
 
     def test_index_agrees_with_height(self):
-        # h = 2n/(n+2) for A_(n-1), 2n/(n+1) for D_(n+1), 2 for an infinite
-        # index
-        texts = [t for t, *_ in NORMAL_FORMS] + [k_family(k) for k, _ in K_FAMILY]
+        # the high-contact family has n = 2a^2 (A) or 2a^2 + 1 (D), above
+        # the series order from a = 5 on
+        texts = ([t for t, *_ in NORMAL_FORMS]
+                 + [k_family(k) for k, _ in K_FAMILY] + HIGH_CONTACT)
         for text in texts:
             rep = critical_exponent(P(text))
-            label = classify_linear(rep.linear).label
-            family, index = label[0], label[1:]
-            if index == "inf":
-                assert rep.h == 2, text
-            elif family == "A":
-                n = int(index) + 1
-                assert rep.h == F(2 * n, n + 2), text
-            else:
-                n = int(index) - 1
-                assert rep.h == F(2 * n, n + 1), text
+            c = classify_linear(rep.linear, rep.h)
+            assert rep.h == height_of_class(c.family, c.n), text
+            index = None if c.n is None else (
+                c.n - 1 if c.family == "A" else c.n + 1)
+            assert c.index == index, text
+        for a in range(2, 7):
+            for x1 in (False, True):
+                c = classify(P(high_contact(a, x1)))
+                want = ("D" if x1 else "A", 2 * a * a + x1)
+                assert (c.family, c.n) == want, a
+
+    def test_b0_route_rejects_a_wrong_height(self):
+        # A4 has n = 5; A (x2 - x1^2)^2 has n infinite; the series order is
+        # 20 for both, so phi along the branch shows the true n
+        lh = linear_height(P("(x2 - x1^2)^2 + x1^5"))
+        for h in (height_of_class("A", 7), F(2)):
+            with pytest.raises(InternalInvariantError, match="along the"):
+                classify_linear(lh, h)
+        with pytest.raises(InternalInvariantError, match="no type A index"):
+            classify_linear(lh, F(7, 5))
+        lh = linear_height(P("(x2 - x1^2)^2"))
+        with pytest.raises(InternalInvariantError, match="along the critical"):
+            classify_linear(lh, height_of_class("A", 9))
 
 
 X1, X2 = PuiseuxPoly.x1(), PuiseuxPoly.x2()
@@ -357,7 +389,11 @@ def ad_inputs(draw):
 
 class TestClassificationOracle:
     """``classify_linear`` peels the critical branch on the shear kernel;
-    the oracle solves it term by term with a Fraction Horner composition."""
+    the oracle solves it term by term with a Fraction Horner composition.
+    The h that the oracle's n implies is passed in, so the peel's b0 route
+    checks the oracle's n; h comes from the oracle, because the package
+    cannot compute h for every generated input (an infinite psi runs
+    ``adapted_coordinates`` out of shears)."""
 
     @given(ad_inputs())
     @example(P(k_family(5)))
@@ -376,7 +412,7 @@ class TestClassificationOracle:
         if not work.coefficient(0, 2):
             assert not work.coefficient(3, 0) and not work.coefficient(2, 1)
             assert work.coefficient(1, 2)
-        c = classify_linear(lh)
-        got = (c.psi_truncation, c.n, c.exact, c.b0, c.label)
-        assert got == series_classification(lh)
+        psi, n, label = series_classification(lh)
+        c = classify_linear(lh, height_of_class(label[0], n))
+        assert (c.psi_truncation, c.n, c.label) == (psi, n, label)
 

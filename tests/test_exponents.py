@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nrestrict.adapted import classify_linear, linear_height
+from nrestrict.adapted import classify_linear
 from nrestrict.exponents import (certificates_of_polyhedron,
                                  critical_exponent, h_f, h_r_tilde_sample)
 from nrestrict.geometry import NewtonPolyhedron
@@ -69,7 +69,7 @@ class TestCriticalExponent:
                  ("x1*(x2 - x1^3)^2 + x1^9", "D", 3)]
         for text, fam, m in cases:
             rep = critical_exponent(P(text))
-            cls = classify_linear(linear_height(P(text)))
+            cls = classify_linear(rep.linear, rep.h)
             assert (cls.family, cls.m) == (fam, m)
             expect = (F(m + 1, 3 * m + 1) if fam == "A"
                       else F(m + 1, 3 * m + 2))

@@ -11,7 +11,9 @@ from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import _jet_json, analyze
 
+from inputs import HIGH_CONTACT
 from make_golden import COMMANDS, INPUTS
+from oracles import analyze_report_mismatches
 
 STAGES = ("fine_splitting_trace", "classify_linear",
           "certificates_of_polyhedron")
@@ -54,10 +56,10 @@ def test_each_subcommand_runs_only_the_stages_it_prints(stage_calls,
         assert set(totals[cmd]) == reads[cmd], cmd
 
 
-def test_no_restriction_is_isolated_twice(monkeypatch):
-    """The splitting stage reads the roots the adaptedness verdict holds:
-    over the golden inputs no restriction is isolated by both, and one
-    ``analyze(...).to_json()`` each isolates 142 restrictions in all."""
+@pytest.fixture
+def isolations(monkeypatch):
+    """Log ``(module, (restriction, side))`` for each root isolation that
+    ``adapted`` and ``splitting`` make."""
     calls = []
     for mod in (adapted, splitting):
         def spy(u, sign_of_variable="+", _mod=mod,
@@ -65,15 +67,42 @@ def test_no_restriction_is_isolated_twice(monkeypatch):
             calls.append((_mod, (tuple(u), sign_of_variable)))
             return _real(u, sign_of_variable)
         monkeypatch.setattr(mod, "squarefree_real_roots", spy)
-    total = 0
+    return calls
+
+
+def test_no_restriction_is_isolated_twice(isolations):
+    """The splitting stage reads the roots the adaptedness verdict holds:
+    over the golden inputs no restriction is isolated by both."""
     for text in INPUTS:
-        calls.clear()
+        isolations.clear()
         analyze(parse_expression(text)).to_json()
-        judged = {key for mod, key in calls if mod is adapted}
-        split = [key for mod, key in calls if mod is splitting]
+        judged = {key for mod, key in isolations if mod is adapted}
+        split = [key for mod, key in isolations if mod is splitting]
         assert [key for key in split if key in judged] == [], text
-        total += len(calls)
-    assert total == 142
+
+
+#: a fixed list, apart from the golden inputs, whose isolation count is
+#: pinned: EX122, a power, an A4, the D7 with an x2^3 term, the halting
+#: input and a ladder rung
+ISOLATION_INPUTS = [
+    "(x2 - x1^2 - x1^3)*(x2 - x1^2 - x1^4)^3", "(x2 - x1^2)^5",
+    "(x2 - x1^2)^2 + x1^5", "x1*(x2 - x1^2)^2 + x2^3 + x1^9",
+    "((x2 - x1^2)^2 - 2*x1^6)^2",
+    "(x2 - x1^2 - x1^3)^4*(x2 - x1^2 - x1^4) + x1^23"]
+
+
+def test_isolation_count_is_pinned(isolations):
+    """One ``analyze(...).to_json()`` each isolates 23 restrictions in all."""
+    for text in ISOLATION_INPUTS:
+        analyze(parse_expression(text)).to_json()
+    assert len(isolations) == 23
+
+
+def test_analyze_reports_agree_with_the_oracle():
+    """Each report's d, p_c', theta, Knapp maximum and A/D index agree with
+    the definitions, re-derived from the report and its input alone."""
+    for text in dict.fromkeys(INPUTS + HIGH_CONTACT):
+        assert analyze_report_mismatches(text) == [], text
 
 
 def test_jet_json_lists_terms_by_increasing_exponent():
