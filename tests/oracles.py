@@ -6,8 +6,10 @@ come from counting vanishing derivatives, and the real-root reference runs
 Yun and Sturm over Q on Fraction coefficient tuples instead of the
 library's integer kernels, the A/D classification solves its critical
 branch term by term with a Fraction Horner composition instead of the
-library's shear kernel, and the report oracle re-derives an ``analyze``
-report's numbers from the report and its input text alone.
+library's shear kernel, the report oracle re-derives an ``analyze``
+report's numbers from the report and its input text alone, and the
+oscillatory-sum oracle sums every cell of the index grid with its own
+exponential, with no bucketing and no window.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import io
 import json
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import gcd, log2
 
+import numpy as np
 from nrestrict import cli
 from nrestrict.errors import InternalInvariantError
 from nrestrict.poly import PuiseuxPoly
@@ -591,3 +594,51 @@ def analyze_report_mismatches(text: str) -> list[str]:
             bad.append(f"singularity {s['label']} (n = {s['n']}) but h = {h}"
                        f" gives {label} (n = {n})")
     return bad
+
+
+# -- oscillatory sums ------------------------------------------------------
+
+
+def direct_sweep(freqs, coeffs, ts, denom) -> float:
+    """Mean of the top 8 of |sum_j coeffs_j 2^(i freqs_j t)| * denom over the
+    t sample: one complex exponential per (t, term), 4096 terms at a time."""
+    freqs = np.asarray(freqs, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    acc = np.zeros(len(ts), dtype=complex)
+    for start in range(0, len(freqs), 4096):
+        part = slice(start, start + 4096)
+        acc += np.exp(1j * np.log(2.0) * np.outer(ts, freqs[part])) @ coeffs[part]
+    vals = np.abs(acc) * denom
+    k = min(8, len(vals))
+    return float(np.mean(np.sort(vals)[-k:])) if k else 0.0
+
+
+def direct_level_sups(trial, levels, ts, denom) -> list[float]:
+    """The sup proxy of each level's sum over the full index grid [0, m]^2
+    ([0, m] for a single trial), evaluated cell by cell: the coefficient is
+    prod_k chi(e_k <= log2 r_k) * cos^4(pi z_k / 2) with
+    e_k = beta_k . (m1, m2) + log2|a_k| and z_k = (sign_k 2^e_k - c_k) / s_k
+    (the cos^4 factor is 1 when the trial has no bump), and the frequency is
+    alpha . (m1, m2)."""
+    alphas = [float(a) for a in trial.alphas] + [0.0]
+    betas = [[float(b) for b in beta] + [0.0] for beta in trial.betas]
+    spec = trial.bump_spec
+    sups = []
+    for m in levels:
+        m1, m2 = np.meshgrid(np.arange(m + 1.0),
+                             np.arange(m + 1.0 if trial.kind == "double" else 1.0),
+                             indexing="ij")
+        coeff = np.ones(m1.shape)
+        for k, (beta, la, r) in enumerate(zip(betas, trial.log2_a,
+                                              trial.r_vals)):
+            e = beta[0] * m1 + beta[1] * m2 + la
+            coeff = np.where(e <= log2(r), coeff, 0.0)
+            if spec is not None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    z = (trial.sign_a[k] * np.exp2(e) - spec.centers[k]) \
+                        / spec.scales[k]
+                    coeff = coeff * np.where(np.abs(z) < 1.0,
+                                             np.cos(np.pi * z / 2) ** 4, 0.0)
+        freqs = alphas[0] * m1 + alphas[1] * m2
+        sups.append(direct_sweep(freqs.ravel(), coeff.ravel(), ts, denom))
+    return sups

@@ -12,9 +12,9 @@ from nrestrict import numerics
 from nrestrict.errors import QuadratureError
 from nrestrict.exponents import certificates_of_polyhedron, critical_exponent
 from nrestrict.geometry import NewtonPolyhedron
-from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, SumBoundTrial,
-                                _level_sups, _masked_bump_values, _poly_xy_eval,
-                                _sup_over_t, bump,
+from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, BumpSpec,
+                                SumBoundTrial, _axis_lines, _factor,
+                                _level_sups, _live_cells, _poly_xy_eval, bump,
                                 airy_scaling_check,
                                 dominance_probe,
                                 knapp_box_probe, lambda_grid, log_log_fit,
@@ -25,6 +25,7 @@ from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, SumBoundTrial,
                                 surface_decay_fit, van_der_corput_fit)
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
+from oracles import direct_level_sups
 
 
 def P(text):
@@ -316,6 +317,48 @@ class TestAiry:
         assert fit.verdict == "inconclusive"
 
 
+_FRACTIONS = st.builds(F, st.integers(-7, 7), st.integers(1, 6))
+_NONZERO = _FRACTIONS.filter(bool)
+
+
+@st.composite
+def _sum_trials(draw):
+    """Shipped trials, and trials built with either bump (or none), with axis
+    directions (b1 = 0 or b2 = 0) and with alphas of either sign, their
+    windows anchored at an index below 64 so that small levels are live."""
+    which = draw(st.sampled_from(["single", "double", "reference", "built"]))
+    if which == "single":
+        return random_single_trial(draw(st.integers(0, 10 ** 6)))
+    if which == "double":
+        return random_double_trial(draw(st.integers(0, 10 ** 6)))
+    if which == "reference":
+        return reference_double_trial()
+    kind = draw(st.sampled_from(["single", "double"]))
+    n = draw(st.integers(1, 3))
+    if kind == "single":
+        alphas = (draw(_NONZERO),)
+        betas = tuple((draw(_FRACTIONS),) for _ in range(n))
+    else:
+        alphas = (draw(_NONZERO), draw(_NONZERO))
+        betas = tuple(draw(st.sampled_from([(b1, F(0)), (F(0), b2), (b1, b2)]))
+                      for b1, b2 in [(draw(_NONZERO), draw(_NONZERO))
+                                     for _ in range(n)])
+    anchor = (draw(st.integers(0, 63)), draw(st.integers(0, 63)))
+    unit = st.floats(-0.8, 0.8)
+    spec = draw(st.one_of(st.none(), st.builds(
+        BumpSpec, st.tuples(*[st.floats(-1.1, 1.1)] * n),
+        st.tuples(*[st.floats(0.5, 1.3)] * n))))
+    ys = [(spec.centers[k] + draw(unit) * spec.scales[k]) if spec
+          else draw(st.floats(-2.0, 2.0)) for k in range(n)]
+    ys = [y if abs(y) >= 0.05 else math.copysign(0.05, y) for y in ys]
+    log2_a = tuple(math.log2(abs(y)) - sum(float(b) * a
+                                           for b, a in zip(beta, anchor))
+                   for y, beta in zip(ys, betas))
+    signs = tuple(math.copysign(1.0, y) for y in ys)
+    r_vals = tuple(draw(st.floats(1.0, 2.5)) for _ in range(n))
+    return SumBoundTrial(kind, alphas, betas, log2_a, signs, r_vals, spec)
+
+
 class TestSumBounds:
     def test_geometric_identity(self):
         trial = SumBoundTrial("single", (F(1),), ((F(1),),), (0.0,), (1.0,),
@@ -345,15 +388,49 @@ class TestSumBounds:
             denom = np.abs(np.exp(1j * numerics.LN2 * alpha * ts) - 1.0)
             levels = (1024, 4096)
             got = _level_sups(trial, levels, ts, denom)
-            for m, sup in zip(levels, got):
-                ls = np.arange(m + 1, dtype=float)
-                exps = [float(b[0]) * ls + la
-                        for b, la in zip(trial.betas, trial.log2_a)]
-                h = _masked_bump_values(trial, exps, (m + 1,))
-                live = np.nonzero(h)[0]
-                want = (_sup_over_t(alpha * live, h[live], ts, denom)
-                        if live.size else 0.0)
-                assert sup == pytest.approx(want, rel=1e-9, abs=1e-12), (i, m)
+            want = direct_level_sups(trial, levels, ts, denom)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), i
+
+    # the windows, the axis lines and the lattice sweep against one complex
+    # exponential per grid cell; the tolerance is the rounding of sums of
+    # O(m^2) terms with phases of size O(m)
+    @given(_sum_trials(), st.lists(st.integers(1, 256), min_size=1,
+                                    max_size=2))
+    @settings(max_examples=30, deadline=None)
+    def test_level_sups_match_direct_sum(self, trial, levels):
+        rng = np.random.default_rng(5)
+        ts = rng.uniform(0.11, 6.4, 48)
+        denom = rng.uniform(0.5, 2.0, 48)
+        got = _level_sups(trial, levels, ts, denom)
+        want = direct_level_sups(trial, levels, ts, denom)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_live_cells_are_the_full_grids_nonzero_cells(self):
+        # a window one index too narrow drops a boundary cell silently
+        cases = ([(random_double_trial(2000 + i), 256) for i in range(40)]
+                 + [(reference_double_trial(), 512)]
+                 + [(random_single_trial(1000 + i), 16384) for i in range(10)])
+        nonempty = 0
+        for trial, m in cases:
+            chunks = list(_live_cells(trial, m, _axis_lines(trial, m)))
+            got = [np.concatenate([c[i] for c in chunks] or [np.empty(0)])
+                   for i in range(3)]
+            m1, m2 = np.meshgrid(
+                np.arange(m + 1),
+                np.arange(m + 1 if trial.kind == "double" else 1),
+                indexing="ij")
+            vals = np.ones(m1.shape)
+            for k, (b, la) in enumerate(zip(trial.betas, trial.log2_a)):
+                e = (float(b[0]) * m1.astype(float)
+                     + (float(b[1]) if len(b) > 1 else 0.0) * m2.astype(float)
+                     + la)
+                vals = vals * _factor(trial, k, e)
+            live = vals != 0
+            nonempty += bool(live.any())
+            want = [m1[live], m2[live], vals[live]]
+            assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
+            assert got[2].tobytes() == want[2].tobytes()
+        assert nonempty >= 45   # 49 of these 51 grids hold a live cell
 
     def test_reference_vectors_satisfy_independence(self):
         trial = reference_double_trial()
