@@ -13,10 +13,9 @@ adapted shear, or a separable phase with the tensor cutoff); the direct 2-D
 tree is kept as a fallback for moderate frequencies and raises once its cell
 budget is exceeded.  Each surface fit records the path it took in ``meta``.
 
-Sum strategy: one sweep serves single and double oscillatory sums, a single
-sum being the double sum with its second index fixed at 0.  It evaluates the
-coefficients on the live polygon of the index grid only, buckets them on the
-frequency lattice, and sweeps the t sample in blocks of sqrt(K) frequencies.
+Sum strategy: one sweep serves single and double sums (a single sum is the
+double sum with its second index at 0).  It evaluates only the index grid's
+live polygon, buckets on the frequency lattice and sweeps t in sqrt(K) blocks.
 
 All randomized trials take explicit seeds and reduce in fixed index order, so
 results are reproducible run to run.
@@ -667,10 +666,9 @@ def _factor(trial: SumBoundTrial, k: int, e: np.ndarray) -> np.ndarray:
 
 
 def _axis_lines(trial: SumBoundTrial, top: int) -> list[tuple]:
-    """(b1, b2, log2|a_k|, line) of each coordinate k.  With b2 = 0 (every
-    single-trial direction) the factor depends on m1 alone, with b1 = 0 on m2
-    alone; line is then the factor on [0, top] of that index, bit for bit the
-    cell's as b2 * m2 = 0.0 adds nothing, and None otherwise."""
+    """(b1, b2, log2|a_k|, line) of each coordinate k: line is the factor on
+    [0, top] of m1 when b2 = 0 (so in every single trial), of m2 when b1 = 0,
+    bit for bit the cell's (b2 * m2 = 0.0 adds nothing), and else None."""
     n = np.arange(top + 1, dtype=float)
     dirs = [(float(b[0]), float(b[1]) if len(b) > 1 else 0.0, la)
             for b, la in zip(trial.betas, trial.log2_a)]
@@ -738,8 +736,7 @@ def _lattice_sup(w: np.ndarray, step: float, ts: np.ndarray,
     |F| = |sum_(j<K) w_(lo+j) z^j|, z = 2^(i step t), over the live span, and
     j = b C + c, C = ceil(sqrt(K)), makes it T x C powers z^c, a matmul with
     the C x B blocks of w, and T x B block phases z^(bC): T (C + B) exps, not
-    T K (a small non-uniform DFT; Dutt, Rokhlin, SIAM J. Sci. Comput. 1993).
-    """
+    T K (a small non-uniform DFT; Dutt, Rokhlin, SIAM J. Sci. Comput. 1993)."""
     live = np.flatnonzero(w)
     if not live.size or not len(ts):
         return 0.0
@@ -756,15 +753,13 @@ def _lattice_sup(w: np.ndarray, step: float, ts: np.ndarray,
 
 def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
                 denom: np.ndarray) -> list[float]:
-    """The t-sweep sup proxy of each level's sum (see ``_lattice_sup``).
-
-    Level m sums the masked bump coefficients over the index grid [0, m]^2
-    (second index 0 in a single trial), evaluated on the live polygon only
-    (``_live_cells``) and along an axis once per trial (``_axis_lines``), in
-    buckets of frequency alpha . (m1, m2) in units of g / q, where
-    alpha = (p1, p2) g / q with coprime p1, p2.  The sups agree with a direct
-    sum, one exponential per grid cell, to 1e-9 relative at m <= 256.
-    """
+    """The t-sweep sup proxy (``_lattice_sup``) of each level's sum of the
+    masked bump coefficients over the index grid [0, m]^2 (second index 0 in
+    a single trial), evaluated on the live polygon only (``_live_cells``)
+    and along an axis once per trial (``_axis_lines``), in buckets of
+    frequency alpha . (m1, m2) in units of g / q, where alpha = (p1, p2) g / q
+    with coprime p1, p2.  The sups agree with a direct sum, one exponential
+    per grid cell, to 1e-9 relative at m <= 256."""
     a1, a2 = (*trial.alphas, Fraction(0))[:2]
     q = math.lcm(a1.denominator, a2.denominator)
     g = math.gcd(int(a1 * q), int(a2 * q)) or 1

@@ -607,7 +607,8 @@ def direct_sweep(freqs, coeffs, ts, denom) -> float:
     acc = np.zeros(len(ts), dtype=complex)
     for start in range(0, len(freqs), 4096):
         part = slice(start, start + 4096)
-        acc += np.exp(1j * np.log(2.0) * np.outer(ts, freqs[part])) @ coeffs[part]
+        phases = np.exp(1j * np.log(2.0) * np.outer(ts, freqs[part]))
+        acc += phases @ coeffs[part]
     vals = np.abs(acc) * denom
     k = min(8, len(vals))
     return float(np.mean(np.sort(vals)[-k:])) if k else 0.0
@@ -625,8 +626,8 @@ def direct_level_sups(trial, levels, ts, denom) -> list[float]:
     spec = trial.bump_spec
     sups = []
     for m in levels:
-        m1, m2 = np.meshgrid(np.arange(m + 1.0),
-                             np.arange(m + 1.0 if trial.kind == "double" else 1.0),
+        width = m + 1.0 if trial.kind == "double" else 1.0
+        m1, m2 = np.meshgrid(np.arange(m + 1.0), np.arange(width),
                              indexing="ij")
         coeff = np.ones(m1.shape)
         for k, (beta, la, r) in enumerate(zip(betas, trial.log2_a,

@@ -354,7 +354,9 @@ def _sum_trials(draw):
     log2_a = tuple(math.log2(abs(y)) - sum(float(b) * a
                                            for b, a in zip(beta, anchor))
                    for y, beta in zip(ys, betas))
-    signs = tuple(math.copysign(1.0, y) for y in ys)
+    # a flipped sign can put a window wholly below 0, emptying the sum
+    signs = tuple(math.copysign(1.0, y) * draw(st.sampled_from([1, 1, 1, -1]))
+                  for y in ys)
     r_vals = tuple(draw(st.floats(1.0, 2.5)) for _ in range(n))
     return SumBoundTrial(kind, alphas, betas, log2_a, signs, r_vals, spec)
 
