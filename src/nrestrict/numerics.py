@@ -667,13 +667,11 @@ def _factor(trial: SumBoundTrial, k: int, e: np.ndarray) -> np.ndarray:
 
 def _axis_lines(trial: SumBoundTrial, top: int) -> list[tuple]:
     """(b1, b2, log2|a_k|, line) of each coordinate k: line is the factor on
-    [0, top] of m1 when b2 = 0 (so in every single trial), of m2 when b1 = 0,
-    bit for bit the cell's (b2 * m2 = 0.0 adds nothing), and else None."""
+    [0, top] of m1 if b2 = 0 (b2 * m2 = 0.0 adds nothing), else None."""
     n = np.arange(top + 1, dtype=float)
     dirs = [(float(b[0]), float(b[1]) if len(b) > 1 else 0.0, la)
             for b, la in zip(trial.betas, trial.log2_a)]
-    return [(b1, b2, la, None if b1 and b2 else
-             _factor(trial, k, (b2 or b1) * n + la))
+    return [(b1, b2, la, None if b2 else _factor(trial, k, b1 * n + la))
             for k, (b1, b2, la) in enumerate(dirs)]
 
 
@@ -690,7 +688,9 @@ def _live_cells(trial: SumBoundTrial, m: int, lines: list[tuple]):
     c' + s, c' = sign_k center_k: per row, one m2 interval when b2 != 0.
     Only their intersection, widened by one index, in rows with no zero on
     an m1 line is evaluated, and the ``!= 0`` filter stays (cos^4 can
-    underflow): the cells and values are the full grid's nonzero ones."""
+    underflow): the cells and values are the full grid's nonzero ones while
+    the rounding of the m2 ends stays below one index, so for |b2| >> 1e-10
+    (criterion 9's trials have |b2| >= 1/6)."""
     spec = trial.bump_spec
     lo = np.zeros(m + 1)
     hi = np.full(m + 1, float(m if trial.kind == "double" else 0))
@@ -717,9 +717,9 @@ def _live_cells(trial: SumBoundTrial, m: int, lines: list[tuple]):
         m2 = np.arange(len(m1)) + np.repeat(lo[r] + n - np.cumsum(n), n)
         vals = 1.0
         for k, (b1, b2, la, line) in enumerate(lines):
-            vals = vals * (line[m1] if b2 == 0 else line[m2] if b1 == 0
-                           else _factor(trial, k, b1 * m1.astype(float)
-                                        + b2 * m2.astype(float) + la))
+            vals = vals * (line[m1] if b2 == 0 else
+                           _factor(trial, k, b1 * m1.astype(float)
+                                   + b2 * m2.astype(float) + la))
         live = np.flatnonzero(vals != 0)
         yield m1[live], m2[live], vals[live]
 
