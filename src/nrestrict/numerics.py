@@ -2,8 +2,18 @@
 
 Quadrature strategy: one cell tree serves 1-D and 2-D integrals.  It
 subdivides the box dyadically until the phase varies by less than a fixed
-budget per cell, then applies fixed-order tensor Gauss-Legendre per cell; no
-Filon/Levin machinery.  A decay fit builds one tree per frequency ladder
+budget tau per cell, then applies fixed-order tensor Gauss-Legendre per cell;
+no Filon/Levin machinery.  Per axis, the n-point rule integrates exp(i theta)
+over the reference cell [-1, 1], with theta linear and varying by v across
+it, to within
+
+    |E| <= 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) * (v/2)^(2n)
+
+(``gl_remainder_bound``).  The bound covers the phase factor only: the
+amplitude's derivatives and the phase's curvature add to the error, and the
+probed variation can undershoot the true one.  The direct 2-D tree takes its
+default tau from this bound at order 16 (``TAU_2D``); the 1-D tree keeps
+tau = pi.  A decay fit builds one tree per frequency ladder
 (``lam`` may be an array): the tree is refined as for the largest |lam|, and a
 cell counts toward each lam exactly when a run at that lam alone would
 integrate it, that is when its own probed variation is fine at lam and the
@@ -74,8 +84,28 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-#: cells evaluated together in one step of the cell tree
-_CELL_CHUNK = 8192
+#: quadrature nodes evaluated together in one step of the cell tree: 8192
+#: cells of the 16-point 1-D rule, 512 of the 16x16-point 2-D rule
+_CHUNK_NODES = 2 ** 17
+
+
+def gl_remainder_bound(order: int, v: float) -> float:
+    """The module docstring's bound on the error of ``order``-point
+    Gauss-Legendre for exp(i theta) over [-1, 1], theta linear and varying
+    by ``v``: the remainder term with |d^(2n)/dt^(2n) exp(i theta)| =
+    (v/2)^(2n).  It bounds the phase factor only, not the amplitude."""
+    n = order
+    coef = (2 ** (2 * n + 1) * math.factorial(n) ** 4
+            / ((2 * n + 1) * math.factorial(2 * n) ** 3))
+    return coef * (v / 2) ** (2 * n)
+
+
+#: Gauss-Legendre order per axis of the direct 2-D tree
+_GL_ORDER_2D = 16
+#: default tau of the direct 2-D tree, about 6.6 pi: the per-axis variation
+#: v at which ``gl_remainder_bound(16, v)`` is 1e-12
+TAU_2D = 2 * (1e-12 / gl_remainder_bound(_GL_ORDER_2D, 2.0)) ** (
+    1 / (2 * _GL_ORDER_2D))
 
 
 def oscillatory_integral_1d(phase: Callable, amp: Callable,
@@ -99,17 +129,24 @@ def oscillatory_integral_1d(phase: Callable, amp: Callable,
 def oscillatory_integral_2d(phase: Callable, amp: Callable,
                             box: tuple[float, float, float, float],
                             lam: float | Sequence[float],
-                            tau: float = 2 * math.pi,
-                            max_cells: int = 400_000) -> complex | np.ndarray:
+                            tau: float = TAU_2D,
+                            max_cells: int = 100_000) -> complex | np.ndarray:
     """Direct 2-D analogue of the 1-D rule over ``box = (x0, x1, y0, y1)``:
-    quadtree refinement with a 4x4 phase probe per cell and 8x8-point
+    quadtree refinement with a 5x5 phase probe per cell and 16x16-point
     Gauss-Legendre.  ``lam`` is a scalar or a 1-D sequence, as in
     ``oscillatory_integral_1d``.
+
+    The default ``tau`` (``TAU_2D``, about 6.6 pi) is where the per-axis
+    Gauss-Legendre remainder for the phase factor,
+    2^33 (16!)^4 / (33 (32!)^3) * (v/2)^32 with v = |lam| * variation
+    (``gl_remainder_bound``), is 1e-12; it says nothing of the amplitude.
+    The default cell budget is counted in work: 100_000 cells of 256 nodes
+    are the 25.6M quadrature nodes of 400_000 cells of an 8x8 rule.
 
     Cost grows like lam^2, so this is the fallback path for moderate
     frequencies only; the cell budget guards against runaway refinement.
     """
-    return _cell_tree(phase, amp, box, lam, tau, 8, max_cells, 4)
+    return _cell_tree(phase, amp, box, lam, tau, _GL_ORDER_2D, max_cells, 5)
 
 
 def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
@@ -131,8 +168,8 @@ def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
     amplitude are evaluated once per integrated cell; only exp(i*lam*phase)
     is computed per frequency.  The cell budget and the depth cap apply to
     this one tree, so they trip exactly when a run at max |lam| would.  A
-    level is processed in chunks of ``_CELL_CHUNK`` cells, so the per-node
-    arrays stay small however many cells it holds.
+    level is processed in chunks of ``_CHUNK_NODES`` quadrature nodes, so
+    the per-node arrays stay small however many cells it holds.
     """
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if lams.ndim != 1:
@@ -144,6 +181,7 @@ def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
     probe = _tensor_grid(np.linspace(0.0, 1.0, probes), dim)
     node = _tensor_grid(nodes, dim)
     w = np.prod(_tensor_grid(weights, dim), axis=0)
+    step = _CHUNK_NODES // len(w)
     cells = np.array([box], dtype=float)
     anc = np.array([np.inf])   # smallest probed variation of strict ancestors
     totals = [0.0 + 0.0j] * len(lams)
@@ -155,9 +193,9 @@ def _cell_tree(phase: Callable, amp: Callable, box: Sequence[float],
                 f"cell budget exceeded in {dim}-D quadrature; "
                 "use a symbolic reduction or a smaller frequency")
         coarse, coarse_anc = [], []
-        for start in range(0, len(cells), _CELL_CHUNK):
-            chunk = cells[start:start + _CELL_CHUNK]
-            chunk_anc = anc[start:start + _CELL_CHUNK]
+        for start in range(0, len(cells), step):
+            chunk = cells[start:start + step]
+            chunk_anc = anc[start:start + step]
             lo, hi = chunk[:, 0::2], chunk[:, 1::2]
             ph = np.asarray(phase(*[lo[:, d, None] + (hi - lo)[:, d, None]
                                     * probe[d] for d in range(dim)]))
@@ -421,7 +459,7 @@ def surface_decay_fit(phi: PuiseuxPoly,
                       direction: tuple = (0, 0, 1),
                       lams: np.ndarray | None = None,
                       expected: float | None = None,
-                      tau: float = math.pi) -> DecayFit:
+                      tau: float | None = None) -> DecayFit:
     """Decay of the Fourier transform of the graph measure of ``phi`` over
     [-1/2, 1/2]^2 in a fixed direction, against the symbolic prediction 1/h
     with a tolerance of 0.07.
@@ -434,7 +472,9 @@ def surface_decay_fit(phi: PuiseuxPoly,
     budget.  ``meta["reduction"]`` names the path taken (``pure_x2``,
     ``sheared``, ``separable`` or ``direct_2d``); a direct 2-D fit also
     carries ``meta["fallback"]``, why no reduction applied.  Every path
-    integrates the whole grid from one cell tree.
+    integrates the whole grid from one cell tree, with ``tau`` as its cell
+    threshold; None takes each tree's default (pi for the 1-D reductions,
+    ``TAU_2D`` for the direct 2-D tree), and a smaller ``tau`` refines.
     """
     xi = tuple(Fraction(c) for c in direction)
     if all(c == 0 for c in xi):
@@ -455,14 +495,14 @@ def surface_decay_fit(phi: PuiseuxPoly,
     half_width = 0.5
     meta, reduced = _reduce_phase(phase_poly, half_width)
     if reduced is not None:
-        mags = reduced(lams, tau)
+        mags = reduced(lams, math.pi if tau is None else tau)
     else:
         # fallback: direct 2-D quadrature (moderate lam only)
         fphi = _poly_xy_eval(phase_poly)
         amp = lambda x, y: bump(x / half_width) * bump(y / half_width)
         box = (-half_width, half_width, -half_width, half_width)
-        mags = np.abs(oscillatory_integral_2d(fphi, amp, box, lams,
-                                              tau=2 * tau))
+        mags = np.abs(oscillatory_integral_2d(
+            fphi, amp, box, lams, TAU_2D if tau is None else tau))
     return _make_fit(desc, lams, mags, expected, 0.07, meta=meta)
 
 
@@ -538,8 +578,13 @@ def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
         y_max = hw + pad
         grid = np.linspace(-y_max, y_max, 4097)
         w1 = bump(y1 / hw)
-        gv = _trapezoid(w1[None, :] * bump((grid[:, None] + psi_vals[None, :]) / hw),
-                      y1, axis=1)
+        # in blocks of 1024 rows, so that no 4097 x 1025 array is built; each
+        # row's sum is the same.  Smaller blocks leave glibc's dynamic mmap
+        # threshold below the 1-D tree's 2 MB chunk arrays, which are then
+        # mapped afresh on every step: 256 rows made the 1-D fits 4% slower.
+        gv = np.concatenate([
+            _trapezoid(w1 * bump((rows[:, None] + psi_vals) / hw), y1, axis=1)
+            for rows in np.split(grid, range(1024, len(grid), 1024))])
 
         def amp_interp(y):
             return np.interp(np.asarray(y, dtype=float), grid, gv)

@@ -79,6 +79,20 @@ class TestQuadrature:
                 lambda x, y: bump(x) * bump(y), (-1.0, 1.0, -1.0, 1.0), lam)
             assert abs(i2 - ix * iy) <= 1e-6 * abs(ix * iy), lam
 
+    @pytest.mark.parametrize("order", [8, 16])
+    def test_remainder_bound_holds_for_a_linear_phase(self, order):
+        # int_-1^1 exp(i v t / 2) dt = 4 sin(v/2) / v, against the n-point
+        # rule, up to the rounding of a 16-term sum; TAU_2D is where the
+        # order-16 bound reaches 1e-12
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        for v in np.linspace(0.5, numerics.TAU_2D, 40):
+            exact = 4 * math.sin(v / 2) / v
+            rule = complex(weights @ np.exp(0.5j * v * nodes))
+            assert abs(rule - exact) <= (numerics.gl_remainder_bound(order, v)
+                                         + 1e-14)
+        assert numerics.gl_remainder_bound(16, numerics.TAU_2D) \
+            == pytest.approx(1e-12)
+
     def test_cell_budget_names_the_dimension(self):
         with pytest.raises(QuadratureError, match="1-D"):
             oscillatory_integral_1d(lambda s: s * s, bump, -1.0, 1.0, 1e5,
@@ -290,15 +304,29 @@ class TestSurfaceDecay:
                                "fallback": "no_reduction"}
 
     def test_fallback_honours_tau(self):
-        # the direct 2-D tree accepts a cell when lam * variation <= 2 * tau,
-        # the 1-D paths' rule; a finer tau refines more and moves the values
+        # the direct 2-D tree runs at TAU_2D unless a tau is given; a smaller
+        # tau refines the tree, which moves the values within the rule's error
         phi = P("x1^3*x2 + x1*x2^3 + x1^2*x2^2")
         lams = np.geomspace(4.0, 400.0, 5)
         coarse = surface_decay_fit(phi, (0, 0, 1), lams=lams)
-        fine = surface_decay_fit(phi, (0, 0, 1), lams=lams, tau=math.pi / 2)
+        assert surface_decay_fit(phi, (0, 0, 1), lams=lams,
+                                 tau=numerics.TAU_2D).magnitudes \
+            == coarse.magnitudes
+        fine = surface_decay_fit(phi, (0, 0, 1), lams=lams,
+                                 tau=numerics.TAU_2D / 4)
         assert fine.meta["reduction"] == "direct_2d"
         assert fine.magnitudes != coarse.magnitudes
-        assert fine.magnitudes == pytest.approx(coarse.magnitudes, rel=1e-3)
+        assert fine.magnitudes == pytest.approx(coarse.magnitudes, rel=1e-9)
+
+    def test_direct_2d_default_agrees_with_finer_tau(self):
+        # the 8x8-point rule at tau = 2 pi was 5.5e-7 off here
+        f = _poly_xy_eval(P("(x2 - x1^2)^2"))
+        amp = lambda x, y: bump(x / 0.5) * bump(y / 0.5)
+        box = (-0.5, 0.5, -0.5, 0.5)
+        ref = oscillatory_integral_2d(f, amp, box, 400.0,
+                                      tau=numerics.TAU_2D / 4)
+        val = oscillatory_integral_2d(f, amp, box, 400.0)
+        assert abs(val - ref) <= 1e-9 * abs(ref)
 
 
 class TestAiry:
