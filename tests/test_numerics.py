@@ -82,7 +82,7 @@ class TestQuadrature:
     @pytest.mark.parametrize("order", [8, 16])
     def test_remainder_bound_holds_for_a_linear_phase(self, order):
         # int_-1^1 exp(i v t / 2) dt = 4 sin(v/2) / v, against the n-point
-        # rule, up to the rounding of a 16-term sum; TAU_2D is where the
+        # rule, up to the rounding of an n-term sum; TAU_2D is where the
         # order-16 bound reaches 1e-12
         nodes, weights = np.polynomial.legendre.leggauss(order)
         for v in np.linspace(0.5, numerics.TAU_2D, 40):
@@ -319,7 +319,7 @@ class TestSurfaceDecay:
         assert fine.magnitudes == pytest.approx(coarse.magnitudes, rel=1e-9)
 
     def test_direct_2d_default_agrees_with_finer_tau(self):
-        # the 8x8-point rule at tau = 2 pi was 5.5e-7 off here
+        # an 8x8-point rule at tau = 2 pi misses this by 5.5e-7 relative
         f = _poly_xy_eval(P("(x2 - x1^2)^2"))
         amp = lambda x, y: bump(x / 0.5) * bump(y / 0.5)
         box = (-0.5, 0.5, -0.5, 0.5)
