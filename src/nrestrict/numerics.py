@@ -17,11 +17,14 @@ tau = pi.  A decay fit builds one tree per frequency ladder
 (``lam`` may be an array): the tree is refined as for the largest |lam|, and a
 cell counts toward each lam exactly when a run at that lam alone would
 integrate it, that is when its own probed variation is fine at lam and the
-smallest variation among its strict ancestors is not.  The two-variable
-surface probe first tries exact symbolic reductions (pure-x2 phase after the
-adapted shear, or a separable phase with the tensor cutoff); the direct 2-D
-tree is kept as a fallback for moderate frequencies and raises once its cell
-budget is exceeded.  Each surface fit records the path it took in ``meta``.
+smallest variation among its strict ancestors is not.  A surface fit runs the
+exact exponent stage (``critical_exponent``) once and reads off it both the
+expected exponent 1/h and the shear to adapted coordinates.  It first tries
+exact symbolic reductions to a product of 1-D integrals (a pure-x2 phase,
+possibly after that shear, or a separable phase with the tensor cutoff); the
+direct 2-D tree is kept as a fallback for moderate frequencies and raises
+once its cell budget is exceeded.  Each surface fit records the path it took
+in ``meta``.
 
 Sum strategy: one sweep serves single and double sums (a single sum is the
 double sum with its second index at 0).  It evaluates only the index grid's
@@ -33,6 +36,7 @@ results are reproducible run to run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,8 +45,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .adapted import IDENTITY
 from .errors import QuadratureError
+from .exponents import critical_exponent
 from .geometry import NewtonPolyhedron
+from .parser import parse_expression, render
 from .poly import PuiseuxPoly
 
 LN2 = math.log(2.0)
@@ -75,13 +82,7 @@ def bump(z):
 # ---------------------------------------------------------------------------
 # adaptive oscillatory quadrature
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+_gl = functools.cache(np.polynomial.legendre.leggauss)
 
 
 #: quadrature nodes evaluated together in one step of the cell tree: 8192
@@ -339,10 +340,9 @@ def _make_fit(phase_desc: str, lams, mags, expected, tol, mode="match",
 
 
 def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
-                       lams: np.ndarray | None = None,
-                       expected: float | None = None) -> DecayFit:
+                       lams: np.ndarray | None = None) -> DecayFit:
     """Fit the decay of ``int_0^1 exp(i lam f)`` for a polynomial phase with
-    an order-m derivative bound, to within 0.05 of the expected exponent.
+    an order-m derivative bound, to within 0.05 of the exponent 1/m.
 
     Checks ``|f^(m)| >= 1`` on [0, 1] by dense sampling before integrating;
     the model phases s^m (normalized so f^(m) = m!) decay like lam^(-1/m)
@@ -364,9 +364,7 @@ def van_der_corput_fit(m: int, phase_coeffs: Sequence[float],
     if math.log10(lams[-1] / lams[0]) < 3 - 1e-9:
         raise ValueError("frequency grid must span at least three decades")
     mags = np.abs(oscillatory_integral_1d(phase, amp, 0.0, 1.0, lams))
-    if expected is None:
-        expected = 1.0 / m
-    return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, expected, 0.05)
+    return _make_fit(f"s^{m}-type phase, M={m}", lams, mags, 1.0 / m, 0.05)
 
 
 def smooth_plateau(z):
@@ -437,7 +435,7 @@ def airy_scaling_check(u: float, lams: np.ndarray | None = None) -> DecayFit:
         return t ** 3 - u * t
 
     mags = np.abs(oscillatory_integral_1d(phase, smooth_plateau, -1.0, 1.0,
-                                          lams, tau=math.pi))
+                                          lams))
     fit = _make_fit(f"1.0*t^3 - {u}*t", lams, mags, expected,
                     tol, mode, residual_cap=0.02 if mode == "match" else 10.0)
     fit.meta["regime"] = regime
@@ -450,52 +448,59 @@ def airy_scaling_check(u: float, lams: np.ndarray | None = None) -> DecayFit:
 # surface-measure decay
 
 
-def _drop_constant(p: PuiseuxPoly) -> PuiseuxPoly:
-    c = p.coefficient(0, 0)
-    return p - PuiseuxPoly.constant(c) if c else p
-
-
 def surface_decay_fit(phi: PuiseuxPoly,
                       direction: tuple = (0, 0, 1),
                       lams: np.ndarray | None = None,
-                      expected: float | None = None,
                       tau: float | None = None) -> DecayFit:
     """Decay of the Fourier transform of the graph measure of ``phi`` over
     [-1/2, 1/2]^2 in a fixed direction, against the symbolic prediction 1/h
     with a tolerance of 0.07.
 
-    The full phase is xi1*x1 + xi2*x2 + xi3*phi.  Exact reductions are tried
-    first: a phase depending on one variable only (possibly after shearing
-    off the principal root jet, which is measure preserving) integrates the
-    other variable into a smooth amplitude; a separable phase with the tensor
-    cutoff factorizes.  Otherwise the direct 2-D tree runs with a hard cell
-    budget.  ``meta["reduction"]`` names the path taken (``pure_x2``,
-    ``sheared``, ``separable`` or ``direct_2d``); a direct 2-D fit also
-    carries ``meta["fallback"]``, why no reduction applied.  Every path
-    integrates the whole grid from one cell tree, with ``tau`` as its cell
-    threshold; None takes each tree's default (pi for the 1-D reductions,
-    ``TAU_2D`` for the direct 2-D tree), and a smaller ``tau`` refines.
+    The full phase is xi1*x1 + xi2*x2 + xi3*phi.  When xi3 != 0 the exponent
+    stage (``critical_exponent``) runs once, so ``phi`` needs a critical
+    point at the origin and integer exponents; its height h gives the
+    expected exponent 1/h, and its adapted coordinates the sheared
+    reduction.  At xi3 = 0 the phase is linear and the verdict inconclusive.
+    Exact reductions are tried first: a phase depending on one variable only
+    (possibly after the exponent stage's adapted shear, which is measure
+    preserving) integrates the other variable into a smooth amplitude; a
+    separable phase with the tensor cutoff factorizes.  Otherwise the direct
+    2-D tree runs with a hard cell budget.  ``meta["reduction"]`` names the
+    path taken (``pure_x2``, ``sheared``, ``separable`` or ``direct_2d``); a
+    direct 2-D fit also carries ``meta["fallback"]``, why no reduction
+    applied.  Every path integrates the whole grid from one cell tree, with
+    ``tau`` as its cell threshold; None takes each tree's default (pi for
+    the 1-D reductions, ``TAU_2D`` for the direct 2-D tree), and a smaller
+    ``tau`` refines.
     """
     xi = tuple(Fraction(c) for c in direction)
     if all(c == 0 for c in xi):
         raise ValueError("zero direction")
     if lams is None:
         lams = lambda_grid(1e2, 1e5, 40)
-    phase_poly = _drop_constant(
-        PuiseuxPoly.monomial(xi[0], 1, 0) + PuiseuxPoly.monomial(xi[1], 0, 1)
-        + xi[2] * phi)
-    from .parser import render
+    # no constant term: the exponent stage rejects one, and xi3 = 0 drops phi
+    phase_poly = (PuiseuxPoly.monomial(xi[0], 1, 0)
+                  + PuiseuxPoly.monomial(xi[1], 0, 1) + xi[2] * phi)
     desc = (f"graph of {render(phi)}, "
             f"xi=({direction[0]},{direction[1]},{direction[2]})")
-    if expected is None and xi[2] != 0:
-        from .exponents import critical_exponent
-        expected = 1.0 / float(critical_exponent(phi).h)
+    report = critical_exponent(phi) if xi[2] != 0 else None
+    expected = None if report is None else 1.0 / float(report.h)
+    # the exponent stage sheared the given coordinates, with no linear change
+    # first; the shear is exact, so it takes xi3*phi to xi3*phi_a
+    shear = None
+    if (report is not None and xi[0] == xi[1] == 0
+            and report.linear.transform == IDENTITY
+            and report.coords is not None):
+        shear = (xi[2] * report.coords.phi_a, report.coords.psi)
 
     lams = _check_grid(lams)
     half_width = 0.5
-    meta, reduced = _reduce_phase(phase_poly, half_width)
-    if reduced is not None:
-        mags = reduced(lams, math.pi if tau is None else tau)
+    meta, factors = _reduce_phase(phase_poly, shear, half_width)
+    if factors is not None:
+        mags = np.abs(math.prod(
+            oscillatory_integral_1d(phase, amp, -hw, hw, lams,
+                                    math.pi if tau is None else tau)
+            for phase, amp, hw in factors))
     else:
         # fallback: direct 2-D quadrature (moderate lam only)
         fphi = _poly_xy_eval(phase_poly)
@@ -524,112 +529,67 @@ def _poly_xy_eval(p: PuiseuxPoly) -> Callable:
 
 
 def _reduce_phase(phase_poly: PuiseuxPoly,
-                  hw: float) -> tuple[dict, Optional[Callable]]:
+                  shear: Optional[tuple[PuiseuxPoly, PuiseuxPoly]],
+                  hw: float) -> tuple[dict, Optional[list[tuple]]]:
     """Try to express |I(lam)| through 1-D oscillatory integrals.
 
-    Returns the path taken, as the fit's ``meta``, and a callable
-    (lams, tau) -> magnitudes; the callable is None when no exact reduction
-    applies and the direct 2-D tree has to run.
+    ``shear`` is the adapted ``(phase, psi)`` of the exponent stage, or None.
+    Returns the path taken, as the fit's ``meta``, and the 1-D factors
+    ``(phase, amp, half_width)`` whose integrals over
+    [-half_width, half_width] multiply to I(lam) up to a unimodular factor;
+    the factors are None when no exact reduction applies and the direct 2-D
+    tree has to run.
     """
     # pure x2 already, or after swapping the variables?
     if not phase_poly.depends_on_x2():
         phase_poly = phase_poly.swap_variables()
     if not phase_poly.depends_on_x1():
         return ({"reduction": "pure_x2"},
-                _pure_x2_reduction(phase_poly, None, hw))
+                [_pure_x2_factor(phase_poly, None, hw)])
     # separable with tensor cutoff
     if all(e1 == 0 or e2 == 0 for (e1, e2) in phase_poly.support()):
-        return ({"reduction": "separable"},
-                _separable_reduction(phase_poly, hw))
-    # shear off the principal root jet when it is an integer-exponent jet;
-    # adapted coordinates need a critical point at the origin
-    if phase_poly.ramification == 1 and phase_poly.vanishes_to_second_order():
-        from .adapted import is_adapted
-        from .splitting import adapted_coordinates
-        verdict = is_adapted(phase_poly)
-        if not verdict.adapted and verdict.weight is not None \
-                and verdict.weight.a.denominator == 1 and verdict.weight.a >= 2:
-            ac = adapted_coordinates(phase_poly, verdict=verdict)
-            if not ac.phi_a.depends_on_x1():
-                return {"reduction": "sheared"}, _pure_x2_reduction(
-                    ac.phi_a, ac.psi, hw)
+        u_xy = _poly_xy_eval(PuiseuxPoly(
+            {e: c for e, c in phase_poly.terms.items() if e[1] == 0}))
+        v_xy = _poly_xy_eval(PuiseuxPoly(
+            {e: c for e, c in phase_poly.terms.items() if e[1] != 0}))
+        w = lambda x: bump(np.asarray(x) / hw)
+        return {"reduction": "separable"}, [(lambda x: u_xy(x, 0.0), w, hw),
+                                            (lambda y: v_xy(0.0, y), w, hw)]
+    if shear is not None and not shear[0].depends_on_x1():
+        return {"reduction": "sheared"}, [_pure_x2_factor(*shear, hw)]
     return {"reduction": "direct_2d", "fallback": "no_reduction"}, None
 
 
-def _pure_x2_reduction(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
-                       hw: float) -> Callable:
-    """Amplitude for int exp(i lam P(y2)) * G(y2): G integrates the cutoff
-    along y1 over the sheared box (the shear has unit Jacobian)."""
+def _pure_x2_factor(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
+                    hw: float) -> tuple:
+    """The factor of int exp(i lam P(y2)) * G(y2): G integrates the cutoff
+    along y1 over the box sheared by ``jet`` (the shear has unit Jacobian)."""
     f_xy = _poly_xy_eval(pure)
     phase = lambda y: f_xy(0.0, y)
     if jet is None:
         mass = BUMP_MASS * hw
-
-        def amp_plain(y):
-            return mass * bump(np.asarray(y) / hw)
-
-        g_fn = amp_plain
-        y_max = hw
-    else:
-        jf = _poly_xy_eval(jet)
-        y1 = np.linspace(-hw, hw, 1025)
-        psi_vals = jf(y1, 0.0)
-        pad = float(np.max(np.abs(psi_vals)))
-        y_max = hw + pad
-        grid = np.linspace(-y_max, y_max, 4097)
-        w1 = bump(y1 / hw)
-        # in blocks of 1024 rows, so that no 4097 x 1025 array is built; each
-        # row's sum is the same.  Smaller blocks leave glibc's dynamic mmap
-        # threshold below the 1-D tree's 2 MB chunk arrays, which are then
-        # mapped afresh on every step: 256 rows made the 1-D fits 4% slower.
-        gv = np.concatenate([
-            _trapezoid(w1 * bump((rows[:, None] + psi_vals) / hw), y1, axis=1)
-            for rows in np.split(grid, range(1024, len(grid), 1024))])
-
-        def amp_interp(y):
-            return np.interp(np.asarray(y, dtype=float), grid, gv)
-
-        g_fn = amp_interp
-
-    def run(lams: np.ndarray, tau: float) -> np.ndarray:
-        return np.abs(oscillatory_integral_1d(phase, g_fn, -y_max, y_max,
-                                              lams, tau))
-
-    return run
-
-
-def _separable_reduction(phase_poly: PuiseuxPoly, hw: float) -> Callable:
-    u = PuiseuxPoly({(e1, e2): c for (e1, e2), c in phase_poly.terms.items()
-                     if e2 == 0})
-    v = PuiseuxPoly({(e1, e2): c for (e1, e2), c in phase_poly.terms.items()
-                     if e2 != 0})
-    u_xy, v_xy = _poly_xy_eval(u), _poly_xy_eval(v)
-    fu = lambda x: u_xy(x, 0.0)
-    fv = lambda y: v_xy(0.0, y)
-    w = lambda x: bump(np.asarray(x) / hw)
-
-    def run(lams: np.ndarray, tau: float) -> np.ndarray:
-        ix = oscillatory_integral_1d(fu, w, -hw, hw, lams, tau)
-        iy = oscillatory_integral_1d(fv, w, -hw, hw, lams, tau)
-        return np.abs(ix * iy)
-
-    return run
+        return phase, lambda y: mass * bump(np.asarray(y) / hw), hw
+    jf = _poly_xy_eval(jet)
+    y1 = np.linspace(-hw, hw, 1025)
+    psi_vals = jf(y1, 0.0)
+    y_max = hw + float(np.max(np.abs(psi_vals)))
+    grid = np.linspace(-y_max, y_max, 4097)
+    w1 = bump(y1 / hw)
+    # in blocks of 1024 rows, so that no 4097 x 1025 array is built; each
+    # row's sum is the same.  Smaller blocks leave glibc's dynamic mmap
+    # threshold below the 1-D tree's 2 MB chunk arrays, which are then
+    # mapped afresh on every step: 256 rows made the 1-D fits 4% slower.
+    gv = np.concatenate([
+        _trapezoid(w1 * bump((rows[:, None] + psi_vals) / hw), y1, axis=1)
+        for rows in np.split(grid, range(1024, len(grid), 1024))])
+    return (phase, lambda y: np.interp(np.asarray(y, dtype=float), grid, gv),
+            y_max)
 
 
 def decay_catalogue(lams: np.ndarray | None = None) -> list[DecayFit]:
-    """The shipped surface-decay checks: expected exponents are 1/h."""
-    from .parser import parse_expression
-    entries = [
-        ("(x2 - x1^2)^2", 0.5),
-        ("(x2 - x1^2)^5", 0.2),
-        ("x1^2 + x2^2", 1.0),
-    ]
-    out = []
-    for text, expected in entries:
-        phi = parse_expression(text).poly
-        out.append(surface_decay_fit(phi, (0, 0, 1), lams=lams,
-                                     expected=expected))
-    return out
+    """The shipped surface-decay checks, each against its own 1/h."""
+    return [surface_decay_fit(parse_expression(text).poly, lams=lams)
+            for text in ("(x2 - x1^2)^2", "(x2 - x1^2)^5", "x1^2 + x2^2")]
 
 
 # ---------------------------------------------------------------------------

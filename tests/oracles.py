@@ -493,9 +493,15 @@ def series_classification(lh):
     linear-height report, the jet as an x1-only ``PuiseuxPoly``, from the
     term-by-term solver: when d phi/d x2 vanishes along the jet, n is the
     valuation of phi along it, and otherwise the valuation of phi along the
-    jet when it is at most the series order (else n is taken as infinite)."""
+    jet.  When that lies above the series order, n is read off a second
+    solve at twice the order, or at (deg - 1)^2 + 1 if that is higher; the
+    jet returned stays at the base order.  A finite n is at most mu + 1, mu
+    the Milnor number of the critical point, and by Bezout on the two
+    partials of degree deg - 1, mu <= (deg - 1)^2; so n is infinite when
+    phi vanishes along the jet past the second order too."""
     work = lh.transformed
-    order = 4 * int(work.total_degree()) + 4
+    deg = int(work.total_degree())
+    order = 4 * deg + 4
     if work.coefficient(0, 2):
         family, sigma = "A", 0
     else:
@@ -510,8 +516,12 @@ def series_classification(lh):
         b0 = compose_x2_exact(work, psi)
         n = valuation(b0) if b0 else None
     else:
-        v = valuation(compose_x2(work, psi, order))
-        n = v if v >= 0 else None
+        n = valuation(compose_x2(work, psi, order))
+        if n < 0:
+            deep_order = max(2 * order, (deg - 1) ** 2 + 1)
+            deep = solve_critical_branch(f, sigma, deep_order)
+            n = valuation(compose_x2(work, deep, deep_order))
+        n = n if n >= 0 else None
     index = None if n is None else (n - 1 if family == "A" else n + 1)
     label = f"{family}{'inf' if index is None else index}"
     return PuiseuxPoly({(i, 0): c for i, c in enumerate(psi)}), n, label

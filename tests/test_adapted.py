@@ -397,6 +397,8 @@ class TestClassificationOracle:
 
     @given(ad_inputs())
     @example(P(k_family(5)))
+    @example(P(high_contact(5)))
+    @example(P(high_contact(5, x1_factor=True)))
     @example(P("(x2 - x1^2 - x1^3)^2 + x1^7"))
     @example(P("(x2 - x1^2)^2").linear_substitute(((F(1), F(1, 3)),
                                                     (F(1, 2), F(1)))))

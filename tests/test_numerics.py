@@ -230,7 +230,7 @@ class TestVanDerCorput:
         lams = np.array([(2 * k + 1) * math.pi
                          for k in (40, 90, 200, 450, 1000, 2200, 5000, 11000,
                                    25000, 55000)])
-        fit = van_der_corput_fit(1, [0, 1], lams=lams, expected=1.0)
+        fit = van_der_corput_fit(1, [0, 1], lams=lams)
         assert abs(fit.fitted_exponent - 1.0) <= 0.05
 
     def test_rejects_unnormalized_phase(self):
@@ -244,19 +244,28 @@ class TestVanDerCorput:
 
 class TestSurfaceDecay:
     def test_square_reduces_and_fits(self):
-        fit = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 0, 1), lams=SHORT,
-                                expected=0.5)
+        fit = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 0, 1), lams=SHORT)
         assert fit.verdict == "pass"
         assert abs(fit.fitted_exponent - 0.5) <= 0.07
 
     def test_sum_of_squares_separable(self):
-        fit = surface_decay_fit(P("x1^2 + x2^2"), (0, 0, 1), lams=SHORT,
-                                expected=1.0)
+        fit = surface_decay_fit(P("x1^2 + x2^2"), (0, 0, 1), lams=SHORT)
         assert fit.verdict == "pass"
 
     def test_expected_defaults_to_inverse_height(self):
         fit = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 0, 1), lams=SHORT)
         assert fit.expected_exponent == pytest.approx(0.5)
+
+    def test_exponent_stage_runs_once(self, isolations):
+        # the height and the sheared reduction come from one exponent stage
+        fit = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 0, 1), lams=SHORT)
+        assert fit.meta == {"reduction": "sheared"}
+        keys = [key for _mod, key in isolations]
+        assert keys and len(set(keys)) == len(keys)
+
+    def test_ramified_input_is_rejected_before_quadrature(self):
+        with pytest.raises(ValueError, match="integer-exponent"):
+            surface_decay_fit(P("x1^(3/2) + x2^2"), (0, 0, 1), lams=SHORT)
 
     def test_magnitude_matches_one_dimensional_oracle(self):
         # after the exact shear the integral is int e^{i lam u^2} G(u) du with

@@ -56,20 +56,6 @@ def test_each_subcommand_runs_only_the_stages_it_prints(stage_calls,
         assert set(totals[cmd]) == reads[cmd], cmd
 
 
-@pytest.fixture
-def isolations(monkeypatch):
-    """Log ``(module, (restriction, side))`` for each root isolation that
-    ``adapted`` and ``splitting`` make."""
-    calls = []
-    for mod in (adapted, splitting):
-        def spy(u, sign_of_variable="+", _mod=mod,
-                _real=mod.squarefree_real_roots):
-            calls.append((_mod, (tuple(u), sign_of_variable)))
-            return _real(u, sign_of_variable)
-        monkeypatch.setattr(mod, "squarefree_real_roots", spy)
-    return calls
-
-
 def test_no_restriction_is_isolated_twice(isolations):
     """The splitting stage reads the roots the adaptedness verdict holds:
     over the golden inputs no restriction is isolated by both."""
