@@ -95,10 +95,9 @@ def _staircase_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def edge_weight(left: Point, right: Point) -> Weight:
-    """Weight of the line through two staircase-ordered vertices."""
+    """Weight of the line through two consecutive staircase vertices: t1
+    rises, t2 falls and stays >= 0, so ``denom`` is positive."""
     denom = right[0] * left[1] - left[0] * right[1]
-    if denom <= 0:
-        raise ValueError("edge endpoints not in staircase position")
     return Weight((left[1] - right[1]) / denom, (right[0] - left[0]) / denom)
 
 
@@ -267,11 +266,9 @@ def _augmented_crossing(n: NewtonPolyhedron, line: Weight, anchor: Point,
     hits: list[Point] = []
 
     def line_param_hit(base: Point, direction: Point, s_max: Fraction | None):
-        # solve base + s*direction on t2 = t1 + shift
-        denom = direction[1] - direction[0]
-        if denom == 0:
-            return
-        s = (base[0] + shift - base[1]) / denom
+        # solve base + s*direction on t2 = t1 + shift; the denominator is
+        # k1 + k2 > 0 on the half-line, negative on an edge and on the ray
+        s = (base[0] + shift - base[1]) / (direction[1] - direction[0])
         if s < 0 or (s_max is not None and s > s_max):
             return
         hits.append((base[0] + s * direction[0], base[1] + s * direction[1]))

@@ -450,8 +450,7 @@ def airy_scaling_check(u: float, lams: np.ndarray | None = None) -> DecayFit:
 
 def surface_decay_fit(phi: PuiseuxPoly,
                       direction: tuple = (0, 0, 1),
-                      lams: np.ndarray | None = None,
-                      tau: float | None = None) -> DecayFit:
+                      lams: np.ndarray | None = None) -> DecayFit:
     """Decay of the Fourier transform of the graph measure of ``phi`` over
     [-1/2, 1/2]^2 in a fixed direction, against the symbolic prediction 1/h
     with a tolerance of 0.07.
@@ -468,10 +467,8 @@ def surface_decay_fit(phi: PuiseuxPoly,
     2-D tree runs with a hard cell budget.  ``meta["reduction"]`` names the
     path taken (``pure_x2``, ``sheared``, ``separable`` or ``direct_2d``); a
     direct 2-D fit also carries ``meta["fallback"]``, why no reduction
-    applied.  Every path integrates the whole grid from one cell tree, with
-    ``tau`` as its cell threshold; None takes each tree's default (pi for
-    the 1-D reductions, ``TAU_2D`` for the direct 2-D tree), and a smaller
-    ``tau`` refines.
+    applied.  Every path integrates the whole grid from one cell tree at
+    that tree's default cell threshold.
     """
     xi = tuple(Fraction(c) for c in direction)
     if all(c == 0 for c in xi):
@@ -498,16 +495,14 @@ def surface_decay_fit(phi: PuiseuxPoly,
     meta, factors = _reduce_phase(phase_poly, shear, half_width)
     if factors is not None:
         mags = np.abs(math.prod(
-            oscillatory_integral_1d(phase, amp, -hw, hw, lams,
-                                    math.pi if tau is None else tau)
+            oscillatory_integral_1d(phase, amp, -hw, hw, lams)
             for phase, amp, hw in factors))
     else:
         # fallback: direct 2-D quadrature (moderate lam only)
         fphi = _poly_xy_eval(phase_poly)
         amp = lambda x, y: bump(x / half_width) * bump(y / half_width)
         box = (-half_width, half_width, -half_width, half_width)
-        mags = np.abs(oscillatory_integral_2d(
-            fphi, amp, box, lams, TAU_2D if tau is None else tau))
+        mags = np.abs(oscillatory_integral_2d(fphi, amp, box, lams))
     return _make_fit(desc, lams, mags, expected, 0.07, meta=meta)
 
 

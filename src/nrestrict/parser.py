@@ -106,14 +106,10 @@ class _Parser:
             e = self.exponent()
             if e.denominator == 1:
                 base = base ** int(e)
+            elif base != PuiseuxPoly.x1():
+                raise ParseError("fractional exponents apply to x1 only",
+                                 self.peek().offset)
             else:
-                if len(base) != 1:
-                    raise ParseError("fractional exponents apply to x1 only",
-                                     self.peek().offset)
-                ((e1, e2), c) = next(iter(base.terms.items()))
-                if e2 != 0 or c != 1 or e1 != 1:
-                    raise ParseError("fractional exponents apply to x1 only",
-                                     self.peek().offset)
                 base = PuiseuxPoly.monomial(1, e, 0)
         return base * sign if sign < 0 else base
 

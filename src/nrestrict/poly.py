@@ -211,8 +211,7 @@ class PuiseuxPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "PuiseuxPoly":
-        return self + (-other if isinstance(other, PuiseuxPoly)
-                       else PuiseuxPoly.constant(-_as_fraction(other)))
+        return self + (-other)
 
     def __rsub__(self, other) -> "PuiseuxPoly":
         return (-self) + other

@@ -46,7 +46,8 @@ def adapted_coordinates(phi: PuiseuxPoly,
     x1-only ``PuiseuxPoly``), the adapted expression
     phi_a = phi(x1, x2 + psi(x1)) and the height.
 
-    Expects linearly adapted input (so every shear exponent is an integer);
+    Expects linearly adapted input, so that every shear exponent is an
+    integer, and raises ``ValueError`` on a face whose ratio is not;
     already-adapted input returns psi = 0 immediately.  ``verdict`` is
     ``is_adapted(phi)`` when the caller already holds it; each shear kills
     the witness of the current verdict, whose coefficient is rational.
@@ -71,8 +72,8 @@ def adapted_coordinates(phi: PuiseuxPoly,
             return AdaptedCoordinates(jet, cur, verdict.d, verdict)
         a = verdict.weight.a
         if a.denominator != 1:
-            raise InternalInvariantError(
-                f"non-adapted face with non-integer ratio {a}")
+            raise ValueError("adapted coordinates need linearly adapted "
+                             f"input; the principal face has ratio {a}")
         if last_a is not None and a <= last_a:
             raise InternalInvariantError("shear exponents failed to increase")
         b = _shear_root(verdict)
@@ -248,14 +249,10 @@ def _explore(phi_cur: PuiseuxPoly, edge: Optional[EdgeData], level: int,
                 f"post-shear vertex {new_vertex} missing from the polyhedron")
         shear_step = SplitStep(level, w, a, c0, mult, "Case3_shear",
                                post_vertex=(new_vertex[0], mult))
-        stopped = n_next.horizontal_level >= mult
-        if stopped:
-            jet_next = jet + term
-            b = phi_next.min_e2()
-            if b != mult:
-                raise InternalInvariantError(
-                    "stop condition height disagrees with the multiplicity")
-            fact = Factorization(jet_next, mult, phi_next.shift_e2(-mult))
+        # the support's least x2-exponent is at least mult, and the new
+        # vertex sits at mult: x2^mult divides phi_next exactly
+        if n_next.horizontal_level >= mult:
+            fact = Factorization(jet + term, mult, phi_next.shift_e2(-mult))
             out.append(SplittingTrace(prefix + (shear_step, SplitStep(
                 level, w, a, c0, mult, "CaseA_stop")), "stop_12_9", fact))
             continue

@@ -131,6 +131,10 @@ def naive_sub(a: dict, b: dict) -> dict:
     return out
 
 
+def naive_add(a: dict, b: dict) -> dict:
+    return naive_sub(a, naive_sub({}, b))
+
+
 def mono(c, e1, e2) -> dict:
     return {(Fraction(e1), int(e2)): Fraction(c)}
 
@@ -536,7 +540,15 @@ def series_classification(lh):
 
 def expand_input(text: str) -> dict:
     """``{(e1, e2): coefficient}`` of an input of integers, x1, x2, + - * /
-    ^ and parentheses, expanded on plain dicts."""
+    ^ and parentheses, expanded on plain dicts; x1 also takes a rational
+    exponent ``x1^(p/q)``, as ``render`` prints one."""
+    def exponent(node) -> Fraction:
+        if isinstance(node, ast.Constant):
+            return Fraction(node.value)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            return exponent(node.left) / exponent(node.right)
+        raise ValueError(f"unsupported exponent: {ast.dump(node)}")
+
     def ev(node) -> dict:
         if isinstance(node, ast.Constant) and isinstance(node.value, int):
             return {(0, 0): Fraction(node.value)} if node.value else {}
@@ -547,10 +559,14 @@ def expand_input(text: str) -> dict:
         if isinstance(node, ast.BinOp):
             a = ev(node.left)
             if isinstance(node.op, ast.Pow):
-                return naive_pow(a, node.right.value)
+                e = exponent(node.right)
+                if e.denominator == 1:
+                    return naive_pow(a, int(e))
+                if a == {(1, 0): 1}:
+                    return {(e, 0): Fraction(1)}
             b = ev(node.right)
             if isinstance(node.op, ast.Add):
-                return naive_sub(a, naive_sub({}, b))
+                return naive_add(a, b)
             if isinstance(node.op, ast.Sub):
                 return naive_sub(a, b)
             if isinstance(node.op, ast.Mult):
@@ -561,6 +577,35 @@ def expand_input(text: str) -> dict:
     return ev(ast.parse(text.replace("^", "**"), mode="eval").body)
 
 
+def naive_substitute(p: dict, x1: dict, x2: dict) -> dict:
+    """``p(x1, x2)`` for integer exponents, where ``x1`` and ``x2`` are
+    dicts in the new variables."""
+    out: dict = {}
+    for (e1, e2), c in p.items():
+        term = naive_mul(naive_pow(x1, int(e1)), naive_pow(x2, e2))
+        out = naive_add(out, {k: c * v for k, v in term.items()})
+    return out
+
+
+def naive_shear(p: dict, jet: dict) -> dict:
+    """``p(y1, y2 + jet(y1))`` for an x1-only ``jet``; x1 keeps its
+    rational exponents."""
+    powers = [{(0, 0): Fraction(1)}]
+    for _ in range(max((e2 for _e1, e2 in p), default=0)):
+        powers.append(naive_mul(powers[-1], naive_add({(0, 1): 1}, jet)))
+    out: dict = {}
+    for (e1, e2), c in p.items():
+        out = naive_add(out, {(e1 + f1, f2): c * v
+                              for (f1, f2), v in powers[e2].items()})
+    return out
+
+
+def jet_dict(terms: list[dict]) -> dict:
+    """An x1-only jet as printed in a report: coefficient and exponent."""
+    return {(Fraction(t["exponent"]), 0): Fraction(t["coefficient"])
+            for t in terms}
+
+
 def analyze_report_mismatches(text: str) -> list[str]:
     """The checks that one ``nrestrict analyze`` report of ``text`` fails:
 
@@ -569,7 +614,13 @@ def analyze_report_mismatches(text: str) -> list[str]:
       ``theta``*``p_c_prime`` = 2;
     - the largest Knapp ``derived_exponent`` equals ``p_c_prime``;
     - the singularity's n, index and label follow from ``h``: h = 2n/(n+2)
-      for A_(n-1), 2n/(n+1) for D_(n+1), and h = 2 for an infinite index.
+      for A_(n-1), 2n/(n+1) for D_(n+1), and h = 2 for an infinite index;
+    - ``canonical`` expands to ``input``;
+    - phi_a, the input composed with ``linear_transform`` and sheared by
+      ``psi``, has the ``adapted_polyhedron`` vertices and Newton distance
+      ``h``;
+    - phi_a sheared by each splitting branch's ``factorization`` jet is
+      x2^``power`` times its ``cofactor``.
     """
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -579,13 +630,22 @@ def analyze_report_mismatches(text: str) -> list[str]:
     doc = json.loads(out.getvalue())
     q = lambda s: None if s is None else Fraction(s)
     bad = []
-    support = list(expand_input(doc["input"]))
-    vertices = sorted((Fraction(a), Fraction(b))
-                      for a, b in doc["polyhedron"]["vertices"])
-    if vertices != brute_hull_vertices(support):
-        bad.append(f"polyhedron vertices {vertices}")
-    if q(doc["d"]) != newton_distance(support):
-        bad.append(f"d = {doc['d']}, hull gives {newton_distance(support)}")
+
+    def check_hull(poly: dict, key: str, name: str, distance: Fraction):
+        # the hull's vertices span the same polyhedron as the support
+        hull = brute_hull_vertices(list(poly))
+        vertices = sorted((Fraction(a), Fraction(b))
+                          for a, b in doc[key]["vertices"])
+        if vertices != hull:
+            bad.append(f"{key} vertices {vertices}")
+        if newton_distance(hull) != distance:
+            bad.append(f"{name} = {distance}, hull gives "
+                       f"{newton_distance(hull)}")
+
+    phi = expand_input(doc["input"])
+    if expand_input(doc["canonical"]) != phi:
+        bad.append(f"canonical {doc['canonical']} is not the input")
+    check_hull(phi, "polyhedron", "d", q(doc["d"]))
     h, p = q(doc["h"]), q(doc["p_c_prime"])
     base = q(doc["h_r"]) if doc["source"] == "r_height_2hr_plus_2" else h
     if p != 2 * base + 2:
@@ -603,6 +663,21 @@ def analyze_report_mismatches(text: str) -> list[str]:
         if (s["n"], s["index"], s["label"]) != (n, index, label):
             bad.append(f"singularity {s['label']} (n = {s['n']}) but h = {h}"
                        f" gives {label} (n = {n})")
+    if doc["psi"] is None:
+        return bad
+    (a, b), (c, d) = [[Fraction(x) for x in row]
+                      for row in doc["linear_transform"]]
+    phi_a = naive_shear(naive_substitute(
+        phi, {k: v for k, v in {(1, 0): a, (0, 1): b}.items() if v},
+        {k: v for k, v in {(1, 0): c, (0, 1): d}.items() if v}),
+        jet_dict(doc["psi"]))
+    check_hull(phi_a, "adapted_polyhedron", "h", h)
+    for i, branch in enumerate((doc["splitting"] or {}).get("branches", [])):
+        f = branch["factorization"]
+        if f is not None and naive_shear(phi_a, jet_dict(f["jet"])) != \
+                naive_mul(mono(1, 0, f["power"]), expand_input(f["cofactor"])):
+            bad.append(f"branch {i}: x2^{f['power']}*({f['cofactor']}) is "
+                       "not phi_a sheared by its jet")
     return bad
 
 

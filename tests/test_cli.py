@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import runpy
 import warnings
 from fractions import Fraction as F
 from xml.etree import ElementTree
@@ -58,6 +59,9 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_expression("x1 + %")
         assert err.value.offset == 5
+
+    def test_zero_renders_as_0(self):
+        assert render(PuiseuxPoly.zero()) == "0"
 
     def test_round_trip_corpus(self):
         rng = random.Random(11)
@@ -263,6 +267,88 @@ class TestCommands:
             err = capsys.readouterr().err
             assert err.startswith("error: the origin must be a critical point")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+
+PARSE_ERRORS = [
+    ("(x1", "expected ')', found 'end'", 3),
+    ("x2^(1/2)", "fractional exponents apply to x1 only", 8),
+    ("(x1+x2)^(1/2)", "fractional exponents apply to x1 only", 13),
+    ("1/0", "zero denominator", 2),
+    ("z^2", "unknown variable 'z'", 0),
+    ("x1^(1/0)", "zero denominator in exponent", 6),
+    ("x1^(0)", "exponent must be positive", 3),
+    ("x1^+", "expected an exponent", 3),
+]
+
+
+class TestUsagePaths:
+    """What the command line does on input it cannot run: exit 0 for help,
+    1 for every usage or parse error, and never argparse's 2."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        pytest.param(argv, code, err, id=" ".join(argv) or "no-arguments")
+        for argv, code, err in [
+            (["--help"], 0, ""),
+            ([], 1, "the following arguments are required: command"),
+            (["frobnicate"], 1, "invalid choice: 'frobnicate'"),
+            (["decay"], 1, "error: decay needs an expression or --catalogue\n"),
+        ] + [(["analyze", text], 1, f"error: {msg} (at byte {offset})\n")
+             for text, msg, offset in PARSE_ERRORS]])
+    def test_exit_code(self, argv, code, err, capsys):
+        assert cli.main(argv) == code
+        stderr = capsys.readouterr().err
+        assert err in stderr and "Traceback" not in stderr
+        if argv[:1] == ["analyze"]:
+            assert stderr == err
+
+    def test_module_runs_as_a_script(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["nrestrict", "analyze", "x1^2+x2^2"])
+        # the package imported the module already, which runpy reports
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            with pytest.raises(SystemExit) as exit_:
+                runpy.run_module("nrestrict.cli", run_name="__main__")
+        assert exit_.value.code == 0
+        assert json.loads(capsys.readouterr().out)["p_c_prime"] == "4"
+
+
+class TestOutputPaths:
+    def test_decay_catalogue_plot(self, tmp_path, capsys):
+        out = tmp_path / "catalogue.svg"
+        assert cli.main(["decay", "--catalogue", "--lambda-max", "1e4",
+                         "--points", "12", "--svg", str(out)]) == 0
+        fits = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert [f["verdict"] for f in fits] == ["pass"] * 3
+        root = ElementTree.parse(out).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        curves = [c for c in root.iter(ns + "polyline")
+                  if c.get("data-role") == "decay-curve"]
+        assert [len(c.get("points").split()) for c in curves] == [12] * 3
+        labels = [t.text for t in root.iter(ns + "text")]
+        assert [label.endswith("(pass)") for label in labels] == [True] * 3
+
+    def test_knapp_on_input_adapted_after_the_linear_stage(self, capsys):
+        assert cli.main(["knapp", "x1^2 + x2^2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificates"] is None
+        assert doc["note"].startswith("input is adapted after the linear")
+
+    def test_non_polynomial_root_jet_exceeds_the_shear_budget(self, capsys):
+        # the principal root of x2 = (x1 + x2)^2 is an infinite series, so
+        # each shear peels one more term until the budget runs out; exact
+        # adapted coordinates for such a root will change this outcome
+        assert cli.main(["analyze", "(x2 - (x1 + x2)^2)^2"]) == 3
+        assert capsys.readouterr().err == (
+            "internal invariant violation: adapted-coordinate construction "
+            "exceeded budget\n")
+
+    def test_trace_reports_the_level_budget(self, capsys):
+        # the same infinite-series branch, times a factor that stops
+        assert cli.main(["trace",
+                         "(x2 - (x1 + x2)^2)^2*(x2 - x1^2)^3"]) == 0
+        branches = json.loads(capsys.readouterr().out)["splitting"]["branches"]
+        assert [(b["terminal"], len(b["steps"])) for b in branches] == [
+            ("stop_12_9", 2), ("budget_exceeded", 128)]
 
 
 class TestHaltSurfacing:

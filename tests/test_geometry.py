@@ -68,6 +68,15 @@ class TestPolyhedron:
             w = n.edges[0].weight
             assert (w.k1, w.k2) == (F(1, m * nn), F(1, nn))
 
+    @pytest.mark.parametrize("text, ratio, message", [
+        ("x2^2 + x1^4", F(0), "ratio must be positive"),
+        ("1 + x1^2", F(2), "support touches the origin"),
+    ])
+    def test_supporting_weight_rejects(self, text, ratio, message):
+        n = NewtonPolyhedron.of(P(text))
+        with pytest.raises(ValueError, match=message):
+            n.supporting_weight_for_ratio(ratio)
+
     def test_vertex_monotonicity(self):
         n = NewtonPolyhedron.of(P("(x2 - x1^3)*(x2 - x1^4)^3"))
         for u, v in zip(n.vertices, n.vertices[1:]):

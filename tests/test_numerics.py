@@ -102,6 +102,38 @@ class TestQuadrature:
                                     lambda x, y: bump(x) * bump(y),
                                     (-1.0, 1.0, -1.0, 1.0), 1e4, max_cells=10)
 
+    def test_depth_cap(self):
+        # a jump keeps one cell unresolved at every level
+        with pytest.raises(QuadratureError, match="1-D quadrature did not "
+                           "converge"):
+            oscillatory_integral_1d(lambda s: 1e30 * np.sign(s), bump,
+                                    -1.0, 1.0, 10.0)
+
+
+class TestPublicApiErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: oscillatory_integral_1d(np.sin, bump, -1.0, 1.0, [[10.0]]),
+         "lam must be a number or a 1-D sequence"),
+        (lambda: surface_decay_fit(P("x2^2"), (0, 0, 0)), "zero direction"),
+        (lambda: van_der_corput_fit(0, [0.0, 1.0]),
+         "derivative order must be >= 1"),
+        (lambda: dominance_probe(P("x2^2 + x1^4"), (1, 1), 4, 0.1),
+         "vertex carries no coefficient"),
+        (lambda: dominance_probe(P("x2^2 + x1^4"), (0, 2), 4, 0.1),
+         "vertex needs compact edges on both sides"),
+        (lambda: oscillatory_sum_bound(SumBoundTrial(
+            "double", (F(1), F(1)), ((F(2), F(2)),), (0.0,), (1.0,), (2.0,),
+            None)), "direction vector parallel to the alphas"),
+        # alpha = 0: the denominator |2^(i alpha t) - 1| vanishes for every t
+        (lambda: oscillatory_sum_bound(SumBoundTrial(
+            "single", (F(0),), ((F(1),),), (0.0,), (1.0,), (64.0,), None)),
+         "could not sample enough t"),
+    ], ids=["lam-2d", "zero-direction", "derivative-order", "no-coefficient",
+            "end-vertex", "parallel-direction", "zero-denominator"])
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 def _ladders(bound):
     """1-6 nonzero frequencies in [-bound, bound], unsorted, repeats allowed."""
@@ -180,8 +212,7 @@ class TestFrequencyLadder:
         fit = airy_scaling_check(-0.5)
         phase = lambda t: 1.0 * t ** 3 - (-0.5) * t
         amp = lambda t: smooth_plateau(t / 1.0)
-        scalars = [abs(oscillatory_integral_1d(phase, amp, -1.0, 1.0, lam,
-                                               tau=math.pi))
+        scalars = [abs(oscillatory_integral_1d(phase, amp, -1.0, 1.0, lam))
                    for lam in fit.lambda_grid]
         assert fit.magnitudes == pytest.approx(scalars, rel=1e-6, abs=0)
 
@@ -263,6 +294,11 @@ class TestSurfaceDecay:
         keys = [key for _mod, key in isolations]
         assert keys and len(set(keys)) == len(keys)
 
+    def test_pure_x1_phase_is_swapped_to_pure_x2(self):
+        fit = surface_decay_fit(P("x1^2"))
+        assert fit.meta == {"reduction": "pure_x2"}
+        assert fit.verdict == "pass"
+
     def test_ramified_input_is_rejected_before_quadrature(self):
         with pytest.raises(ValueError, match="integer-exponent"):
             surface_decay_fit(P("x1^(3/2) + x2^2"), (0, 0, 1), lams=SHORT)
@@ -312,21 +348,6 @@ class TestSurfaceDecay:
         assert tilted.meta == {"reduction": "direct_2d",
                                "fallback": "no_reduction"}
 
-    def test_fallback_honours_tau(self):
-        # the direct 2-D tree runs at TAU_2D unless a tau is given; a smaller
-        # tau refines the tree, which moves the values within the rule's error
-        phi = P("x1^3*x2 + x1*x2^3 + x1^2*x2^2")
-        lams = np.geomspace(4.0, 400.0, 5)
-        coarse = surface_decay_fit(phi, (0, 0, 1), lams=lams)
-        assert surface_decay_fit(phi, (0, 0, 1), lams=lams,
-                                 tau=numerics.TAU_2D).magnitudes \
-            == coarse.magnitudes
-        fine = surface_decay_fit(phi, (0, 0, 1), lams=lams,
-                                 tau=numerics.TAU_2D / 4)
-        assert fine.meta["reduction"] == "direct_2d"
-        assert fine.magnitudes != coarse.magnitudes
-        assert fine.magnitudes == pytest.approx(coarse.magnitudes, rel=1e-9)
-
     def test_direct_2d_default_agrees_with_finer_tau(self):
         # an 8x8-point rule at tau = 2 pi misses this by 5.5e-7 relative
         f = _poly_xy_eval(P("(x2 - x1^2)^2"))
@@ -348,6 +369,11 @@ class TestAiry:
         assert abs(off.fitted_exponent - 0.5) <= 0.05
         opp = airy_scaling_check(-0.5)
         assert opp.verdict == "pass" and opp.fitted_exponent >= 2.0
+
+    def test_tiny_u_is_near_cone(self):
+        # lam^(2/3) |u| stays below 0.5 on the whole grid
+        fit = airy_scaling_check(1e-6, lams=lambda_grid(1e2, 1e5, 16))
+        assert fit.meta == {"regime": "near-cone"} and fit.verdict == "pass"
 
     def test_straddling_inconclusive(self):
         fit = airy_scaling_check(0.5, lams=lambda_grid(1.0, 1e3, 8))
@@ -531,6 +557,14 @@ class TestDominance:
         for m, e in zip(ms, errs):
             assert e <= 4.0 * 2.0 ** (-m)
 
+    def test_underflowed_windows_are_skipped(self):
+        # at y1 = 1e-8 / 128 both ends of the y2 window underflow to 0; the
+        # probe skips that window and the other six still decay like 2^-m
+        phi = P("x2^2 + x1^32*x2 + x1^65")
+        for m in (2, 4, 8):
+            err = dominance_probe(phi, (F(32), 1), m, 1e-8)
+            assert 2.0 ** (-m) <= err <= 1.01 * 2.0 ** (-m)
+
     def test_incompatible_region_reported(self):
         phi = P("(x2 - x1^3)*(x2 - x1^4)^3")
         with pytest.raises(ValueError):
@@ -554,6 +588,14 @@ class TestKnappBox:
                 if c.target == "principal"][0]
         res = knapp_box_probe(phi, cert)
         assert abs(res["beta"] - 1.0) <= 0.05
+
+    def test_ramified_frame_samples_x1_positive(self):
+        # the sheared x2^2 + x1^(11/2) lives on x1 > 0 only
+        phi = P("(x2 - x1^(3/2))^2 + x1^(11/2)")
+        for cert in knapp_certificates(phi, P("x1^(3/2)")):
+            assert cert.f.ramification == 2
+            res = knapp_box_probe(phi, cert)
+            assert abs(res["beta"] - 1.0) <= 0.05 and res["min_ratio"] > 0.5
 
 
 class TestFloatEvaluator:

@@ -83,11 +83,56 @@ class TestCalculus:
     def test_derivative_x2(self):
         assert P("x2^2").partial_derivative(2) == P("2*x2")
 
+    def test_derivative_drops_terms_free_of_the_variable(self):
+        assert P("x1^3 + x2^2").partial_derivative(1) == P("3*x1^2")
+
     def test_fractional_derivative_x1(self):
         p = PuiseuxPoly.monomial(1, F(3, 2), 0)
         d = p.partial_derivative(1)
         assert d == PuiseuxPoly.monomial(F(3, 2), F(1, 2), 0)
 
+
+
+class TestPublicApiErrors:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: PuiseuxPoly({(-1, 0): 1}), ValueError, "negative exponent"),
+        (lambda: PuiseuxPoly({(1, 0): 0.5}), TypeError,
+         "expected an exact rational, got float"),
+        (lambda: x1() ** -1, ValueError, "negative power"),
+        (lambda: x1().partial_derivative(3), ValueError, "axis must be 1 or 2"),
+        (lambda: x1().restrict_x1(2), ValueError, "sign must be"),
+        (lambda: P("x1^(1/2)").restrict_x1(-1), ValueError,
+         "negative half-plane needs integer exponents"),
+        (lambda: P("x1*x2").shift_e2(-2), ValueError, "not divisible"),
+        (lambda: P("x1^(1/2)").swap_variables(), ValueError,
+         "cannot swap variables with fractional powers"),
+        (lambda: x1() + 0.5, TypeError, "unsupported operand"),
+        (lambda: x1() * 0.5, TypeError, "unsupported operand"),
+    ], ids=["negative-exponent", "float-coefficient", "negative-power",
+            "axis", "sign", "ramified-negative-half-plane", "shift_e2",
+            "swap-ramified", "add-float", "mul-float"])
+    def test_rejects(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_equality_with_other_types_is_false(self):
+        assert x1() != "x1" and not x1() == 1
+
+    def test_repeated_terms_cancel_on_construction(self):
+        terms = [((1, 0), 1), ((0, 2), 3), ((1, 0), -1)]
+        assert PuiseuxPoly(terms) == P("3*x2^2")
+
+    def test_zero(self):
+        zero = PuiseuxPoly.zero()
+        assert repr(zero) == "PuiseuxPoly(0)"
+        assert zero.degree_x2() == -1 and zero.total_degree() == 0
+        assert len(zero) == 0 and len(P("x1 + x2")) == 2
+        assert zero.shear_substitute(x1() ** 2) == zero
+
+    def test_subtraction(self):
+        assert P("x1^2 + x2") - 1 == P("x1^2 + x2 - 1")
+        assert P("x1^2 + x2") - P("x2") == P("x1^2")
+        assert 1 - x1() == P("1 - x1")
 
 
 def jets(draw):

@@ -169,6 +169,12 @@ class TestAgainstRationalRoute:
                       (qpoly([-7, 5]), 1)])
         self._check(p)
         self._check(q_mul(qpoly([-2, 0, 1]), qpoly([F(-201, 100), 0, 1])))
+        # sqrt(2) and the double root sqrt(99/49) lie 0.007 apart in two
+        # square-free factors, whose first intervals overlap
+        p = q_mul(qpoly([-2, 0, 1]), q_pow(qpoly([-99, 0, 49]), 2))
+        self._check(p)
+        intervals = sorted(r.interval for r in squarefree_real_roots(p))
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
 
 
 class TestAgainstSympy:

@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from nrestrict.adapted import is_adapted
 from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.parser import parse_expression
@@ -57,6 +59,28 @@ class TestAdaptedCoordinates:
             ac = adapted_coordinates(P(text))
             lead = ac.psi.min_e1()
             assert lead.denominator == 1 and lead >= 2
+
+
+class TestPublicApiErrors:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: adapted_coordinates(P("x1 + x2^2")),
+         "need a critical point at the origin"),
+        # the principal face x2 = x1^(1/2) of a non-linearly-adapted input
+        (lambda: adapted_coordinates(P("(x1 - x2^2)^2")),
+         "need linearly adapted input; the principal face has ratio 1/2"),
+        (lambda: select_l_pr(NewtonPolyhedron.of(P("x1^2*x2^2 + x1^5")),
+                             F(2)),
+         "bisectrix vertex with no edge above it"),
+        (lambda: select_l_pr(NewtonPolyhedron.of(P("x1^3*x2 + x1^5")), F(2)),
+         "vertical unbounded principal face has no root jet"),
+        (lambda: split(P("x2^5")),
+         "fine splitting applies to the compact-edge and bisectrix-vertex "
+         "cases only"),
+    ], ids=["linear-term", "not-linearly-adapted", "first-vertex",
+            "vertical-ray", "case-c2"])
+    def test_rejects(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSelectLpr:
