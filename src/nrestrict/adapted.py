@@ -2,9 +2,9 @@
 
 The adaptedness criterion needs the maximal vanishing order of the principal
 part along the unit circle; off-axis circle zeros are read off the univariate
-restrictions at x1 = 1 and x1 = -1 (dilation orbits are transversal to the
-circle, so circle multiplicity equals univariate multiplicity), and the axis
-points contribute the extreme exponents of the support.
+restrictions at x1 = 1 and, at a non-integer edge ratio, x1 = -1 (dilation
+orbits are transversal to the circle, so circle multiplicity equals univariate
+multiplicity), and the axis points add the extreme exponents of the support.
 """
 
 from __future__ import annotations
@@ -29,25 +29,24 @@ def _shear_matrix(b: Fraction) -> Matrix:
     return ((Fraction(1), Fraction(0)), (Fraction(b), Fraction(1)))
 
 
-def _circle_roots(p: PuiseuxPoly
+def _circle_roots(p: PuiseuxPoly, ratio: Fraction
                   ) -> tuple[int, Optional[RootRecord], tuple[RootRecord, ...]]:
-    """Circle order of a kappa-homogeneous ``p``, its off-axis root of
-    highest multiplicity, and the real roots of p(1, t), from one isolation
-    per restriction.
+    """Circle order of a kappa-homogeneous ``p`` of edge ratio ``ratio`` =
+    k2/k1, its off-axis root of highest multiplicity (the ``+`` side wins
+    ties), and the real roots of p(1, t).
 
-    ``p`` is ``kappa_principal_part`` output, one term per power of x2, so
-    neither restriction vanishes.  Off-axis zeros come from real roots of
-    p(1, t) and (for integer exponents) p(-1, t); the axis points (+-1, 0)
-    and (0, +-1) contribute the minimal e2 respectively minimal e1 of the
-    support.  The ``+`` side wins ties: with an integer weight ratio the
-    ``-`` side roots mirror the ``+`` side roots with the same
-    multiplicities.
+    ``p`` is ``kappa_principal_part`` output, so neither restriction
+    vanishes.  The axis points (+-1, 0) and (0, +-1) add the minimal e2 and
+    e1 of the support; off-axis zeros are real roots of p(1, t) and, at a
+    non-integer ratio and integer exponents, of p(-1, t).  On the edge, e1 =
+    l1 + a*(l2 - e2), so for an integer a p(-1, t) = +-p(1, (-1)^a * t) has
+    the same multiplicities.  Otherwise the x1 < 0 side can decide: at ratio
+    1/2, ``(x1 + x2^2)^2`` gives p(1, t) = (1 + t^2)^2 with no real root and
+    p(-1, t) = (t^2 - 1)^2 with two double ones.
     """
-    sides = [("+", 1)] + ([("-", -1)] if p.ramification == 1 else [])
-    found: list[tuple[RootRecord, ...]] = []
-    for label, sign in sides:
-        found.append(tuple(squarefree_real_roots(p.restrict_x1(sign),
-                                                 sign_of_variable=label)))
+    found = [tuple(squarefree_real_roots(p.restrict_x1(1)))]
+    if ratio.denominator != 1 and p.ramification == 1:
+        found.append(tuple(squarefree_real_roots(p.restrict_x1(-1))))
     # max keeps the first of equal multiplicities: the + side wins ties
     best = max((rec for side in found for rec in side),
                key=lambda rec: rec.multiplicity, default=None)
@@ -67,7 +66,9 @@ class AdaptednessVerdict:
     m_pr: Optional[int]               # circle order of the principal part
     d: Fraction
     weight: Optional[Weight]          # principal weight when face is compact
-    witness: Optional[RootRecord]     # a circle root with multiplicity > d
+    # when not adapted, the off-axis circle root of highest multiplicity: of
+    # p(1, t), or at a non-integer ratio possibly of p(-1, t)
+    witness: Optional[RootRecord]
     # the polyhedron judged and, on a compact principal edge, the real roots
     # of p(1, t) (None off such an edge); later stages read them
     polyhedron: NewtonPolyhedron = field(compare=False, repr=False)
@@ -81,7 +82,7 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     Vertex and unbounded principal faces are always adapted; a compact
     principal edge is adapted iff the circle order of the principal part is
     at most the Newton distance (automatic when neither k2/k1 nor k1/k2 is
-    an integer).
+    an integer); see :func:`_circle_roots` for the circle order.
     """
     n = NewtonPolyhedron.of(phi)
     d = n.distance()
@@ -91,8 +92,8 @@ def is_adapted(phi: PuiseuxPoly) -> AdaptednessVerdict:
     if face.kind == "unbounded_edge":
         return AdaptednessVerdict(True, "c", None, d, None, None, n)
     w = face.edge.weight
-    m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w))
     ratio = w.a
+    m_pr, witness, roots = _circle_roots(kappa_principal_part(phi, w), ratio)
     if ratio.denominator != 1 and (1 / ratio).denominator != 1 and m_pr >= d:
         raise InternalInvariantError(
             "non-integer weight ratio must force circle order < distance")
@@ -154,18 +155,19 @@ def linear_height(phi: PuiseuxPoly) -> LinearHeightReport:
 def _shear_root(verdict: AdaptednessVerdict) -> Fraction:
     """The root coefficient the next shear of a non-adapted polynomial kills.
 
-    It is the verdict's witness: the root of p(1, t) of multiplicity > d on
-    the ``+`` side, where p is the principal part.  The callers shear only at
-    weight ratio k2/k1 >= 1, so p(1, t) in Q[t] has degree at most
-    1/k2 <= 2/(k1 + k2) = 2d.  Hence at most one root, real or complex, has
-    multiplicity > d; every automorphism of the algebraic numbers permutes
-    the roots of p(1, t) keeping multiplicities, so it fixes that root, and
-    the root is rational.  An irrational witness is an internal error.
+    It is the verdict's witness, a root of p(1, t) of multiplicity > d, where
+    p is the principal part: the callers shear only at an integer weight
+    ratio k2/k1 >= 1, where p(-1, t) is not isolated.  So p(1, t) in Q[t]
+    has degree at most 1/k2 <= 2/(k1 + k2) = 2d.  Hence at most one root,
+    real or complex, has multiplicity > d; every automorphism of the
+    algebraic numbers permutes the roots of p(1, t) keeping multiplicities,
+    so it fixes that root, and the root is rational.  An irrational witness
+    is an internal error.
     """
     rec = verdict.witness
-    if rec is None or rec.multiplicity <= verdict.d or rec.sign_of_variable != "+":
+    if rec is None or rec.multiplicity <= verdict.d:
         raise InternalInvariantError(
-            "non-adapted verdict has no + side circle root exceeding the distance")
+            "non-adapted verdict has no circle root exceeding the distance")
     if not rec.is_rational:
         raise InternalInvariantError(
             f"irrational circle root of multiplicity {rec.multiplicity} "

@@ -145,7 +145,7 @@ class NewtonPolyhedron:
         """The supporting line with reciprocal slope ``a`` (exact contact)."""
         if a <= 0:
             raise ValueError("ratio must be positive")
-        level = min(p[0] + a * p[1] for p in self.support)
+        level = min(p[0] + a * p[1] for p in self.vertices)
         if level == 0:
             raise ValueError("support touches the origin; no supporting "
                              "line at level one")
@@ -183,12 +183,16 @@ class NewtonPolyhedron:
 
 
 def kappa_principal_part(phi: PuiseuxPoly, w: Weight) -> PuiseuxPoly:
-    """Terms of ``phi`` on the supporting line of ``w`` (kappa-homogeneous
-    of degree 1); rejects weights whose line does not support the polyhedron."""
-    values = [w.k1 * e1 + w.k2 * e2 for (e1, e2) in phi.support()]
-    if min(values) != 1:
-        raise ValueError("line of given weight is not supporting at level 1")
-    return phi.terms_on_line(lambda e1, e2: w.k1 * e1 + w.k2 * e2, Fraction(1))
+    """Terms of ``phi`` on the line k1*e1 + k2*e2 = 1 of ``w``, the weight of
+    an edge of ``phi``'s own polyhedron: one lookup of e1 = (1 - k2*e2)/k1
+    per power e2 of x2, until e1 turns negative."""
+    terms = {}
+    for e2 in range(phi.degree_x2() + 1):
+        e1 = (1 - w.k2 * e2) / w.k1
+        if e1 < 0:
+            break
+        terms[(e1, e2)] = phi.coefficient(e1, e2)  # zeros are dropped
+    return PuiseuxPoly(terms)
 
 
 def h_l_of_edge(w: Weight, m: Fraction) -> Fraction:

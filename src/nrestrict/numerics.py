@@ -965,11 +965,13 @@ def dominance_probe(phi: PuiseuxPoly, vertex: tuple, m_sep: int,
     worst = 0.0
     terms = [(float(e1 - av), e2 - bv, float(c / cv))
              for (e1, e2), c in phi.terms.items() if (e1, e2) != (av, bv)]
-    for y1 in y1s:
-        lo = lo_fac * y1 ** lo_exp
-        hi = hi_fac * y1 ** hi_exp
-        if not lo < hi:
-            continue
+    windows = [(y1, lo_fac * y1 ** lo_exp, hi_fac * y1 ** hi_exp)
+               for y1 in y1s]
+    # skip empty windows and those whose lower end underflowed to 0
+    windows = [w for w in windows if 0.0 < w[1] < w[2]]
+    if not windows:
+        raise ValueError("empty sample region (every y2 window underflows)")
+    for y1, lo, hi in windows:
         y2m = np.geomspace(lo, hi, n_y2)
         for sgn in (1.0, -1.0):
             l1 = math.log(y1)

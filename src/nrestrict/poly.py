@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 #: exponent pair (e1, e2); e1 is a Fraction, e2 an int
 Exponent = tuple[Fraction, int]
@@ -412,9 +412,3 @@ class PuiseuxPoly:
             raise ValueError("not divisible by that power of x2")
         return PuiseuxPoly({(e1, e2 + delta): c
                             for (e1, e2), c in self._terms.items()})
-
-    def terms_on_line(self, dot: Callable[[Fraction, int], Fraction],
-                      level: Fraction) -> "PuiseuxPoly":
-        """Subpolynomial of terms with ``dot(e1, e2) == level``."""
-        return PuiseuxPoly({(e1, e2): c for (e1, e2), c in self._terms.items()
-                            if dot(e1, e2) == level})

@@ -288,13 +288,12 @@ class RootRecord:
     An irrational root also carries ``factor``, the monic coefficients of
     the square-free factor of its multiplicity with the rational roots
     divided out; it vanishes on the interval and takes no part in record
-    equality.
+    equality.  A record does not say which polynomial it is a root of.
     """
 
     multiplicity: int
     value: Optional[Fraction] = None
     interval: Optional[tuple[Fraction, Fraction]] = None
-    sign_of_variable: str = "+"
     factor: Optional[tuple[Fraction, ...]] = field(default=None, compare=False,
                                                    repr=False)
 
@@ -303,8 +302,7 @@ class RootRecord:
         return self.value is not None
 
 
-def squarefree_real_roots(p: Sequence[Fraction],
-                          sign_of_variable: str = "+") -> list[RootRecord]:
+def squarefree_real_roots(p: Sequence[Fraction]) -> list[RootRecord]:
     """Every real root of the coefficient list ``p`` once, with exact
     multiplicity.
 
@@ -322,8 +320,7 @@ def squarefree_real_roots(p: Sequence[Fraction],
     for factor, mult in factors:
         work = factor
         for r in _rational_roots(factor):
-            records.append(RootRecord(multiplicity=mult, value=r,
-                                      sign_of_variable=sign_of_variable))
+            records.append(RootRecord(multiplicity=mult, value=r))
             rational_values.append(r)
             work = _exact_quotient(work, [-r.numerator, r.denominator])
         for lo, hi in _isolate(work):
@@ -350,7 +347,6 @@ def squarefree_real_roots(p: Sequence[Fraction],
                     changed = True
     for f, lo, hi, mult in pending:
         records.append(RootRecord(multiplicity=mult, interval=(lo, hi),
-                                  sign_of_variable=sign_of_variable,
                                   factor=_monic(f)))
     records.sort(key=lambda r: r.value if r.value is not None
                  else (r.interval[0] + r.interval[1]) / 2)

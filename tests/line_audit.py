@@ -55,9 +55,9 @@ ALLOWLIST: dict[tuple[str, str, str], str] = {
      'circle order < distance")'):
         "theorem: a face of non-integer ratio has circle order below d",
     ("adapted.py", "_shear_root",
-     'raise InternalInvariantError( "non-adapted verdict has no + side '
-     'circle root exceeding the distance")'):
-        "theorem: a non-adapted verdict carries a + side root of order > d",
+     'raise InternalInvariantError( "non-adapted verdict has no circle '
+     'root exceeding the distance")'):
+        "theorem: a non-adapted verdict carries a root of order > d",
     ("adapted.py", "classify_linear",
      'raise InternalInvariantError( "D-type linear coordinates have no '
      'x1*x2^2 term")'):

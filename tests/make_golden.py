@@ -6,8 +6,9 @@ for the ``analyze``, ``knapp``, ``trace`` and ``diagram`` subcommands of
 one input whose reports carry an algebraic-root halt, one A/D input whose
 critical branch is not a polynomial, and two A/D inputs whose linear stage
 ends in coordinates that ``classify_linear`` still moves or that a linear
-transform reached, and four high-contact A/D inputs whose index lies above
-the classifier's series order.  The digest is of the written output
+transform reached, four high-contact A/D inputs whose index lies above
+the classifier's series order, and one input whose principal edge only the
+x1 < 0 side makes non-adapted.  The digest is of the written output
 file on exit 0 and of stderr otherwise.
 ``tests/test_golden.py`` recomputes every entry and requires the bytes to be
 unchanged; so does ``--check``, which needs no pytest::
@@ -56,8 +57,12 @@ LINEAR_NORMALIZATION = ["x1*(x2 - x1^2)^2 + x2^3 + x1^9",
 #: A49, D52, A71 and D74, whose n lies above the classifier's series order
 HIGH_INDEX = [high_contact(a, x1) for a in (5, 6) for x1 in (False, True)]
 
+#: a principal edge of ratio 1/2 that only the x1 < 0 side makes
+#: non-adapted: p(1, t) = (1 + t^2)^2, p(-1, t) = (t^2 - 1)^2
+NEGATIVE_SIDE = ["(x1 + x2^2)^2"]
+
 INPUTS = (ACCEPTANCE + LADDER + HALT + NONPOLY_BRANCH + LINEAR_NORMALIZATION
-          + HIGH_INDEX)
+          + HIGH_INDEX + NEGATIVE_SIDE)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden.json")

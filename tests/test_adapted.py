@@ -16,7 +16,7 @@ from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import analyze
 from nrestrict.roots import RootRecord, squarefree_real_roots
 
-from make_golden import ACCEPTANCE, LADDER
+from make_golden import ACCEPTANCE, INPUTS, LADDER
 from inputs import EX122, HIGH_CONTACT, NORMAL_FORMS, high_contact
 from oracles import series_classification
 
@@ -47,19 +47,23 @@ def height_of_class(family, n):
 
 class TestCircleVanishingOrder:
     def test_double_root_on_circle(self):
-        assert adapted._circle_roots(P("(x2 - x1^2)^2"))[0] == 2
+        assert adapted._circle_roots(P("(x2 - x1^2)^2"), F(2))[0] == 2
 
     def test_positive_on_circle(self):
-        assert adapted._circle_roots(P("x1^2 + x2^2"))[0] == 0
+        assert adapted._circle_roots(P("x1^2 + x2^2"), F(1))[0] == 0
 
     def test_axis_zeros(self):
-        assert adapted._circle_roots(P("x1*x2"))[0] == 1
+        assert adapted._circle_roots(P("x1*x2"), F(1))[0] == 1
+
+    def test_integer_ratio_reads_the_positive_side(self):
+        # p(-1, t) = -p(1, -t): the triple root -1 of p(1, t) suffices
+        assert adapted._circle_roots(P("(x2 + x1)^3"), F(1))[0] == 3
 
     def test_negative_halfplane_root(self):
-        # root only at x1 = -1: (x2 + x1^3)^2 restricted to x1 = 1 has root -1,
-        # so both restrictions are scanned; use an odd asymmetric case
-        p = P("(x2 + x1)^3")
-        assert adapted._circle_roots(p)[0] == 3
+        # ratio 1/2: p(1, t) = (1 + t^2)^2 has no real root, the order 2
+        # comes from p(-1, t) = (t^2 - 1)^2 alone
+        order, best, plus = adapted._circle_roots(P("(x1 + x2^2)^2"), F(1, 2))
+        assert order == 2 and plus == () and best.value == -1
 
     def test_homogeneous_height_formula(self):
         # height of a kappa-homogeneous part is max(circle order, 1/|kappa|)
@@ -68,7 +72,7 @@ class TestCircleVanishingOrder:
             ("x1^2 + x2^2", Weight(F(1, 2), F(1, 2)), 1),
         ]:
             p = P(text)
-            m = adapted._circle_roots(p)[0]
+            m = adapted._circle_roots(p, k.a)[0]
             d_h = 1 / (k.k1 + k.k2)
             assert critical_exponent(p).h == max(m, d_h) == expect_h
 
@@ -94,6 +98,34 @@ class TestIsAdapted:
     def test_vertex_criterion_b(self):
         v = is_adapted(P("x1*x2"))
         assert v.adapted and v.criterion == "b"
+
+    def test_negative_side_decides(self):
+        # the double roots +-1 of p(-1, t) = (t^2 - 1)^2 exceed d = 4/3
+        v = is_adapted(P("(x1 + x2^2)^2"))
+        assert not v.adapted and v.m_pr == 2 and v.weight.a == F(1, 2)
+        assert v.d == F(4, 3) and v.witness.value == -1 and v.roots == ()
+
+    def test_integer_ratio_sides_mirror(self, monkeypatch):
+        """On every edge of integer ratio of every polynomial the pipeline
+        judges, p(-1, t) has the root multiplicities of p(1, t), which is
+        why ``_circle_roots`` isolates only p(1, t) there."""
+        judged, _linear = _record_judgements(monkeypatch)
+        for text in INPUTS:
+            analyze(parse_expression(text)).to_json()
+        edges = 0
+        for phi, verdict in judged:
+            if phi.ramification != 1:
+                continue
+            for edge in verdict.polyhedron.edges:
+                if edge.a.denominator != 1:
+                    continue
+                pr = kappa_principal_part(phi, edge.weight)
+                plus, minus = (sorted(r.multiplicity for r in
+                                      squarefree_real_roots(pr.restrict_x1(s)))
+                               for s in (1, -1))
+                assert plus == minus, (phi, edge)
+                edges += 1
+        assert edges > len(INPUTS)
 
 
 def _record_judgements(monkeypatch):

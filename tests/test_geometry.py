@@ -126,10 +126,6 @@ class TestPrincipalPart:
         face = n.principal_face()
         assert face.kind == "unbounded_edge" and face.orientation == "horizontal"
 
-    def test_non_supporting_weight_rejected(self):
-        with pytest.raises(ValueError):
-            kappa_principal_part(P("x2^2"), Weight(F(1, 3), F(1, 3)))
-
 
 class TestEdgeHeights:
     def test_example_12_2_values(self):

@@ -565,6 +565,19 @@ class TestDominance:
             err = dominance_probe(phi, (F(32), 1), m, 1e-8)
             assert 2.0 ** (-m) <= err <= 1.01 * 2.0 ** (-m)
 
+    def test_underflowed_lower_ends_are_skipped(self):
+        # at delta = 1e-5 the lower end 2^m * y1^60 underflows to 0 in the
+        # smaller windows, which the probe skips; the rest decay like 2^-m
+        phi = P("x2^2 + x1^50*x2 + x1^110")
+        for m in (1, 2, 4):
+            err = dominance_probe(phi, (F(50), 1), m, 1e-5)
+            assert 0.99 * 2.0 ** (-m) <= err <= 2.0 ** (-m)
+
+    def test_every_window_underflowed_is_reported(self):
+        phi = P("x2^2 + x1^50*x2 + x1^110")
+        with pytest.raises(ValueError, match="empty sample region"):
+            dominance_probe(phi, (F(50), 1), 1, 1e-10)
+
     def test_incompatible_region_reported(self):
         phi = P("(x2 - x1^3)*(x2 - x1^4)^3")
         with pytest.raises(ValueError):

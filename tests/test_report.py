@@ -78,10 +78,11 @@ ISOLATION_INPUTS = [
 
 
 def test_isolation_count_is_pinned(isolations):
-    """One ``analyze(...).to_json()`` each isolates 23 restrictions in all."""
+    """One ``analyze(...).to_json()`` each isolates 14 restrictions in all;
+    p(-1, t) only at an edge ratio that is not an integer."""
     for text in ISOLATION_INPUTS:
         analyze(parse_expression(text)).to_json()
-    assert len(isolations) == 23
+    assert len(isolations) == 14
 
 
 def test_analyze_reports_agree_with_the_oracle():
