@@ -29,6 +29,13 @@ in ``meta``.
 Sum strategy: one sweep serves single and double sums (a single sum is the
 double sum with its second index at 0).  It evaluates only the index grid's
 live polygon, buckets on the frequency lattice and sweeps t in sqrt(K) blocks.
+Within a row of the polygon every factor is constant on one run: a factor
+along an axis line (no m2 term) everywhere, a bump factor bump(-c/s) where
+2^e is below a quarter ulp of its center c (y - c then rounds to -c), and a
+factor with no bump (H = 1) below its window's end.  Each row's run is one
+value added to every |p2|-th frequency bucket, so it goes in as +v/-v on a
+difference array, summed by one cumsum per residue class mod |p2|; only the
+at most two segments at the run's ends are evaluated cell by cell.
 
 All randomized trials take explicit seeds and reduce in fixed index order, so
 results are reproducible run to run.
@@ -570,13 +577,16 @@ def _pure_x2_factor(pure: PuiseuxPoly, jet: Optional[PuiseuxPoly],
     y_max = hw + float(np.max(np.abs(psi_vals)))
     grid = np.linspace(-y_max, y_max, 4097)
     w1 = bump(y1 / hw)
-    # in blocks of 1024 rows, so that no 4097 x 1025 array is built; each
-    # row's sum is the same.  Smaller blocks leave glibc's dynamic mmap
-    # threshold below the 1-D tree's 2 MB chunk arrays, which are then
-    # mapped afresh on every step: 256 rows made the 1-D fits 4% slower.
+    # in blocks of 512 rows, so that no 4097 x 1025 array is built; each
+    # row's sum is the same.  The block temporaries set glibc's dynamic mmap
+    # threshold: at 256 rows (2 MB) the 1-D tree's 2 MB chunk arrays were
+    # mapped afresh on every step, 4% slower; at 1024 rows (8 MB) the heap
+    # kept up to 16 MB of freed memory, and the decay benchmark's peak RSS
+    # fell in one of two modes, 75 or 80-82 MB, from run to run (58-64 MB at
+    # 512 rows).
     gv = np.concatenate([
         _trapezoid(w1 * bump((rows[:, None] + psi_vals) / hw), y1, axis=1)
-        for rows in np.split(grid, range(1024, len(grid), 1024))])
+        for rows in np.split(grid, range(512, len(grid), 512))])
     return (phase, lambda y: np.interp(np.asarray(y, dtype=float), grid, gv),
             y_max)
 
@@ -665,13 +675,32 @@ def _factor(trial: SumBoundTrial, k: int, e: np.ndarray) -> np.ndarray:
     return np.where(inside, bump((y - c) / s), 0.0)
 
 
+#: margin in e by which a flat run stays inside the region where its factor
+#: is constant; it covers the rounding of e and of 2^e many times over
+_FLAT_SLACK = 2.0 ** -10
+
+
+def _flat_end(trial: SumBoundTrial, k: int) -> tuple[float, float]:
+    """(e, v): the k-th factor is v at every e' <= e, bit for bit.  This
+    holds where e' <= log2 r_k and, with a bump, 2^e' is below a quarter ulp
+    of its center c: there y - c rounds to -c, so the factor is
+    bump(-c / s)."""
+    e = math.log2(trial.r_vals[k])
+    if trial.bump_spec is not None:
+        e = min(e, math.log2(math.ulp(trial.bump_spec.centers[k])) - 2)
+    e -= _FLAT_SLACK
+    return e, float(_factor(trial, k, np.array([e]))[0])
+
+
 def _axis_lines(trial: SumBoundTrial, top: int) -> list[tuple]:
-    """(b1, b2, log2|a_k|, line) of each coordinate k: line is the factor on
-    [0, top] of m1 if b2 = 0 (b2 * m2 = 0.0 adds nothing), else None."""
+    """(b1, b2, log2|a_k|, line, flat) of each coordinate k: line is the
+    factor on [0, top] of m1 if b2 = 0 (b2 * m2 = 0.0 adds nothing), else
+    None; flat is ``_flat_end(trial, k)`` if b2 != 0, else None."""
     n = np.arange(top + 1, dtype=float)
     dirs = [(float(b[0]), float(b[1]) if len(b) > 1 else 0.0, la)
             for b, la in zip(trial.betas, trial.log2_a)]
-    return [(b1, b2, la, None if b2 else _factor(trial, k, b1 * n + la))
+    return [(b1, b2, la, None, _flat_end(trial, k)) if b2 else
+            (b1, b2, la, _factor(trial, k, b1 * n + la), None)
             for k, (b1, b2, la) in enumerate(dirs)]
 
 
@@ -680,21 +709,30 @@ _SWEEP_CELLS = 2 ** 16
 
 
 def _live_cells(trial: SumBoundTrial, m: int, lines: list[tuple]):
-    """Yield ``(m1, m2, values)`` for the nonzero cells of level m's grid
-    [0, m]^2 ([0, m] x {0} for a single trial) row-major, in chunks of whole
-    rows, at most ``_SWEEP_CELLS`` cells or one row; ``lines`` is
-    ``_axis_lines(trial, top)`` with top >= m.  Factor k is 0 unless
-    e = b1 m1 + b2 m2 + log2|a_k| <= log2 r_k and c' - s < 2^min(e, 64) <
-    c' + s, c' = sign_k center_k: per row, one m2 interval when b2 != 0.
-    Only their intersection, widened by one index, in rows with no zero on
-    an m1 line is evaluated, and the ``!= 0`` filter stays (cos^4 can
-    underflow): the cells and values are the full grid's nonzero ones while
-    the rounding of the m2 ends stays below one index, so for |b2| >> 1e-10
-    (criterion 9's trials have |b2| >= 1/6)."""
+    """The nonzero cells of level m's grid [0, m]^2 ([0, m] x {0} for a
+    single trial) as ``(runs, cells)``; ``lines`` is ``_axis_lines(trial,
+    top)`` with top >= m.
+
+    Factor k is 0 unless e = b1 m1 + b2 m2 + log2|a_k| <= log2 r_k and
+    c' - s < 2^min(e, 64) < c' + s, c' = sign_k center_k: per row, one m2
+    interval when b2 != 0.  A factor is constant along a row when b2 = 0,
+    and below its ``_flat_end`` when b2 != 0 (where 2^e is below a quarter
+    ulp of the bump's center): per row, one m2 half-line.
+    ``runs`` are arrays ``(m1, lo, hi, value)``: in each row, the cells of
+    the live window on every b2 != 0 factor's half-line all hold ``value``,
+    the product of the constants in coordinate order, and runs whose value
+    is 0 are dropped.  ``cells`` yields ``(m1, m2, values)`` row-major for
+    the rest of each row's window, at most two segments, in chunks of whole
+    segments of about ``_SWEEP_CELLS`` cells; there the window is widened
+    by one index and the ``!= 0`` filter stays (cos^4 can underflow).
+    Together they are the full grid's nonzero cells and values, bit for bit,
+    while the rounding of the m2 ends stays below one index, so for
+    |b2| >> 1e-10 (criterion 9's trials have |b2| >= 1/6)."""
     spec = trial.bump_spec
+    n = np.arange(m + 1, dtype=float)
     lo = np.zeros(m + 1)
     hi = np.full(m + 1, float(m if trial.kind == "double" else 0))
-    for k, (b1, b2, la, line) in enumerate(lines):
+    for k, (b1, b2, la, line, _) in enumerate(lines):
         if b2 == 0:
             hi[line[:m + 1] == 0] = -1.0
             continue
@@ -704,19 +742,55 @@ def _live_cells(trial: SumBoundTrial, m: int, lines: list[tuple]):
             e_lo = math.log2(c - s) if c - s > 0 else e_lo
             e_hi = (-math.inf if c + s <= 0 else e_hi if c + s >= 2.0 ** 64
                     else min(e_hi, math.log2(c + s)))
-        ends = [(e - la - b1 * np.arange(m + 1)) / b2 for e in (e_lo, e_hi)]
+        ends = [(e - la - b1 * n) / b2 for e in (e_lo, e_hi)]
         lo = np.maximum(lo, np.floor(np.minimum(*ends)) - 1)
         hi = np.minimum(hi, np.ceil(np.maximum(*ends)) + 1)
     lo = np.minimum(lo, m + 1).astype(np.int64)
     count = np.maximum(hi - lo + 1, 0).astype(np.int64)
     rows = np.flatnonzero(count)
-    step = max(1, _SWEEP_CELLS // (m + 1 if trial.kind == "double" else 1))
-    for r in np.split(rows, range(step, len(rows), step)):
-        n = count[r]
-        m1 = np.repeat(r, n)
-        m2 = np.arange(len(m1)) + np.repeat(lo[r] + n - np.cumsum(n), n)
+    lo, hi = lo[rows], lo[rows] + count[rows] - 1
+    a, b, value = lo, hi, np.ones(len(rows))
+    for b1, b2, la, line, flat in lines:
+        if b2 == 0:
+            value = value * line[rows]
+            continue
+        edge = (flat[0] - la - b1 * rows) / b2
+        if b2 > 0:
+            b = np.minimum(b, np.floor(edge))
+        else:
+            a = np.maximum(a, np.ceil(edge))
+        value = value * flat[1]
+    keep = (b >= a) & (value != 0)
+    runs = (rows[keep], a[keep].astype(np.int64), b[keep].astype(np.int64),
+            value[keep])
+    return runs, _off_run_cells(trial, lines, rows, lo, hi, a, b)
+
+
+def _off_run_cells(trial: SumBoundTrial, lines: list[tuple], rows, lo, hi,
+                   a, b):
+    """Yield ``(m1, m2, values)`` of the nonzero cells of each row's window
+    [lo, hi] off its run [a, b] (none if b < a): at most two segments per
+    row, row-major, in chunks of whole segments of about ``_SWEEP_CELLS``
+    cells."""
+    a = np.minimum(a, hi + 1).astype(np.int64)     # the left one is [lo, a)
+    b = np.maximum(b + 1, a).astype(np.int64)      # the right one [b, hi]
+    if np.array_equal(a, lo) and np.array_equal(b, hi + 1):
+        return
+    starts = np.empty(2 * len(rows), np.int64)
+    count = np.empty_like(starts)
+    starts[0::2], starts[1::2] = lo, b
+    count[0::2], count[1::2] = a - lo, hi + 1 - b
+    segs = np.flatnonzero(count)
+    rows, starts, count = rows[segs // 2], starts[segs], count[segs]
+    cuts = np.searchsorted(np.cumsum(count), np.arange(
+        _SWEEP_CELLS, count.sum(), _SWEEP_CELLS), "right")
+    bounds = np.unique([0, *cuts, len(rows)])
+    for i, j in zip(bounds[:-1], bounds[1:]):
+        n = count[i:j]
+        m1 = np.repeat(rows[i:j], n)
+        m2 = np.arange(len(m1)) + np.repeat(starts[i:j] + n - np.cumsum(n), n)
         vals = 1.0
-        for k, (b1, b2, la, line) in enumerate(lines):
+        for k, (b1, b2, la, line, _) in enumerate(lines):
             vals = vals * (line[m1] if b2 == 0 else
                            _factor(trial, k, b1 * m1.astype(float)
                                    + b2 * m2.astype(float) + la))
@@ -751,6 +825,33 @@ def _lattice_sup(w: np.ndarray, step: float, ts: np.ndarray,
     return float(np.mean(np.partition(vals, -k)[-k:]))
 
 
+def _run_sums(runs: tuple, p1: int, p2: int, offset: int,
+              size: int) -> np.ndarray:
+    """Bucket sums of ``_live_cells``' runs: run (m1, lo, hi, v) adds v at
+    p1 m1 + p2 m2 - offset for m2 in [lo, hi], every |p2|-th bucket from its
+    lowest.  It goes in as +v there and -v one stride past its highest on a
+    difference array, then one cumsum per residue class mod |p2|; buckets no
+    run covers (an exact integer count) are set to 0, so the cumsum's
+    rounding does not widen the live span.  With p2 = 0 (a single trial's
+    runs are one cell each) a run's cells share one bucket."""
+    m1, lo, hi, v = runs
+    if not len(v):
+        return np.zeros(size)
+    start = p1 * m1 + np.minimum(p2 * lo, p2 * hi) - offset
+    stride = abs(p2)
+    if stride == 0:
+        return np.bincount(start, weights=v * (hi - lo + 1), minlength=size)
+    marks = np.concatenate([start, start + stride * (hi - lo + 1)])
+    length = -(-(size + stride) // stride) * stride
+
+    def classes(weights):
+        diff = np.bincount(marks, weights=np.concatenate([weights, -weights]),
+                           minlength=length)
+        return diff.reshape(-1, stride).cumsum(axis=0).ravel()[:size]
+
+    return np.where(classes(np.ones(len(v))) > 0, classes(v), 0.0)
+
+
 def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
                 denom: np.ndarray) -> list[float]:
     """The t-sweep sup proxy (``_lattice_sup``) of each level's sum of the
@@ -758,8 +859,10 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
     a single trial), evaluated on the live polygon only (``_live_cells``)
     and along an axis once per trial (``_axis_lines``), in buckets of
     frequency alpha . (m1, m2) in units of g / q, where alpha = (p1, p2) g / q
-    with coprime p1, p2.  The sups agree with a direct sum, one exponential
-    per grid cell, to 1e-9 relative at m <= 256."""
+    with coprime p1, p2.  A row's flat run takes O(1) work on a difference
+    array (``_run_sums``) and only the cells off the runs are bucketed one by
+    one.  The sups agree with a direct sum, one exponential per grid cell,
+    to 1e-9 relative at m <= 256."""
     a1, a2 = (*trial.alphas, Fraction(0))[:2]
     q = math.lcm(a1.denominator, a2.denominator)
     g = math.gcd(int(a1 * q), int(a2 * q)) or 1
@@ -768,10 +871,12 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
     sups = []
     for m in levels:
         offset = min(0, p1 * m) + min(0, p2 * m)
-        w = np.zeros(abs(p1) * m + abs(p2) * m + 1)
-        for m1, m2, vals in _live_cells(trial, m, lines):
+        size = abs(p1) * m + abs(p2) * m + 1
+        runs, cells = _live_cells(trial, m, lines)
+        w = _run_sums(runs, p1, p2, offset, size)
+        for m1, m2, vals in cells:
             w += np.bincount(p1 * m1 + p2 * m2 - offset, weights=vals,
-                             minlength=len(w))
+                             minlength=size)
         sups.append(_lattice_sup(w, g / q, ts, denom))
     return sups
 

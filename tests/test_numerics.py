@@ -448,6 +448,20 @@ def _full_grid_nonzero_cells(trial, m):
     return [np.concatenate(part) for part in out]
 
 
+def _expanded_live_cells(trial, m):
+    """``_live_cells``' runs expanded into cells and merged with its other
+    cells, row-major, and the number of cells that came from runs."""
+    runs, cells = _live_cells(trial, m, _axis_lines(trial, m))
+    m1, lo, hi, value = runs
+    n = hi - lo + 1
+    parts = [(np.repeat(m1, n),
+              np.arange(n.sum()) + np.repeat(lo + n - np.cumsum(n), n),
+              np.repeat(value, n)), *cells]
+    got = [np.concatenate([part[i] for part in parts]) for i in range(3)]
+    order = np.lexsort((got[1], got[0]))
+    return [x[order] for x in got], int(n.sum())
+
+
 class TestSumBounds:
     def test_geometric_identity(self):
         trial = SumBoundTrial("single", (F(1),), ((F(1),),), (0.0,), (1.0,),
@@ -494,24 +508,42 @@ class TestSumBounds:
         want = direct_level_sups(trial, levels, ts, denom)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
+    def test_flat_runs_match_direct_sum(self):
+        # deterministic cases for the run path: 2000's only direction is an
+        # m1-line, 2006's window has no lower end (a flat tail)
+        rng = np.random.default_rng(5)
+        ts = rng.uniform(0.11, 6.4, 48)
+        denom = rng.uniform(0.5, 2.0, 48)
+        for seed in (2000, 2006):
+            trial = random_double_trial(seed)
+            runs, _ = _live_cells(trial, 256, _axis_lines(trial, 256))
+            assert len(runs[0]) > 100, seed
+            got = _level_sups(trial, (64, 256), ts, denom)
+            want = direct_level_sups(trial, (64, 256), ts, denom)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), seed
+
     def test_live_cells_are_the_full_grids_nonzero_cells(self):
         # a window one index too narrow drops a boundary cell silently;
         # 2018's windows have a lower end in 731 of their 735 rows at
-        # m = 4096, 2037's both ends in all 103, as in criterion 9's ladder
+        # m = 4096, 2037's both ends in all 103, as in criterion 9's ladder;
+        # 2000's only direction is an m1-line, so its rows are whole runs,
+        # and 2006's window has no lower end, so its rows are runs but for
+        # their upper edge
         cases = ([(random_double_trial(2000 + i), 256) for i in range(40)]
                  + [(reference_double_trial(), 512)]
                  + [(random_single_trial(1000 + i), 16384) for i in range(10)]
-                 + [(random_double_trial(i), 4096) for i in (2018, 2037)])
+                 + [(random_double_trial(i), 4096) for i in (2018, 2037)]
+                 + [(random_double_trial(i), 2048) for i in (2000, 2006)])
         nonempty = 0
         for trial, m in cases:
-            chunks = list(_live_cells(trial, m, _axis_lines(trial, m)))
-            got = [np.concatenate([c[i] for c in chunks] or [np.empty(0)])
-                   for i in range(3)]
+            got, in_runs = _expanded_live_cells(trial, m)
             want = _full_grid_nonzero_cells(trial, m)
             nonempty += bool(len(want[0]))
             assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
             assert got[2].tobytes() == want[2].tobytes()
-        assert nonempty >= 47   # 51 of these 53 grids hold a live cell
+            if m == 2048:
+                assert in_runs >= 0.99 * len(want[0])
+        assert nonempty >= 49   # 53 of these 55 grids hold a live cell
 
     def test_reference_vectors_satisfy_independence(self):
         trial = reference_double_trial()
