@@ -28,14 +28,20 @@ in ``meta``.
 
 Sum strategy: one sweep serves single and double sums (a single sum is the
 double sum with its second index at 0).  It evaluates only the index grid's
-live polygon, buckets on the frequency lattice and sweeps t in sqrt(K) blocks.
-Within a row of the polygon every factor is constant on one run: a factor
-along an axis line (no m2 term) everywhere, a bump factor bump(-c/s) where
-2^e is below a quarter ulp of its center c (y - c then rounds to -c), and a
-factor with no bump (H = 1) below its window's end.  Each row's run is one
-value added to every |p2|-th frequency bucket, so it goes in as +v/-v on a
-difference array, summed by one cumsum per residue class mod |p2|; only the
-at most two segments at the run's ends are evaluated cell by cell.
+live polygon and buckets on the frequency lattice.  Within a row of the
+polygon every factor is constant on one run: a factor along an axis line (no
+m2 term) everywhere, a bump factor bump(-c/s) where 2^e is below a quarter
+ulp of its center c (y - c then rounds to -c), and a factor with no bump
+(H = 1) below its window's end.  Each row's run is one value added to every
+|p2|-th frequency bucket, so it goes in as +v/-v on a difference array,
+summed by one cumsum per residue class mod |p2|; only the at most two
+segments at the run's ends are evaluated cell by cell.  The levels run from
+the top down, and the top level's live span of K buckets, which holds every
+lower level's, fixes the phase tables once per trial: z^c for the
+C = ceil(sqrt(K)) columns of a block and the block phases z^(bC), each table
+from one exp by repeated doubling.  Each level then takes |F(t)| over the t
+sample from one real matmul of its buckets' C-column blocks with the z^c
+table and a sum against its first ceil(K_m / C) block phases.
 
 All randomized trials take explicit seeds and reduce in fixed index order, so
 results are reproducible run to run.
@@ -654,14 +660,17 @@ def _rho_double(trial: SumBoundTrial,
                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The resonance denominator, over the harmonics nu = 1..6 of each
     frequency, and its smallest single factor: zeros of the denominator are
-    avoided factor by factor, not just in the product."""
+    avoided factor by factor, not just in the product.  Harmonic nu is the
+    nu-th power of the first, one exp per frequency."""
     prod = np.ones_like(t, dtype=float)
     low = np.full_like(t, np.inf, dtype=float)
+    first = np.exp(1j * np.outer(LN2 * np.array(_rho_freqs(trial)), t))
+    harmonic = first
     for nu in range(1, 7):
-        for f in _rho_freqs(trial):
-            factor = np.abs(np.exp(1j * LN2 * f * nu * t) - 1.0)
+        for factor in np.abs(harmonic - 1.0):
             prod = prod * factor
             low = np.minimum(low, factor)
+        harmonic = harmonic * first
     return prod, low
 
 
@@ -798,29 +807,60 @@ def _off_run_cells(trial: SumBoundTrial, lines: list[tuple], rows, lo, hi,
         yield m1[live], m2[live], vals[live]
 
 
-def _lattice_sup(w: np.ndarray, step: float, ts: np.ndarray,
+def _powers(angle: np.ndarray, n: int) -> np.ndarray:
+    """exp(i j angle) for j < n as an n x T complex array, from one exp by
+    doubling: the powers in [k, 2k) are those in [0, k) times z^k, and z^k
+    is squared.  Entry j carries O(j) ulp of rounding; a direct exp carries
+    about as much from rounding j * angle, and T n exps cost several times
+    more."""
+    table = np.empty((n, len(angle)), np.complex128)
+    table[0] = 1.0
+    k, step = 1, np.exp(1j * angle)
+    while k < n:
+        np.multiply(table[:min(k, n - k)], step, out=table[k:2 * k])
+        step = step * step
+        k *= 2
+    return table
+
+
+def _phase_tables(angle: np.ndarray, span: int) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """The tables of ``_lattice_sup`` for live spans of up to ``span``
+    buckets, z = exp(i angle): with C = ceil(sqrt(span)) columns, z^c for
+    c < C as a C x 2T real table (cos and sin of each t side by side, which
+    is the complex C x T table's memory), and the block phases z^(bC) for
+    b < ceil(span / C) as a B x T complex table."""
+    cols = math.isqrt(span - 1) + 1
+    return (_powers(angle, cols).view(np.float64),
+            _powers(cols * angle, -(-span // cols)))
+
+
+def _lattice_sup(w: np.ndarray, tables: Optional[tuple],
                  denom: np.ndarray) -> float:
     """Sup proxy over the t sample of |F(t)| * denom, with
-    F(t) = sum_j w_j 2^(i (j + offset) step t) for an integer offset.
+    F(t) = sum_j w_j z^(j + offset), z = 2^(i step t), for the live span
+    ``w`` of a level's buckets and an integer offset, which leaves |F| as
+    it is.
 
     The mean of the top 8 values is used instead of the single maximum: the
     integrand is quasi-periodic in t, and a lone extreme draw would make the
     level-to-level trend comparison needlessly noisy.
 
-    |F| = |sum_(j<K) w_(lo+j) z^j|, z = 2^(i step t), over the live span, and
-    j = b C + c, C = ceil(sqrt(K)), makes it T x C powers z^c, a matmul with
-    the C x B blocks of w, and T x B block phases z^(bC): T (C + B) exps, not
-    T K (a small non-uniform DFT; Dutt, Rokhlin, SIAM J. Sci. Comput. 1993)."""
-    live = np.flatnonzero(w)
-    if not live.size or not len(ts):
+    ``tables`` are ``_phase_tables`` for at least K = len(w) buckets (None
+    if w is empty).  With their C columns, j = b C + c splits F into
+    B = ceil(K / C) blocks: one real matmul of the B x C blocks of w with
+    the C x 2T table of z^c, then a sum over b against the first B block
+    phases z^(bC) (a small non-uniform DFT; Dutt, Rokhlin, SIAM J. Sci.
+    Comput. 1993)."""
+    if not len(w) or not len(denom):
         return 0.0
-    w = w[live[0]:live[-1] + 1]
-    cols = math.isqrt(len(w) - 1) + 1
-    blocks = np.pad(w, (0, -len(w) % cols)).reshape(-1, cols)
-    angle = LN2 * step * ts
-    inner = np.exp(1j * np.outer(angle, np.arange(cols))) @ blocks.T
-    phase = np.exp(1j * np.outer(angle * cols, np.arange(inner.shape[1])))
-    vals = np.abs(np.einsum("tb,tb->t", inner, phase)) * denom
+    powers, block_phases = tables
+    cols = len(powers)
+    blocks = np.zeros((-(-len(w) // cols), cols))
+    blocks.flat[:len(w)] = w
+    inner = (blocks @ powers).view(np.complex128)
+    vals = np.abs(np.einsum("bt,bt->t", inner,
+                            block_phases[:len(blocks)])) * denom
     k = min(8, len(vals))
     return float(np.mean(np.partition(vals, -k)[-k:]))
 
@@ -861,15 +901,20 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
     frequency alpha . (m1, m2) in units of g / q, where alpha = (p1, p2) g / q
     with coprime p1, p2.  A row's flat run takes O(1) work on a difference
     array (``_run_sums``) and only the cells off the runs are bucketed one by
-    one.  The sups agree with a direct sum, one exponential per grid cell,
-    to 1e-9 relative at m <= 256."""
+    one.  The levels run from the top down, so that the phase tables
+    (``_phase_tables``) are built once per trial, from the top level's live
+    span, which holds every lower level's, and only one level's buckets are
+    alive at a time.  The sups agree with a direct sum, one exponential per
+    grid cell, to 1e-9 relative at m <= 256."""
     a1, a2 = (*trial.alphas, Fraction(0))[:2]
     q = math.lcm(a1.denominator, a2.denominator)
     g = math.gcd(int(a1 * q), int(a2 * q)) or 1
     p1, p2 = int(a1 * q) // g, int(a2 * q) // g
     lines = _axis_lines(trial, max(levels, default=0))
-    sups = []
-    for m in levels:
+    angle = LN2 * (g / q) * ts
+    capacity, tables = 0, None
+    sups = {}
+    for m in sorted(set(levels), reverse=True):
         offset = min(0, p1 * m) + min(0, p2 * m)
         size = abs(p1) * m + abs(p2) * m + 1
         runs, cells = _live_cells(trial, m, lines)
@@ -877,8 +922,15 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
         for m1, m2, vals in cells:
             w += np.bincount(p1 * m1 + p2 * m2 - offset, weights=vals,
                              minlength=size)
-        sups.append(_lattice_sup(w, g / q, ts, denom))
-    return sups
+        live = np.flatnonzero(w)
+        w = w[live[0]:live[-1] + 1] if live.size else w[:0]
+        if len(w) > capacity:
+            # the top level; a lower level's span is longer only if a
+            # run's end rounded to 0 in the top level's difference array
+            tables = _phase_tables(angle, len(w))
+            capacity = len(tables[0]) * len(tables[1])
+        sups[m] = _lattice_sup(w, tables, denom)
+    return [sups[m] for m in levels]
 
 
 @dataclass

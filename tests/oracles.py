@@ -728,3 +728,22 @@ def direct_level_sups(trial, levels, ts, denom) -> list[float]:
         freqs = alphas[0] * m1 + alphas[1] * m2
         sups.append(direct_sweep(freqs.ravel(), coeff.ravel(), ts, denom))
     return sups
+
+
+def direct_rho_double(trial, t) -> tuple[np.ndarray, np.ndarray]:
+    """The double sum's resonance denominator prod |2^(i nu f t) - 1| over
+    the harmonics nu = 1..6 of the frequencies f = alpha_1, alpha_2 and
+    alpha_1 b2 - alpha_2 b1 of each direction, with its smallest factor:
+    one complex exponential per (harmonic, frequency), multiplied in that
+    order."""
+    a1, a2 = (float(a) for a in trial.alphas)
+    freqs = [a1, a2] + [a1 * float(b2) - a2 * float(b1)
+                        for b1, b2 in trial.betas]
+    prod = np.ones(len(t))
+    low = np.full(len(t), np.inf)
+    for nu in range(1, 7):
+        for f in freqs:
+            factor = np.abs(np.exp(1j * np.log(2.0) * f * nu * t) - 1.0)
+            prod = prod * factor
+            low = np.minimum(low, factor)
+    return prod, low

@@ -14,7 +14,8 @@ from nrestrict.exponents import certificates_of_polyhedron, critical_exponent
 from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, BumpSpec,
                                 SumBoundTrial, _axis_lines, _factor,
-                                _level_sups, _live_cells, _poly_xy_eval, bump,
+                                _level_sups, _live_cells, _poly_xy_eval,
+                                _rho_double, bump,
                                 airy_scaling_check,
                                 dominance_probe,
                                 knapp_box_probe, lambda_grid, log_log_fit,
@@ -25,7 +26,7 @@ from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, BumpSpec,
                                 surface_decay_fit, van_der_corput_fit)
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
-from oracles import direct_level_sups
+from oracles import direct_level_sups, direct_rho_double
 
 
 def P(text):
@@ -483,16 +484,36 @@ class TestSumBounds:
 
     def test_single_sweep_matches_per_index_sum(self):
         # the bucketed sweep runs a single trial as a double sum with its
-        # second index fixed at 0; one index per frequency is the direct sum
+        # second index fixed at 0; one index per frequency is the direct sum.
+        # 1060's top level has criterion 9's largest live span, 16288
+        # buckets, so its phase tables have 128 columns, and level 64 reads
+        # its few blocks off them
         ts = np.linspace(0.2, 6.0, 96)
-        for i in range(4):
-            trial = random_single_trial(1000 + i)
+        cases = [(1000 + i, (1024, 4096)) for i in range(4)] + [
+            (1060, (64, 16384))]
+        for i, levels in cases:
+            trial = random_single_trial(i)
             alpha = float(trial.alphas[0])
             denom = np.abs(np.exp(1j * numerics.LN2 * alpha * ts) - 1.0)
-            levels = (1024, 4096)
             got = _level_sups(trial, levels, ts, denom)
             want = direct_level_sups(trial, levels, ts, denom)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), i
+
+    def test_rho_double_by_powers_matches_one_exp_per_harmonic(self):
+        # criterion 9's doubles and the reference trial at their 4096-point
+        # t draws: the kept t must not move, and the products agree to
+        # about 60 factors' rounding of the phases
+        cases = [(reference_double_trial(), 3)] + [
+            (random_double_trial(2000 + i), i) for i in range(40)]
+        for trial, seed in cases:
+            t = np.random.default_rng(seed).uniform(0.11, 6.4, size=4096)
+            prod, low = _rho_double(trial, t)
+            want_prod, want_low = direct_rho_double(trial, t)
+            keep = want_low >= 0.1
+            assert np.array_equal(low >= 0.1, keep), seed
+            assert keep.sum() >= 512, seed
+            assert prod[keep] == pytest.approx(want_prod[keep], rel=1e-12), \
+                seed
 
     # the windows, the axis lines and the lattice sweep against one complex
     # exponential per grid cell; the tolerance is the rounding of sums of
