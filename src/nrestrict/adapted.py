@@ -226,11 +226,12 @@ def classify_linear(lh: LinearHeightReport, h: Fraction) -> SingularityClass:
     the x2^1 row and shears by ``-c/unit * x1^(v - sigma)``, where ``unit *
     x1^sigma`` leads d^2 phi/d x2^2 along the branch (``unit`` is 2*c02 or
     2*c12); it stops once that row vanishes below x1^(order + sigma).  Terms
-    of x1-order above ``order + sigma`` are dropped before every pass, which
-    is exact for the orders kept: a shear by c*x1^e with e >= 1 never lowers
-    an x1-order.  The terms of b0 up to x1^order are exact (the jet error
-    enters above them), so b0 is a second route to n: when either its
-    valuation or n is at most ``order``, the two must be equal.
+    of x1-order above ``order + sigma`` are dropped once before the first
+    pass and never formed by the capped shears, which is exact for the
+    orders kept: a shear by c*x1^e with e >= 1 never lowers an x1-order.
+    The terms of b0 up to x1^order are exact (the jet error enters above
+    them), so b0 is a second route to n: when either its valuation or n is
+    at most ``order``, the two must be equal.
     """
     if lh.h_lin >= 2:
         raise ValueError(f"linear height {lh.h_lin} is not < 2")
@@ -256,11 +257,12 @@ def classify_linear(lh: LinearHeightReport, h: Fraction) -> SingularityClass:
     cap = order + sigma
     psi: dict[int, Fraction] = {}
     last_exp = 0
-    sheared = work
+    # work has integer exponents, so its lattice keys are its exponents
+    _q, den, terms = work.lattice()
+    sheared = PuiseuxPoly.from_lattice(1, den, {
+        k: n for k, n in terms.items() if k[0] <= cap})
     while True:
-        sheared = PuiseuxPoly({e: c for e, c in sheared.terms.items()
-                               if e[0] <= cap})
-        residual = _x2_row(sheared, 1)
+        den, residual = _x2_row(sheared, 1)
         v = min(residual, default=cap)
         if v >= cap:
             break
@@ -269,8 +271,9 @@ def classify_linear(lh: LinearHeightReport, h: Fraction) -> SingularityClass:
             raise InternalInvariantError(
                 "critical branch is obstructed at order "
                 f"{v}; no normal form of the expected shape")
-        psi[exp] = -residual[v] / unit
-        sheared = sheared.shear_substitute(PuiseuxPoly.monomial(psi[exp], exp))
+        psi[exp] = -Fraction(residual[v], den) / unit
+        sheared = sheared.shear_substitute(
+            PuiseuxPoly.monomial(psi[exp], exp), cap=cap)
         last_exp = exp
     m = min(psi, default=-1)
     if m < 2:
@@ -284,7 +287,7 @@ def classify_linear(lh: LinearHeightReport, h: Fraction) -> SingularityClass:
             raise InternalInvariantError(
                 f"height {h} gives no type {family} index with n >= {lower}")
         n = int(q)
-    v = min(_x2_row(sheared, 0), default=order + 1)
+    v = min(_x2_row(sheared, 0)[1], default=order + 1)
     if min(v, order + 1) != (order + 1 if n is None else min(n, order + 1)):
         raise InternalInvariantError(
             f"phi vanishes to order {v} along the critical branch, "
@@ -301,6 +304,8 @@ def classify_linear(lh: LinearHeightReport, h: Fraction) -> SingularityClass:
                             psi_truncation=jet)
 
 
-def _x2_row(phi: PuiseuxPoly, e2: int) -> dict[int, Fraction]:
-    """x1-exponent -> coefficient of the x2^e2 row of an integer-exponent phi."""
-    return {int(e1): c for (e1, k), c in phi.terms.items() if k == e2}
+def _x2_row(phi: PuiseuxPoly, e2: int) -> tuple[int, dict[int, int]]:
+    """``(den, row)``: the x2^e2 row of an integer-exponent ``phi`` as
+    x1-exponent -> numerator over the common denominator ``den``."""
+    _q, den, terms = phi.lattice()
+    return den, {e: n for (e, k), n in terms.items() if k == e2}

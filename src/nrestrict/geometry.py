@@ -2,10 +2,10 @@
 
 Everything here is exact, and the two r-height computations (edge formula
 vs. the augmented polyhedron met by the shifted bisectrix) are asserted equal
-on every call.  The hull runs on Python ints: support points are scaled onto
-an integer lattice (by the polynomial's ramification along t1), which keeps
-every dominance test and every orientation sign, and only the vertices found
-are mapped back to their rational points.
+on every call.  The hull runs on Python ints: it reads the polynomial's
+stored lattice keys (e1 * q, e2), whose t1 axis is scaled by the ramification
+q, which keeps every dominance test and every orientation sign; only the
+vertices found become rational points.
 
 Conventions: points live in the exponent plane with coordinates (t1, t2);
 vertices are listed with t1 strictly increasing and t2 strictly decreasing;
@@ -104,7 +104,6 @@ def edge_weight(left: Point, right: Point) -> Weight:
 class NewtonPolyhedron:
     """Vertices, compact edges and rays of a Newton(-Puiseux) polyhedron."""
 
-    support: list[Point]
     vertices: list[Point]
     edges: list[EdgeData]
     vertical_ray_present: bool
@@ -114,30 +113,31 @@ class NewtonPolyhedron:
     def of(phi: PuiseuxPoly) -> "NewtonPolyhedron":
         """The Newton(-Puiseux) polyhedron of ``phi``'s Taylor support.
 
-        The support goes to the hull on the lattice ``(e1 * q, e2)`` of
-        ``phi``'s ramification ``q``, straight from the term keys.
+        The hull runs on ``phi``'s stored lattice keys ``(e1 * q, e2)``, for
+        its ramification ``q``, sorted as they are: the t1 axis is already
+        scaled by ``q``, which keeps every dominance test and every
+        orientation sign.  Only the vertices become rational points; the
+        support does so when it is read.
         """
         if phi.is_zero():
             raise ValueError("zero polynomial is not of finite type")
-        q = phi.ramification
-        t2s: dict[int, Fraction] = {}
-        scaled: dict[tuple[int, int], Point] = {}
-        for e1, e2 in phi.terms:
-            t2 = t2s.get(e2)
-            if t2 is None:
-                t2 = t2s[e2] = Fraction(e2)
-            scaled[(e1.numerator * (q // e1.denominator), e2)] = (e1, t2)
-        # scaling the t1 axis by q leaves the hull's points the same
-        lattice = sorted(scaled)
+        q, _den, terms = phi.lattice()
         n = NewtonPolyhedron()
-        n.support = [scaled[p] for p in lattice]
-        n.vertices = [scaled[v] for v in _staircase_hull(lattice)]
+        n._q, n._lattice = q, sorted(terms)
+        n.vertices = [(Fraction(e, q), Fraction(e2))
+                      for e, e2 in _staircase_hull(n._lattice)]
         n.edges = [EdgeData(u, v, edge_weight(u, v))
                    for u, v in zip(n.vertices, n.vertices[1:])]
         # rays: vertical above the first vertex, horizontal right of the last
         n.vertical_ray_present = n.vertices[0][0] > 0
         n.horizontal_level = n.vertices[-1][1]
         return n
+
+    @property
+    def support(self) -> list[Point]:
+        """The support points, sorted."""
+        q = self._q
+        return [(Fraction(e, q), Fraction(e2)) for e, e2 in self._lattice]
 
     # -- supporting lines ----------------------------------------------
 
@@ -184,15 +184,22 @@ class NewtonPolyhedron:
 
 def kappa_principal_part(phi: PuiseuxPoly, w: Weight) -> PuiseuxPoly:
     """Terms of ``phi`` on the line k1*e1 + k2*e2 = 1 of ``w``, the weight of
-    an edge of ``phi``'s own polyhedron: one lookup of e1 = (1 - k2*e2)/k1
-    per power e2 of x2, until e1 turns negative."""
-    terms = {}
+    an edge of ``phi``'s own polyhedron: one lookup of the lattice key
+    e1*q = q*(1 - k2*e2)/k1 per power e2 of x2, until it turns negative."""
+    q, den, terms = phi.lattice()
+    # the line over integers: u*(e1*q) + v*e2 = r
+    u = w.k1.numerator * w.k2.denominator
+    v = q * w.k2.numerator * w.k1.denominator
+    r = q * w.k1.denominator * w.k2.denominator
+    line = {}
     for e2 in range(phi.degree_x2() + 1):
-        e1 = (1 - w.k2 * e2) / w.k1
-        if e1 < 0:
+        e, rem = divmod(r - v * e2, u)
+        if e < 0:
             break
-        terms[(e1, e2)] = phi.coefficient(e1, e2)  # zeros are dropped
-    return PuiseuxPoly(terms)
+        n = None if rem else terms.get((e, e2))
+        if n:
+            line[(e, e2)] = n
+    return PuiseuxPoly.from_lattice(q, den, line)
 
 
 def h_l_of_edge(w: Weight, m: Fraction) -> Fraction:

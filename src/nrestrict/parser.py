@@ -9,6 +9,7 @@ that parses back to the same polynomial.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -175,27 +176,30 @@ def parse_expression(text: str) -> InputExpr:
     return InputExpr(text, poly)
 
 
-def _render_exponent(e: Fraction) -> str:
-    return str(e.numerator) if e.denominator == 1 else f"({e})"
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0: "3", "-2/5"."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def render(poly: PuiseuxPoly) -> str:
     """Canonical textual form; ``parse_expression(render(p)).poly == p``."""
     if poly.is_zero():
         return "0"
+    q, den, terms = poly.lattice()
     parts = []
-    for (e1, e2), c in poly.items():
+    for (e, e2), n in sorted(terms.items()):
         factors = []
-        negate = c == -1 and (e1 or e2)
+        negate = n == -den and (e or e2)
         if negate:
-            c = -c
-        if c != 1 or (e1 == 0 and e2 == 0):
-            factors.append(str(c) if c.denominator == 1 else
-                           f"{c.numerator}/{c.denominator}")
-        if e1:
-            factors.append("x1" if e1 == 1 else f"x1^{_render_exponent(e1)}")
+            n = den
+        if n != den or not (e or e2):
+            factors.append(_ratio(n, den))
+        if e:
+            factors.append("x1" if e == q else f"x1^{e // q}" if e % q == 0
+                           else f"x1^({_ratio(e, q)})")
         if e2:
-            factors.append("x2" if e2 == 1 else f"x2^{_render_exponent(e2)}")
+            factors.append("x2" if e2 == 1 else f"x2^{e2}")
         parts.append(("-" if negate else "") + "*".join(factors))
     out = parts[0]
     for p in parts[1:]:

@@ -619,6 +619,12 @@ def analyze_report_mismatches(text: str) -> list[str]:
     - phi_a, the input composed with ``linear_transform`` and sheared by
       ``psi``, has the ``adapted_polyhedron`` vertices and Newton distance
       ``h``;
+    - on the ``r_height_2hr_plus_2`` route, ``h_r`` is the max of three
+      terms read off the printed ``adapted_polyhedron`` and ``m`` alone:
+      1/(k1 + k2) of the ratio-m supporting line through its vertices,
+      (1 + m*k1 - k2)/(k1 + k2) of each edge steeper than m, whose printed
+      ``kappa`` and ``a`` must be those of its endpoints, and
+      ``horizontal_level`` - 1;
     - phi_a sheared by each splitting branch's ``factorization`` jet is
       x2^``power`` times its ``cofactor``.
     """
@@ -672,12 +678,40 @@ def analyze_report_mismatches(text: str) -> list[str]:
         {k: v for k, v in {(1, 0): c, (0, 1): d}.items() if v}),
         jet_dict(doc["psi"]))
     check_hull(phi_a, "adapted_polyhedron", "h", h)
+    if doc["source"] == "r_height_2hr_plus_2":
+        bad.extend(h_r_mismatches(doc))
     for i, branch in enumerate((doc["splitting"] or {}).get("branches", [])):
         f = branch["factorization"]
         if f is not None and naive_shear(phi_a, jet_dict(f["jet"])) != \
                 naive_mul(mono(1, 0, f["power"]), expand_input(f["cofactor"])):
             bad.append(f"branch {i}: x2^{f['power']}*({f['cofactor']}) is "
                        "not phi_a sheared by its jet")
+    return bad
+
+
+def h_r_mismatches(doc: dict) -> list[str]:
+    """``h_r`` of an analyze report against its printed adapted polyhedron
+    and ``m``: the r-height's formula route, re-derived from the vertices and
+    edge endpoints (see :func:`analyze_report_mismatches`)."""
+    m, poly = Fraction(doc["m"]), doc["adapted_polyhedron"]
+    point = lambda p: (Fraction(p[0]), Fraction(p[1]))
+    # the ratio-m line t1 + m*t2 = level has k1 = 1/level, k2 = m/level
+    level = min(t1 + m * t2 for t1, t2 in map(point, poly["vertices"]))
+    terms = [level / (1 + m), Fraction(poly["horizontal_level"]) - 1]
+    bad = []
+    for e in poly["edges"]:
+        (x0, y0), (x1, y1) = point(e["from"]), point(e["to"])
+        den = x1 * y0 - x0 * y1
+        k1, k2 = (y0 - y1) / den, (x1 - x0) / den
+        if [Fraction(k) for k in e["kappa"]] != [k1, k2] \
+                or Fraction(e["a"]) != k2 / k1:
+            bad.append(f"edge {e['from']}-{e['to']} prints kappa "
+                       f"{e['kappa']}, a = {e['a']}")
+        if k2 / k1 > m:
+            terms.append((1 + m * k1 - k2) / (k1 + k2))
+    if max(terms) != Fraction(doc["h_r"]):
+        bad.append(f"h_r = {doc['h_r']}, the adapted polyhedron and m = {m} "
+                   f"give {max(terms)}")
     return bad
 
 

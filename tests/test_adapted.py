@@ -22,7 +22,7 @@ from oracles import series_classification
 
 #: (k, label) of ((x2 - x1)^2 - 5*x1)^2 + x1^k, whose critical branch is an
 #: infinite series
-K_FAMILY = [(7, "A13"), (11, "A21")]
+K_FAMILY = [(7, "A13"), (11, "A21"), (15, "A29")]
 
 
 def k_family(k):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -96,10 +97,14 @@ class TestCalculus:
 class TestPublicApiErrors:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: PuiseuxPoly({(-1, 0): 1}), ValueError, "negative exponent"),
+        (lambda: PuiseuxPoly.monomial(1, F(-1, 2)), ValueError,
+         "negative exponent"),
         (lambda: PuiseuxPoly({(1, 0): 0.5}), TypeError,
          "expected an exact rational, got float"),
         (lambda: x1() ** -1, ValueError, "negative power"),
         (lambda: x1().partial_derivative(3), ValueError, "axis must be 1 or 2"),
+        (lambda: P("x1^(1/2)").partial_derivative(1), ValueError,
+         "negative exponent"),
         (lambda: x1().restrict_x1(2), ValueError, "sign must be"),
         (lambda: P("x1^(1/2)").restrict_x1(-1), ValueError,
          "negative half-plane needs integer exponents"),
@@ -108,12 +113,18 @@ class TestPublicApiErrors:
          "cannot swap variables with fractional powers"),
         (lambda: x1() + 0.5, TypeError, "unsupported operand"),
         (lambda: x1() * 0.5, TypeError, "unsupported operand"),
-    ], ids=["negative-exponent", "float-coefficient", "negative-power",
-            "axis", "sign", "ramified-negative-half-plane", "shift_e2",
-            "swap-ramified", "add-float", "mul-float"])
+    ], ids=["negative-exponent", "monomial-negative-exponent",
+            "float-coefficient", "negative-power", "axis",
+            "derivative-negative-exponent", "sign",
+            "ramified-negative-half-plane", "shift_e2", "swap-ramified",
+            "add-float", "mul-float"])
     def test_rejects(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    def test_coefficient_off_the_lattice_is_zero(self):
+        assert P("x1^2 + x1^(1/3)").coefficient(F(1, 2), 0) == 0
+        assert P("x1^2 + x1^(1/3)").coefficient(F(1, 3), 0) == 1
 
     def test_equality_with_other_types_is_false(self):
         assert x1() != "x1" and not x1() == 1
@@ -263,3 +274,76 @@ class TestProductAgainstSympy:
         prod = a * b
         assert all(c != 0 for c in prod.terms.values())
         self._check(a, b)
+
+
+def truncated(p, cap):
+    """The terms of ``p`` of x1-order at most ``cap``."""
+    return PuiseuxPoly({e: c for e, c in p.terms.items() if e[0] <= cap})
+
+
+#: x1-only jets of up to four terms, fractional exponents in insertion
+#: orders that are not sorted
+several_term_jets = st.builds(
+    lambda terms: PuiseuxPoly([((F(num, den), 0), F(c, d))
+                               for (c, d, num, den) in terms]),
+    st.lists(st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 3),
+                       st.integers(1, 9), st.sampled_from([1, 2, 3])),
+             min_size=2, max_size=4))
+
+
+class TestCappedShear:
+    """``shear_substitute(f, cap)`` is the full shear truncated at x1-order
+    ``cap``: a shear never lowers an x1-order."""
+
+    @given(rational_fractional_polys, several_term_jets,
+           st.integers(0, 12), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_the_truncated_full_shear(self, phi, f, num, den):
+        cap = F(num, den)
+        assert phi.shear_substitute(f, cap=cap) == \
+            truncated(phi.shear_substitute(f), cap)
+
+    def test_cap_below_every_term_gives_zero(self):
+        phi = P("x1^3*x2^2 + x1^4")
+        assert phi.shear_substitute(P("x1 + x1^2"), cap=2).is_zero()
+
+
+def _lcm_of_key_denominators(p):
+    q = 1
+    for e1, _e2 in p.terms:
+        q = math.lcm(q, e1.denominator)
+    return q
+
+
+class TestCanonicalForm:
+    """Every kernel's result is stored as the canonical form its own terms
+    rebuild: a kernel that skipped the normalizer would fail ``==`` or
+    ``hash`` against the rebuilt polynomial, or carry too large a
+    ramification."""
+
+    def _check(self, p):
+        rebuilt = PuiseuxPoly(p.terms)
+        assert p == rebuilt and hash(p) == hash(rebuilt)
+        assert p.ramification == _lcm_of_key_denominators(p)
+
+    @given(rational_fractional_polys, rational_fractional_polys,
+           fractional_jets)
+    @settings(max_examples=100, deadline=None)
+    def test_every_kernel_result_is_canonical(self, a, b, f):
+        results = [a + b, a - b, a * b, a ** 2, -a, a * F(2, 3),
+                   a.shear_substitute(f), a.shear_substitute(f, cap=3),
+                   a.shift_e2(1), a.shift_e2(-a.min_e2()),
+                   a.partial_derivative(2)]
+        if all(e1 == 0 or e1 >= 1 for e1, _e2 in a.support()):
+            results.append(a.partial_derivative(1))
+        if a.ramification == 1:
+            results.append(a.swap_variables())
+        for p in results:
+            self._check(p)
+
+    def test_half_powers_multiply_to_an_integer_power(self):
+        half = PuiseuxPoly.monomial(1, F(1, 2))
+        p = half * half
+        assert p == x1() and hash(p) == hash(x1()) and p.ramification == 1
+        self._check(p)
+        self._check(P("x1^(1/2) + x2") - P("x1^(1/2)"))
