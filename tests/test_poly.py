@@ -308,13 +308,6 @@ class TestCappedShear:
         assert phi.shear_substitute(P("x1 + x1^2"), cap=2).is_zero()
 
 
-def _lcm_of_key_denominators(p):
-    q = 1
-    for e1, _e2 in p.terms:
-        q = math.lcm(q, e1.denominator)
-    return q
-
-
 class TestCanonicalForm:
     """Every kernel's result is stored as the canonical form its own terms
     rebuild: a kernel that skipped the normalizer would fail ``==`` or
@@ -324,7 +317,8 @@ class TestCanonicalForm:
     def _check(self, p):
         rebuilt = PuiseuxPoly(p.terms)
         assert p == rebuilt and hash(p) == hash(rebuilt)
-        assert p.ramification == _lcm_of_key_denominators(p)
+        assert p.ramification == math.lcm(*(e1.denominator
+                                            for e1, _e2 in p.terms))
 
     @given(rational_fractional_polys, rational_fractional_polys,
            fractional_jets)
