@@ -141,8 +141,8 @@ class _Parser:
     def exponent(self) -> Fraction:
         tok = self.take()
         if tok.kind == "num":
-            return Fraction(int(tok.text))
-        if tok.kind == "(":
+            value = Fraction(int(tok.text))
+        elif tok.kind == "(":
             sign_tok = self.peek()
             if sign_tok.kind == "-":
                 raise ParseError("negative exponents are not allowed",
@@ -156,10 +156,11 @@ class _Parser:
                     raise ParseError("zero denominator in exponent", den.offset)
                 value = Fraction(int(num.text), int(den.text))
             self.expect(")")
-            if value <= 0:
-                raise ParseError("exponent must be positive", tok.offset)
-            return value
-        raise ParseError("expected an exponent", tok.offset)
+        else:
+            raise ParseError("expected an exponent", tok.offset)
+        if value <= 0:
+            raise ParseError("exponent must be positive", tok.offset)
+        return value
 
 
 def parse_expression(text: str) -> InputExpr:

@@ -14,6 +14,7 @@ divides out gcd(den, numerators) and gcd(q, e1-keys), so equal polynomials
 store equal triples, and ``==`` and ``hash`` compare those.  Every kernel (sum,
 product, power, shear, derivative, swap, x2-shift, restriction) runs on the
 ints and keeps the term insertion order, which float evaluators sum in.
+The monomial constructors build their one term straight on the lattice.
 
 ``Fraction`` values are built only at the API edge: ``terms``, ``items()``,
 ``support()``, ``coefficient()``, ``min_e1()``, ``total_degree()`` and
@@ -99,7 +100,12 @@ class PuiseuxPoly:
 
     @staticmethod
     def monomial(c, e1, e2: int = 0) -> "PuiseuxPoly":
-        return PuiseuxPoly({(e1, e2): c})
+        e1, e2, c = _as_fraction(e1), int(e2), _as_fraction(c)
+        if e1 < 0 or e2 < 0:
+            raise ValueError(f"negative exponent ({e1}, {e2})")
+        return PuiseuxPoly.from_lattice(
+            e1.denominator, c.denominator,
+            {(e1.numerator, e2): c.numerator} if c else {})
 
     @staticmethod
     def x1() -> "PuiseuxPoly":
@@ -255,11 +261,17 @@ class PuiseuxPoly:
     def __pow__(self, n: int) -> "PuiseuxPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = PuiseuxPoly.constant(1)
+        if len(self._terms) == 1:  # a monomial: c^n * x1^(n*e1) * x2^(n*e2)
+            ((e, e2), c), = self._terms.items()
+            return PuiseuxPoly.from_lattice(self._q, self._den ** n,
+                                            {(e * n, e2 * n): c ** n})
+        if not n:
+            return PuiseuxPoly.constant(1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result

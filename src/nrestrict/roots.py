@@ -7,6 +7,9 @@ decomposition; rational roots are returned exactly and the remaining ones as
 isolating intervals with rational endpoints, refined until pairwise
 disjoint.  No floating point enters the symbolic path.
 
+The rational roots of a square-free factor are read off its coefficients up
+to degree 2, and found by Sturm bisection on its monic transform above it.
+
 Yun, the rational roots, the Sturm chain, the isolation and the refinement
 run on primitive integer coefficient lists (primitive pseudo-remainder
 sequences).  The rule that keeps them exact is that every integer polynomial
@@ -220,16 +223,24 @@ def _integer_roots_monic(p: list[int]) -> list[int]:
 
 
 def _rational_roots(f: list[int]) -> list[Fraction]:
-    """Rational roots of a square-free integer polynomial.
-
-    A root u/an of ``f`` (leading coefficient ``an``) is the integer root
-    ``u`` of the monic transform ``an^(n-1) * f(y / an)``."""
+    """Rational roots of a square-free integer polynomial: in closed form up
+    to degree 2 (``D != 0``, as ``f`` is square-free); above it, u/an for
+    each integer root ``u`` of the monic transform ``an^(n-1) * f(y / an)``,
+    where ``an`` is the leading coefficient."""
     roots: list[Fraction] = []
     if len(f) > 1 and not f[0]:
         roots.append(Fraction(0))
         f = f[1:]
     n = len(f) - 1
-    if n >= 1:
+    if n == 1:
+        roots.append(Fraction(-f[0], f[1]))
+    elif n == 2:
+        c, b, a = f
+        d = b * b - 4 * a * c
+        s = math.isqrt(d) if d > 0 else 0
+        if s * s == d:
+            roots += [Fraction(-b - s, 2 * a), Fraction(-b + s, 2 * a)]
+    elif n >= 3:
         an = f[-1]
         monic = [c * an ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
         roots.extend(Fraction(u, an) for u in _integer_roots_monic(monic))

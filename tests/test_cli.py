@@ -19,9 +19,37 @@ from nrestrict.parser import parse_expression, render
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import analyze
 
+from oracles import expand_input
+
 
 def P(text):
     return parse_expression(text).poly
+
+
+_join = st.sampled_from([" + ", " - ", "*"])
+#: an atom: a variable, an integer, an unreduced rational such as 2/4, or
+#: x1 to a rational power, under a chain of 0-3 unary minus signs
+_atom = st.builds("{}{}".format, st.sampled_from(["", "-", "- -", "---"]),
+                  st.one_of(st.sampled_from(["x1", "x2"]),
+                            st.integers(0, 12).map(str),
+                            st.builds("{}/{}".format, st.integers(0, 12),
+                                      st.integers(1, 12)),
+                            st.builds("x1^({}/{})".format, st.integers(1, 7),
+                                      st.integers(1, 4))))
+
+
+def _chain(parts):
+    return st.lists(parts, min_size=1, max_size=3).flatmap(
+        lambda xs: st.lists(_join, min_size=len(xs) - 1,
+                            max_size=len(xs) - 1).map(
+            lambda ops: xs[0] + "".join(o + x for o, x in zip(ops, xs[1:]))))
+
+
+#: a sum or product of 1-3 atoms in 1-3 nested parentheses, to a power 1-6
+_power = st.builds(lambda n, body, k: f"{'(' * n}{body}{')' * n}^{k}",
+                   st.integers(1, 3), _chain(_atom), st.integers(1, 6))
+#: non-canonical input texts: sums and products of atoms and powers
+parser_texts = _chain(st.one_of(_atom, _power))
 
 
 class TestParser:
@@ -62,6 +90,19 @@ class TestParser:
 
     def test_zero_renders_as_0(self):
         assert render(PuiseuxPoly.zero()) == "0"
+
+    @given(parser_texts)
+    @settings(max_examples=120, deadline=None)
+    @example("((x1 - 2/4))^6*(--x2 + x1^(3/2))^2 - ---6/8")
+    def test_matches_the_expansion_oracle(self, text):
+        """The parser's polynomial is the one ``oracles.expand_input``
+        expands from the same text on plain dicts."""
+        expected = expand_input(text)
+        if not expected:
+            with pytest.raises(ParseError, match="identically zero"):
+                parse_expression(text)
+            return
+        assert P(text).terms == expected
 
     def test_round_trip_corpus(self):
         rng = random.Random(11)
@@ -277,6 +318,7 @@ PARSE_ERRORS = [
     ("z^2", "unknown variable 'z'", 0),
     ("x1^(1/0)", "zero denominator in exponent", 6),
     ("x1^(0)", "exponent must be positive", 3),
+    ("x1^0", "exponent must be positive", 3),
     ("x1^+", "expected an exponent", 3),
 ]
 

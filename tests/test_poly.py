@@ -308,6 +308,42 @@ class TestCappedShear:
         assert phi.shear_substitute(P("x1 + x1^2"), cap=2).is_zero()
 
 
+#: one-term polynomials, fractional x1-exponents included
+monomials = st.builds(
+    lambda c, d, num, den, e2: PuiseuxPoly.monomial(F(c, d), F(num, den), e2),
+    st.integers(-5, 5).filter(bool), st.integers(1, 4), st.integers(0, 7),
+    st.sampled_from([1, 2, 3, 4]), st.integers(0, 3))
+
+
+class TestPowers:
+    """``a ** n`` raises a monomial in one step and seeds binary powering
+    with ``a``: each power equals, term order included, the binary powering
+    that starts from 1 (float evaluators sum in that order)."""
+
+    @staticmethod
+    def _from_one(a, n):
+        result, base = PuiseuxPoly.constant(1), a
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    @given(st.one_of(monomials, rational_fractional_polys), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_binary_powering_from_one(self, a, n):
+        got, want = a ** n, self._from_one(a, n)
+        assert got == want
+        assert list(got.lattice()[2].items()) == list(want.lattice()[2].items())
+
+    def test_monomial_powers_reduce_their_ramification(self):
+        assert PuiseuxPoly.monomial(F(-2, 3), F(1, 2), 1) ** 2 == \
+            PuiseuxPoly.monomial(F(4, 9), 1, 2)
+        assert P("x1 + x2") ** 0 == PuiseuxPoly.zero() ** 0 == \
+            PuiseuxPoly.constant(1)
+
+
 class TestCanonicalForm:
     """Every kernel's result is stored as the canonical form its own terms
     rebuild: a kernel that skipped the normalizer would fail ``==`` or

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from nrestrict import adapted, cli, report, splitting
+from nrestrict import adapted, cli, report, roots, splitting
 from nrestrict.parser import parse_expression
 from nrestrict.poly import PuiseuxPoly
 from nrestrict.report import _jet_json, analyze
@@ -83,6 +83,30 @@ def test_isolation_count_is_pinned(isolations):
     for text in ISOLATION_INPUTS:
         analyze(parse_expression(text)).to_json()
     assert len(isolations) == 14
+
+
+def test_front_end_work_is_pinned(monkeypatch):
+    """Parsing the golden inputs builds every polynomial on the lattice, with
+    no call to the general ``PuiseuxPoly`` constructor; of the pinned
+    isolations' rational-root searches only the one factor of degree >= 3
+    takes the Sturm bisection, the rest are read off their coefficients."""
+    calls = Counter()
+
+    def count(name, real):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return spy
+    monkeypatch.setattr(PuiseuxPoly, "__init__",
+                        count("init", PuiseuxPoly.__init__))
+    for text in INPUTS:
+        parse_expression(text)
+    assert calls["init"] == 0
+    monkeypatch.setattr(roots, "_integer_roots_monic",
+                        count("bisect", roots._integer_roots_monic))
+    for text in ISOLATION_INPUTS:
+        analyze(parse_expression(text)).to_json()
+    assert calls["bisect"] == 1
 
 
 def test_analyze_reports_agree_with_the_oracle():

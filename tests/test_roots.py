@@ -176,6 +176,20 @@ class TestAgainstRationalRoute:
         intervals = sorted(r.interval for r in squarefree_real_roots(p))
         assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
 
+    def test_closed_form_edge_cases(self):
+        # a negative leading coefficient: -6t^2 + 5t - 1 = -(2t - 1)(3t - 1)
+        self._check(qpoly([-1, 5, -6]))
+        # 40-digit coefficients: (a t - b)(c t + d), and one with no
+        # rational root
+        a, b, c, d = (4 * 10**19 + 7, 7 * 10**19 + 1, 5 * 10**19 + 9,
+                      6 * 10**19 - 3)
+        self._check(q_mul(qpoly([-b, a]), qpoly([d, c])))
+        self._check(qpoly([-(10**39 + 1), 0, 10**39]))
+        # the irrational t^2 - 2, and a product with a zero root
+        self._check(qpoly([-2, 0, 1]))
+        self._check(q_mul(qpoly([0, 1]), q_mul(qpoly([-1, 5, -6]),
+                                                qpoly([-2, 0, 1]))))
+
 
 class TestAgainstSympy:
     """Rational values, multiplicities and isolation against sympy's own
