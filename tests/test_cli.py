@@ -39,10 +39,8 @@ _atom = st.builds("{}{}".format, st.sampled_from(["", "-", "- -", "---"]),
 
 
 def _chain(parts):
-    return st.lists(parts, min_size=1, max_size=3).flatmap(
-        lambda xs: st.lists(_join, min_size=len(xs) - 1,
-                            max_size=len(xs) - 1).map(
-            lambda ops: xs[0] + "".join(o + x for o, x in zip(ops, xs[1:]))))
+    return st.builds(lambda x, rest: x + "".join(o + y for o, y in rest),
+                     parts, st.lists(st.tuples(_join, parts), max_size=2))
 
 
 #: a sum or product of 1-3 atoms in 1-3 nested parentheses, to a power 1-6
