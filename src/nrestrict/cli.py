@@ -56,11 +56,11 @@ def _cmd_diagram(args) -> int:
 def _cmd_knapp(args) -> int:
     doc = analyze(parse_expression(_expression(args.expr)))
     if doc.certificates is None:
-        payload = {"input": args.expr, "certificates": None,
+        payload = {"input": doc.expr.source, "certificates": None,
                    "note": "input is adapted after the linear stage; "
                            "lower bounds follow from the distance"}
     else:
-        payload = {"input": args.expr,
+        payload = {"input": doc.expr.source,
                    "p_c_prime": str(doc.exponent.p_c_prime),
                    "certificates": _certs_json(doc.certificates)}
     _write(json.dumps(payload, indent=2), args.json)
@@ -69,7 +69,7 @@ def _cmd_knapp(args) -> int:
 
 def _cmd_trace(args) -> int:
     doc = analyze(parse_expression(_expression(args.expr)))
-    payload = {"input": args.expr,
+    payload = {"input": doc.expr.source,
                "l_pr_case": None if doc.selection is None else doc.selection.case,
                "splitting": None if doc.forest is None
                else _split_forest_json(doc.forest)}

@@ -2,9 +2,15 @@
 
 Grammar: integer or rational coefficients ("3", "-2/5"), variables x1/x2
 (aliases x/y), "^" with a positive integer exponent or a parenthesized
-positive rational ("x1^(3/2)"), operators + - * and parentheses.  Implicit
-multiplication is a syntax error.  The renderer produces the canonical form
-that parses back to the same polynomial.
+positive rational ("x1^(3/2)"), operators + - * and parentheses.  Whitespace
+between tokens and at either end is ignored; implicit multiplication is a
+syntax error.  The renderer produces the canonical form that parses back to
+the same polynomial.
+
+Tokens are ``(kind, text, offset)`` tuples, where ``kind`` is "num",
+"name", the operator character, or "end".  One reader, ``rational``, reads
+``num ('/' num)?`` for coefficients and exponents alike; integers stay
+``int`` all the way to the polynomial's lattice.
 """
 
 from __future__ import annotations
@@ -17,34 +23,18 @@ from fractions import Fraction
 from .errors import ParseError
 from .poly import PuiseuxPoly
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*^()/]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z]\w*)"
+                    r"|(?P<op>[-+*^()/])|(?P<end>\Z)|(?P<bad>.))")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "num" | "name" | an operator character | "end"
-    text: str
-    offset: int
-
-
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            raise ParseError(f"unexpected character {text[pos:pos+1]!r}", pos)
-        if m.group("num"):
-            tokens.append(Token("num", m.group("num"), m.start("num")))
-        elif m.group("name"):
-            tokens.append(Token("name", m.group("name"), m.start("name")))
-        else:
-            op = m.group("op")
-            tokens.append(Token(op, op, m.start("op")))
-        pos = m.end()
-    tokens.append(Token("end", "", len(text)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        tok = m.group(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", m.start(kind))
+        tokens.append((tok if kind == "op" else kind, tok, m.start(kind)))
     return tokens
 
 
@@ -59,30 +49,27 @@ class InputExpr:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """The next token's kind."""
+        return self.tokens[self.i][0]
 
-    def take(self) -> Token:
+    def take(self, kind: str | None = None) -> tuple[str, str, int]:
+        """The next token, which must be of ``kind`` when one is given."""
         tok = self.tokens[self.i]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end'!r}",
+                             tok[2])
         self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.take()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end'!r}",
-                             tok.offset)
         return tok
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> PuiseuxPoly:
         acc = self.term()
-        while self.peek().kind in "+-":
-            op = self.take().kind
+        while self.peek() in "+-":
+            op = self.take()[0]
             rhs = self.term()
             acc = acc + rhs if op == "+" else acc - rhs
         return acc
@@ -90,7 +77,7 @@ class _Parser:
     # term := factor ('*' factor)*
     def term(self) -> PuiseuxPoly:
         acc = self.factor()
-        while self.peek().kind == "*":
+        while self.peek() == "*":
             self.take()
             acc = acc * self.factor()
         return acc
@@ -98,68 +85,64 @@ class _Parser:
     # factor := ('-'|'+')* atom ('^' exponent)?
     def factor(self) -> PuiseuxPoly:
         sign = 1
-        while self.peek().kind in "+-":
-            if self.take().kind == "-":
+        while self.peek() in "+-":
+            if self.take()[0] == "-":
                 sign = -sign
         base = self.atom()
-        if self.peek().kind == "^":
+        if self.peek() == "^":
             self.take()
             e = self.exponent()
             if e.denominator == 1:
                 base = base ** int(e)
             elif base != PuiseuxPoly.x1():
                 raise ParseError("fractional exponents apply to x1 only",
-                                 self.peek().offset)
+                                 self.tokens[self.i][2])
             else:
                 base = PuiseuxPoly.monomial(1, e, 0)
-        return base * sign if sign < 0 else base
+        return -base if sign < 0 else base
 
+    # rational := num ('/' num)?
+    def rational(self, zero_message: str) -> int | Fraction:
+        num = int(self.take("num")[1])
+        if self.peek() != "/":
+            return num
+        self.take()
+        _, den, offset = self.take("num")
+        if int(den) == 0:
+            raise ParseError(zero_message, offset)
+        return Fraction(num, int(den))
+
+    # atom := rational | name | '(' expr ')'
     def atom(self) -> PuiseuxPoly:
-        tok = self.take()
-        if tok.kind == "num":
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "/":
-                self.take()
-                den = self.expect("num")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator", den.offset)
-                value = Fraction(int(tok.text), int(den.text))
-            return PuiseuxPoly.constant(value)
-        if tok.kind == "name":
-            axis = _VARIABLES.get(tok.text)
+        if self.peek() == "num":
+            return PuiseuxPoly.constant(self.rational("zero denominator"))
+        kind, text, offset = self.take()
+        if kind == "name":
+            axis = _VARIABLES.get(text)
             if axis is None:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.offset)
+                raise ParseError(f"unknown variable {text!r}", offset)
             return PuiseuxPoly.x1() if axis == 1 else PuiseuxPoly.x2()
-        if tok.kind == "(":
+        if kind == "(":
             inner = self.expr()
-            self.expect(")")
+            self.take(")")
             return inner
-        raise ParseError(f"expected a value, found {tok.text or 'end'!r}",
-                         tok.offset)
+        raise ParseError(f"expected a value, found {text or 'end'!r}", offset)
 
-    # exponent := num | '(' num ('/' num)? ')'
-    def exponent(self) -> Fraction:
-        tok = self.take()
-        if tok.kind == "num":
-            value = Fraction(int(tok.text))
-        elif tok.kind == "(":
-            sign_tok = self.peek()
-            if sign_tok.kind == "-":
+    # exponent := num | '(' rational ')'
+    def exponent(self) -> int | Fraction:
+        kind, text, offset = self.take()
+        if kind == "num":
+            value = int(text)
+        elif kind == "(":
+            if self.peek() == "-":
                 raise ParseError("negative exponents are not allowed",
-                                 sign_tok.offset)
-            num = self.expect("num")
-            value = Fraction(int(num.text))
-            if self.peek().kind == "/":
-                self.take()
-                den = self.expect("num")
-                if int(den.text) == 0:
-                    raise ParseError("zero denominator in exponent", den.offset)
-                value = Fraction(int(num.text), int(den.text))
-            self.expect(")")
+                                 self.tokens[self.i][2])
+            value = self.rational("zero denominator in exponent")
+            self.take(")")
         else:
-            raise ParseError("expected an exponent", tok.offset)
+            raise ParseError("expected an exponent", offset)
         if value <= 0:
-            raise ParseError("exponent must be positive", tok.offset)
+            raise ParseError("exponent must be positive", offset)
         return value
 
 
@@ -168,10 +151,10 @@ def parse_expression(text: str) -> InputExpr:
     polynomial (not of finite type)."""
     parser = _Parser(text)
     poly = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ParseError(f"unexpected {tail.text!r} (implicit multiplication "
-                         "is not allowed)", tail.offset)
+    kind, tail, offset = parser.take()
+    if kind != "end":
+        raise ParseError(f"unexpected {tail!r} (implicit multiplication "
+                         "is not allowed)", offset)
     if poly.is_zero():
         raise ParseError("polynomial is identically zero", 0)
     return InputExpr(text, poly)

@@ -35,11 +35,11 @@ Exponent = tuple[Fraction, int]
 Key = tuple[int, int]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_fraction(x) -> int | Fraction:
+    """``x`` itself if it is an exact rational.  An ``int`` passes through
+    as one: it has the ``numerator`` and ``denominator`` the callers read."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -353,8 +353,8 @@ class PuiseuxPoly:
             raise ValueError("singular linear substitution")
         if self._q != 1:
             raise ValueError("linear substitution needs integer exponents")
-        row1 = PuiseuxPoly({(Fraction(1), 0): a, (Fraction(0), 1): b})
-        row2 = PuiseuxPoly({(Fraction(1), 0): c, (Fraction(0), 1): d})
+        row1 = PuiseuxPoly({(1, 0): a, (0, 1): b})
+        row2 = PuiseuxPoly({(1, 0): c, (0, 1): d})
         # cache powers of the two linear forms
         p1, p2 = [PuiseuxPoly.constant(1)], [PuiseuxPoly.constant(1)]
         acc = PuiseuxPoly.zero()

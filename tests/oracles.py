@@ -626,7 +626,10 @@ def analyze_report_mismatches(text: str) -> list[str]:
       ``kappa`` and ``a`` must be those of its endpoints, and
       ``horizontal_level`` - 1;
     - phi_a sheared by each splitting branch's ``factorization`` jet is
-      x2^``power`` times its ``cofactor``.
+      x2^``power`` times its ``cofactor``;
+    - each branch's ``halt`` witness polynomial changes sign between the
+      ends of its ``interval``, so a root lies inside: the factor is
+      square-free with its rational roots divided out, so no end is a root.
     """
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -686,6 +689,14 @@ def analyze_report_mismatches(text: str) -> list[str]:
                 naive_mul(mono(1, 0, f["power"]), expand_input(f["cofactor"])):
             bad.append(f"branch {i}: x2^{f['power']}*({f['cofactor']}) is "
                        "not phi_a sheared by its jet")
+        halt = branch.get("halt")
+        if halt is not None:
+            w = [Fraction(c) for c in halt["witness_poly"]]
+            lo, hi = (sum(c * Fraction(t) ** k for k, c in enumerate(w))
+                      for t in halt["interval"])
+            if lo * hi >= 0:
+                bad.append(f"branch {i}: witness {halt['witness_poly']} keeps "
+                           f"its sign on {halt['interval']}")
     return bad
 
 

@@ -86,6 +86,11 @@ class TestParser:
             parse_expression("x1 + %")
         assert err.value.offset == 5
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\n"])
+    def test_whitespace_at_either_end_is_ignored(self, space):
+        assert P("x1^2 + x2^2" + space) == P("x1^2 + x2^2")
+        assert P(space + "x1^2 + x2^2") == P("x1^2 + x2^2")
+
     def test_zero_renders_as_0(self):
         assert render(PuiseuxPoly.zero()) == "0"
 
@@ -318,6 +323,7 @@ PARSE_ERRORS = [
     ("x1^(0)", "exponent must be positive", 3),
     ("x1^0", "exponent must be positive", 3),
     ("x1^+", "expected an exponent", 3),
+    ("x1 + ", "expected a value, found 'end'", 5),
 ]
 
 
@@ -447,3 +453,12 @@ class TestFileInput:
         assert cli.main(["analyze", str(path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["p_c_prime"] == "10"
+        assert doc["input"] == "(x2 - x1^2)^5"
+
+    @pytest.mark.parametrize("command", ["knapp", "trace"])
+    def test_input_is_the_expression_not_the_path(self, command, tmp_path,
+                                                  capsys):
+        path = tmp_path / "phi.txt"
+        path.write_text("(x2 - x1^2)^5\n")
+        assert cli.main([command, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["input"] == "(x2 - x1^2)^5"

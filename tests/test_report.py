@@ -87,7 +87,8 @@ def test_isolation_count_is_pinned(isolations):
 
 def test_front_end_work_is_pinned(monkeypatch):
     """Parsing the golden inputs builds every polynomial on the lattice, with
-    no call to the general ``PuiseuxPoly`` constructor; of the pinned
+    no call to the general ``PuiseuxPoly`` constructor and no ``Fraction``
+    (their integers stay ``int`` from token to lattice); of the pinned
     isolations' rational-root searches only the one factor of degree >= 3
     takes the Sturm bisection, the rest are read off their coefficients."""
     calls = Counter()
@@ -99,9 +100,10 @@ def test_front_end_work_is_pinned(monkeypatch):
         return spy
     monkeypatch.setattr(PuiseuxPoly, "__init__",
                         count("init", PuiseuxPoly.__init__))
+    monkeypatch.setattr(F, "__new__", count("fraction", F.__new__))
     for text in INPUTS:
         parse_expression(text)
-    assert calls["init"] == 0
+    assert calls["init"] == calls["fraction"] == 0
     monkeypatch.setattr(roots, "_integer_roots_monic",
                         count("bisect", roots._integer_roots_monic))
     for text in ISOLATION_INPUTS:
