@@ -27,21 +27,20 @@ once its cell budget is exceeded.  Each surface fit records the path it took
 in ``meta``.
 
 Sum strategy: one sweep serves single and double sums (a single sum is the
-double sum with its second index at 0).  It evaluates only the index grid's
-live polygon and buckets on the frequency lattice.  Within a row of the
-polygon every factor is constant on one run: a factor along an axis line (no
-m2 term) everywhere, a bump factor bump(-c/s) where 2^e is below a quarter
-ulp of its center c (y - c then rounds to -c), and a factor with no bump
-(H = 1) below its window's end.  Each row's run is one value added to every
-|p2|-th frequency bucket, so it goes in as +v/-v on a difference array,
-summed by one cumsum per residue class mod |p2|; only the at most two
-segments at the run's ends are evaluated cell by cell.  The levels run from
-the top down, and the top level's live span of K buckets, which holds every
-lower level's, fixes the phase tables once per trial: z^c for the
-C = ceil(sqrt(K)) columns of a block and the block phases z^(bC), each table
-from one exp by repeated doubling.  Each level then takes |F(t)| over the t
-sample from one real matmul of its buckets' C-column blocks with the z^c
-table and a sum against its first ceil(K_m / C) block phases.
+double sum with its second index at 0).  Once per trial, at the top level,
+it evaluates each axis line (a factor with no m2 term) on its live window
+only, and builds the index grid's live polygon: per row a window, and a run
+on which every factor is constant (an axis factor everywhere, a bump factor
+bump(-c/s) where 2^e is below a quarter ulp of its center c, a factor with
+no bump below its window's end).  Each level is a clip of that polygon.  A
+run adds one value to every |p2|-th frequency bucket, as +v/-v on a
+difference array summed by one cumsum per residue class mod |p2|; only the
+at most two segments at its ends are evaluated cell by cell.  The top
+level's live span of K buckets holds every lower level's, and fixes the
+phase tables once per trial: z^c for the C = ceil(sqrt(K)) columns of a
+block and the block phases z^(bC), each from one exp by repeated doubling;
+a level takes |F(t)| from one real matmul and a sum against its block
+phases.  The t are drawn in blocks of 512 until 512 pass.
 
 All randomized trials take explicit seeds and reduce in fixed index order, so
 results are reproducible run to run.
@@ -618,12 +617,9 @@ class BumpSpec:
         return max(1.0, max(BUMP_D1 / s for s in self.scales))
 
     def c2_norm(self) -> float:
-        n = self.c1_norm()
-        for i, si in enumerate(self.scales):
-            for sj in self.scales[i:]:
-                n = max(n, (BUMP_D2 if si == sj else BUMP_D1 * BUMP_D1)
-                        / (si * sj))
-        return n
+        return max([self.c1_norm()] + [
+            (BUMP_D2 if si == sj else BUMP_D1 * BUMP_D1) / (si * sj)
+            for i, si in enumerate(self.scales) for sj in self.scales[i:]])
 
 
 @dataclass(frozen=True)
@@ -638,22 +634,13 @@ class SumBoundTrial:
 
 
 def _norm_of(trial: SumBoundTrial) -> float:
-    if trial.bump_spec is None:
-        return 1.0
-    return (trial.bump_spec.c1_norm() if trial.kind == "single"
-            else trial.bump_spec.c2_norm())
+    spec = trial.bump_spec
+    return 1.0 if spec is None else (
+        spec.c1_norm() if trial.kind == "single" else spec.c2_norm())
 
 
 def _denominator_single(alpha: float, t: np.ndarray) -> np.ndarray:
     return np.abs(np.exp(1j * LN2 * alpha * t) - 1.0)
-
-
-def _rho_freqs(trial: SumBoundTrial) -> list[float]:
-    a1, a2 = float(trial.alphas[0]), float(trial.alphas[1])
-    freqs = [a1, a2]
-    for (b1, b2) in trial.betas:
-        freqs.append(a1 * float(b2) - a2 * float(b1))
-    return freqs
 
 
 def _rho_double(trial: SumBoundTrial,
@@ -662,9 +649,12 @@ def _rho_double(trial: SumBoundTrial,
     frequency, and its smallest single factor: zeros of the denominator are
     avoided factor by factor, not just in the product.  Harmonic nu is the
     nu-th power of the first, one exp per frequency."""
+    a1, a2 = float(trial.alphas[0]), float(trial.alphas[1])
+    freqs = [a1, a2] + [a1 * float(b2) - a2 * float(b1)
+                        for b1, b2 in trial.betas]
     prod = np.ones_like(t, dtype=float)
     low = np.full_like(t, np.inf, dtype=float)
-    first = np.exp(1j * np.outer(LN2 * np.array(_rho_freqs(trial)), t))
+    first = np.exp(1j * np.outer(LN2 * np.array(freqs), t))
     harmonic = first
     for nu in range(1, 7):
         for factor in np.abs(harmonic - 1.0):
@@ -701,95 +691,104 @@ def _flat_end(trial: SumBoundTrial, k: int) -> tuple[float, float]:
     return e, float(_factor(trial, k, np.array([e]))[0])
 
 
+def _window(trial: SumBoundTrial, k: int, b1: float, b2: float, la: float,
+            n, e_min: float = -math.inf) -> tuple:
+    """The x interval, one index wider at each end, off which the k-th
+    factor at e = b1 n + b2 x + la is 0 or e <= e_min (+-inf for no end):
+    it is 0 unless e <= log2 r_k and c' - s < 2^min(e, 64) < c' + s,
+    c' = sign_k c_k."""
+    e_lo, e_hi = e_min, math.log2(trial.r_vals[k])
+    if trial.bump_spec is not None:
+        spec = trial.bump_spec
+        c, s = trial.sign_a[k] * spec.centers[k], spec.scales[k]
+        e_lo = max(e_lo, math.log2(c - s)) if c - s > 0 else e_lo
+        e_hi = (-math.inf if c + s <= 0 else e_hi if c + s >= 2.0 ** 64
+                else min(e_hi, math.log2(c + s)))
+    ends = [(e - la - b1 * n) / b2 for e in (e_lo, e_hi)]
+    return np.floor(np.minimum(*ends)) - 1, np.ceil(np.maximum(*ends)) + 1
+
+
 def _axis_lines(trial: SumBoundTrial, top: int) -> list[tuple]:
-    """(b1, b2, log2|a_k|, line, flat) of each coordinate k: line is the
-    factor on [0, top] of m1 if b2 = 0 (b2 * m2 = 0.0 adds nothing), else
-    None; flat is ``_flat_end(trial, k)`` if b2 != 0, else None."""
-    n = np.arange(top + 1, dtype=float)
-    dirs = [(float(b[0]), float(b[1]) if len(b) > 1 else 0.0, la)
-            for b, la in zip(trial.betas, trial.log2_a)]
-    return [(b1, b2, la, None, _flat_end(trial, k)) if b2 else
-            (b1, b2, la, _factor(trial, k, b1 * n + la), None)
-            for k, (b1, b2, la) in enumerate(dirs)]
+    """(b1, b2, log2|a_k|, line, flat) of each coordinate k: flat is
+    ``_flat_end(trial, k)``, and line is None if b2 != 0, else the factor on
+    [0, top] of m1 (b2 * m2 = 0.0 adds nothing), with the bytes of
+    ``_factor`` but evaluated only on the ``_window`` above the flat end;
+    past the window's flat side it is flat's constant, which is 0 if the
+    window has a lower end (then |c'| > s)."""
+    lines = []
+    for k, (b, la) in enumerate(zip(trial.betas, trial.log2_a)):
+        b1, b2 = float(b[0]), float(b[1]) if len(b) > 1 else 0.0
+        flat, line = _flat_end(trial, k), None
+        if not b2:
+            lo, hi = (_window(trial, k, 0.0, b1, la, 0.0, flat[0]) if b1
+                      else (0, top))
+            lo, hi = int(min(max(lo, 0), top + 1)), int(max(min(hi, top), -1))
+            line = np.zeros(top + 1)
+            line[slice(lo) if b1 > 0 else slice(hi + 1, None)] = flat[1]
+            line[lo:hi + 1] = _factor(trial, k, b1 * np.arange(lo, hi + 1.0)
+                                      + la)
+        lines.append((b1, b2, la, line, flat))
+    return lines
 
 
 #: index-grid cells evaluated together in one step of the sum sweep
 _SWEEP_CELLS = 2 ** 16
 
 
-def _live_cells(trial: SumBoundTrial, m: int, lines: list[tuple]):
-    """The nonzero cells of level m's grid [0, m]^2 ([0, m] x {0} for a
-    single trial) as ``(runs, cells)``; ``lines`` is ``_axis_lines(trial,
-    top)`` with top >= m.
+def _live_polygon(trial: SumBoundTrial, top: int, lines: list[tuple]):
+    """The top level's live polygon as arrays ``(m1, lo, hi, a, b, value)``
+    over its live rows, where no ``_axis_lines`` entry is 0: [lo, hi] is
+    [0, top] ({0} in a single trial) cut to each b2 != 0 factor's
+    ``_window``, and in [a, b], below each such factor's ``_flat_end``,
+    every cell holds ``value``, the constants' product in coordinate order."""
+    rows = np.arange(top + 1)
+    for _, b2, _, line, _ in lines:
+        rows = rows if b2 else rows[line[rows] != 0]
+    n = rows.astype(float)
+    lo, a, value = np.zeros(len(n)), np.zeros(len(n)), np.ones(len(n))
+    hi = b = np.full(len(n), float(top if trial.kind == "double" else 0))
+    for k, (b1, b2, la, line, (end, v)) in enumerate(lines):
+        if b2:
+            ends = _window(trial, k, b1, b2, la, n)
+            lo, hi = np.maximum(lo, ends[0]), np.minimum(hi, ends[1])
+            edge = (end - la - b1 * n) / b2
+            a = np.maximum(a, np.ceil(edge)) if b2 < 0 else a
+            b = np.minimum(b, np.floor(edge)) if b2 > 0 else b
+        value = value * (v if b2 else line[rows])
+    live = hi >= lo
+    return (*(x[live].astype(np.int64) for x in (
+        rows, lo, hi, np.maximum(a, lo), np.minimum(b, hi))), value[live])
 
-    Factor k is 0 unless e = b1 m1 + b2 m2 + log2|a_k| <= log2 r_k and
-    c' - s < 2^min(e, 64) < c' + s, c' = sign_k center_k: per row, one m2
-    interval when b2 != 0.  A factor is constant along a row when b2 = 0,
-    and below its ``_flat_end`` when b2 != 0 (where 2^e is below a quarter
-    ulp of the bump's center): per row, one m2 half-line.
-    ``runs`` are arrays ``(m1, lo, hi, value)``: in each row, the cells of
-    the live window on every b2 != 0 factor's half-line all hold ``value``,
-    the product of the constants in coordinate order, and runs whose value
-    is 0 are dropped.  ``cells`` yields ``(m1, m2, values)`` row-major for
-    the rest of each row's window, at most two segments, in chunks of whole
-    segments of about ``_SWEEP_CELLS`` cells; there the window is widened
-    by one index and the ``!= 0`` filter stays (cos^4 can underflow).
-    Together they are the full grid's nonzero cells and values, bit for bit,
-    while the rounding of the m2 ends stays below one index, so for
-    |b2| >> 1e-10 (criterion 9's trials have |b2| >= 1/6)."""
-    spec = trial.bump_spec
-    n = np.arange(m + 1, dtype=float)
-    lo = np.zeros(m + 1)
-    hi = np.full(m + 1, float(m if trial.kind == "double" else 0))
-    for k, (b1, b2, la, line, _) in enumerate(lines):
-        if b2 == 0:
-            hi[line[:m + 1] == 0] = -1.0
-            continue
-        e_lo, e_hi = -math.inf, math.log2(trial.r_vals[k])
-        if spec is not None:
-            c, s = trial.sign_a[k] * spec.centers[k], spec.scales[k]
-            e_lo = math.log2(c - s) if c - s > 0 else e_lo
-            e_hi = (-math.inf if c + s <= 0 else e_hi if c + s >= 2.0 ** 64
-                    else min(e_hi, math.log2(c + s)))
-        ends = [(e - la - b1 * n) / b2 for e in (e_lo, e_hi)]
-        lo = np.maximum(lo, np.floor(np.minimum(*ends)) - 1)
-        hi = np.minimum(hi, np.ceil(np.maximum(*ends)) + 1)
-    lo = np.minimum(lo, m + 1).astype(np.int64)
-    count = np.maximum(hi - lo + 1, 0).astype(np.int64)
-    rows = np.flatnonzero(count)
-    lo, hi = lo[rows], lo[rows] + count[rows] - 1
-    a, b, value = lo, hi, np.ones(len(rows))
-    for b1, b2, la, line, flat in lines:
-        if b2 == 0:
-            value = value * line[rows]
-            continue
-        edge = (flat[0] - la - b1 * rows) / b2
-        if b2 > 0:
-            b = np.minimum(b, np.floor(edge))
-        else:
-            a = np.maximum(a, np.ceil(edge))
-        value = value * flat[1]
+
+def _level_cells(trial: SumBoundTrial, lines: list[tuple], polygon: tuple,
+                 m: int):
+    """Level m's nonzero cells, bit for bit while the rounding of the m2
+    ends stays below one index (so for |b2| >> 1e-10; criterion 9 has
+    |b2| >= 1/6), as ``(runs, cells)``: the rows m1 <= m of a top >= m
+    ``_live_polygon``, clipped to m2 <= m, give the runs ``(m1, a, b,
+    value)`` of nonzero value and the ``_off_run_cells``."""
+    j = np.searchsorted(polygon[0], m, "right")
+    rows, lo, hi, a, b, value = (x[:j] for x in polygon)
+    hi, b = np.minimum(hi, m), np.minimum(b, m)
     keep = (b >= a) & (value != 0)
-    runs = (rows[keep], a[keep].astype(np.int64), b[keep].astype(np.int64),
-            value[keep])
-    return runs, _off_run_cells(trial, lines, rows, lo, hi, a, b)
+    return (tuple(x[keep] for x in (rows, a, b, value)),
+            _off_run_cells(trial, lines, rows, lo, hi, a, b))
 
 
 def _off_run_cells(trial: SumBoundTrial, lines: list[tuple], rows, lo, hi,
                    a, b):
     """Yield ``(m1, m2, values)`` of the nonzero cells of each row's window
-    [lo, hi] off its run [a, b] (none if b < a): at most two segments per
-    row, row-major, in chunks of whole segments of about ``_SWEEP_CELLS``
-    cells."""
+    [lo, hi] (none if hi < lo) off its run [a, b] (none if b < a): at most
+    two segments per row, row-major, in chunks of whole segments of about
+    ``_SWEEP_CELLS`` cells.  The window's one-index margin keeps the
+    ``!= 0`` filter here (cos^4 can underflow)."""
     a = np.minimum(a, hi + 1).astype(np.int64)     # the left one is [lo, a)
     b = np.maximum(b + 1, a).astype(np.int64)      # the right one [b, hi]
     if np.array_equal(a, lo) and np.array_equal(b, hi + 1):
         return
-    starts = np.empty(2 * len(rows), np.int64)
-    count = np.empty_like(starts)
-    starts[0::2], starts[1::2] = lo, b
-    count[0::2], count[1::2] = a - lo, hi + 1 - b
-    segs = np.flatnonzero(count)
+    starts = np.stack([lo, b], axis=1).ravel()
+    count = np.stack([a - lo, hi + 1 - b], axis=1).ravel()
+    segs = np.flatnonzero(count > 0)
     rows, starts, count = rows[segs // 2], starts[segs], count[segs]
     cuts = np.searchsorted(np.cumsum(count), np.arange(
         _SWEEP_CELLS, count.sum(), _SWEEP_CELLS), "right")
@@ -840,9 +839,7 @@ def _lattice_sup(w: np.ndarray, tables: Optional[tuple],
     """Sup proxy over the t sample of |F(t)| * denom, with
     F(t) = sum_j w_j z^(j + offset), z = 2^(i step t), for the live span
     ``w`` of a level's buckets and an integer offset, which leaves |F| as
-    it is.
-
-    The mean of the top 8 values is used instead of the single maximum: the
+    it is.  It is the mean of the top 8 values, not the single maximum: the
     integrand is quasi-periodic in t, and a lone extreme draw would make the
     level-to-level trend comparison needlessly noisy.
 
@@ -867,7 +864,7 @@ def _lattice_sup(w: np.ndarray, tables: Optional[tuple],
 
 def _run_sums(runs: tuple, p1: int, p2: int, offset: int,
               size: int) -> np.ndarray:
-    """Bucket sums of ``_live_cells``' runs: run (m1, lo, hi, v) adds v at
+    """Bucket sums of ``_level_cells``' runs: run (m1, lo, hi, v) adds v at
     p1 m1 + p2 m2 - offset for m2 in [lo, hi], every |p2|-th bucket from its
     lowest.  It goes in as +v there and -v one stride past its highest on a
     difference array, then one cumsum per residue class mod |p2|; buckets no
@@ -896,28 +893,25 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
                 denom: np.ndarray) -> list[float]:
     """The t-sweep sup proxy (``_lattice_sup``) of each level's sum of the
     masked bump coefficients over the index grid [0, m]^2 (second index 0 in
-    a single trial), evaluated on the live polygon only (``_live_cells``)
-    and along an axis once per trial (``_axis_lines``), in buckets of
-    frequency alpha . (m1, m2) in units of g / q, where alpha = (p1, p2) g / q
-    with coprime p1, p2.  A row's flat run takes O(1) work on a difference
-    array (``_run_sums``) and only the cells off the runs are bucketed one by
-    one.  The levels run from the top down, so that the phase tables
-    (``_phase_tables``) are built once per trial, from the top level's live
-    span, which holds every lower level's, and only one level's buckets are
-    alive at a time.  The sups agree with a direct sum, one exponential per
-    grid cell, to 1e-9 relative at m <= 256."""
+    a single trial), in buckets of frequency alpha . (m1, m2) in units of
+    g / q, where alpha = (p1, p2) g / q with coprime p1, p2.  The polygon is
+    built once per trial, each level is a clip of it, and the levels run
+    from the top down, so the phase tables are built once, from the top
+    level's live span, which holds every lower level's.  The sups agree with
+    a direct sum, one exponential per grid cell, to 1e-9 relative at
+    m <= 256."""
     a1, a2 = (*trial.alphas, Fraction(0))[:2]
     q = math.lcm(a1.denominator, a2.denominator)
     g = math.gcd(int(a1 * q), int(a2 * q)) or 1
     p1, p2 = int(a1 * q) // g, int(a2 * q) // g
-    lines = _axis_lines(trial, max(levels, default=0))
+    lines = _axis_lines(trial, max(levels))
+    polygon = _live_polygon(trial, max(levels), lines)
     angle = LN2 * (g / q) * ts
-    capacity, tables = 0, None
-    sups = {}
+    capacity, tables, sups = 0, None, {}
     for m in sorted(set(levels), reverse=True):
         offset = min(0, p1 * m) + min(0, p2 * m)
         size = abs(p1) * m + abs(p2) * m + 1
-        runs, cells = _live_cells(trial, m, lines)
+        runs, cells = _level_cells(trial, lines, polygon, m)
         w = _run_sums(runs, p1, p2, offset, size)
         for m1, m2, vals in cells:
             w += np.bincount(p1 * m1 + p2 * m2 - offset, weights=vals,
@@ -933,6 +927,26 @@ def _level_sups(trial: SumBoundTrial, levels: Sequence[int], ts: np.ndarray,
     return [sups[m] for m in levels]
 
 
+#: t kept per trial; the sample draws 8 blocks of this many
+_T_COUNT = 512
+
+
+def _t_sample(trial: SumBoundTrial, seed: int) -> tuple:
+    """(t, denominator) of the first ``_T_COUNT`` seeded draws of t whose
+    denominator (each ``_rho_double`` factor for a double) is >= 0.1,
+    evaluated block by block, in draw order, until enough pass; each value
+    is elementwise, so a block has the bytes of the whole draw."""
+    draws = np.random.default_rng(seed).uniform(0.11, 6.4, size=8 * _T_COUNT)
+    kept = []
+    for block in np.split(draws, 8):
+        denom, low = ((_denominator_single(float(trial.alphas[0]), block),) * 2
+                      if trial.kind == "single" else _rho_double(trial, block))
+        kept.append((block[low >= 0.1], denom[low >= 0.1]))
+        if sum(len(t) for t, _ in kept) >= _T_COUNT:
+            break
+    return tuple(np.concatenate(part)[:_T_COUNT] for part in zip(*kept))
+
+
 @dataclass
 class SumBoundResult:
     sup_ratios: list[float]
@@ -945,40 +959,32 @@ def oscillatory_sum_bound(trial: SumBoundTrial,
                           seed: int = 0) -> SumBoundResult:
     """Empirical boundedness of |F(t)| * |denominator| / ||H|| across sizes.
 
-    ``t`` is a sample of 512 points away from zeros of the denominator
-    (|denominator| >= 0.1).  The boundedness statistic is the running sup of
+    ``levels`` is a nonempty sequence of integers m >= 0, the grids
+    [0, m]^2.  ``t`` is a sample of 512 points away from zeros of the
+    denominator (|denominator| >= 0.1), drawn in blocks of 512 until 512
+    pass (``_t_sample``).  The boundedness statistic is the running sup of
     the per-level ratios, which must have converged by the middle of the
     doubling ladder: the reported growth compares its final value to the
     midpoint value.
     """
     if levels is None:
         levels = [2 ** k for k in range(6, 15 if trial.kind == "single" else 13)]
-    if trial.kind == "double":
-        a1, a2 = trial.alphas
-        for b1, b2 in trial.betas:
-            if a1 * b2 - a2 * b1 == 0:
-                raise ValueError("direction vector parallel to the alphas "
-                                 "(independence condition fails)")
-    t_count = 512
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0.11, 6.4, size=8 * t_count)
-    if trial.kind == "single":
-        denom = _denominator_single(float(trial.alphas[0]), ts)
-        keep = denom >= 0.1
-    else:
-        denom, low = _rho_double(trial, ts)
-        keep = low >= 0.1
-    ts, denom = ts[keep][:t_count], denom[keep][:t_count]
-    if len(ts) < max(8, t_count // 8):
+    if not len(levels) or not all(isinstance(m, (int, np.integer)) and m >= 0
+                                  for m in levels):
+        raise ValueError(f"levels must be a nonempty sequence of integers "
+                         f">= 0, got {levels!r}")
+    a1, a2 = (*trial.alphas, 0)[:2]
+    if trial.kind == "double" and any(a1 * b2 == a2 * b1
+                                      for b1, b2 in trial.betas):
+        raise ValueError("direction vector parallel to the alphas "
+                         "(independence condition fails)")
+    ts, denom = _t_sample(trial, seed)
+    if len(ts) < max(8, _T_COUNT // 8):
         raise ValueError("could not sample enough t away from denominator zeros")
     norm = _norm_of(trial)
     ratios = [sup / norm for sup in _level_sups(trial, levels, ts, denom)]
-    running = []
-    acc = 0.0
-    for r in ratios:
-        acc = max(acc, r)
-        running.append(acc)
-    mid = max(0, (len(running) - 1) // 2)
+    running = list(itertools.accumulate(ratios, max))
+    mid = (len(running) - 1) // 2
     growth = (running[-1] / running[mid]) if running[mid] > 1e-12 else (
         1.0 if running[-1] <= 1e-12 else math.inf)
     return SumBoundResult(ratios, running, growth)
@@ -1002,13 +1008,9 @@ def _anchored_amplitudes(rng, betas, spec: "BumpSpec", kind: str,
     """log2|a_k| and signs placing every coordinate inside its bump window at
     a common small anchor index, so the sum is non-vacuous from the first
     level and its window then drifts with the index ladder."""
-    if kind == "single":
-        anchor = (float(rng.integers(0, anchor_cap + 1)),)
-    else:
-        anchor = (float(rng.integers(0, anchor_cap + 1)),
-                  float(rng.integers(0, anchor_cap + 1)))
-    log2a = []
-    signs = []
+    anchor = [float(rng.integers(0, anchor_cap + 1))
+              for _ in range(1 if kind == "single" else 2)]
+    log2a, signs = [], []
     for b, c, s in zip(betas, spec.centers, spec.scales):
         y = c + float(rng.uniform(-0.8, 0.8)) * s
         if abs(y) < 0.05:
@@ -1068,15 +1070,13 @@ def random_double_trial(seed: int) -> SumBoundTrial:
     while True:
         a1, a2 = _random_fraction(rng), _random_fraction(rng)
         betas = []
-        ok = True
         for _ in range(n):
             b1 = _random_fraction(rng, nonzero=False)
             b2 = _random_fraction(rng, nonzero=False)
             if a1 * b2 - a2 * b1 == 0 or (b1 == 0 and b2 == 0):
-                ok = False
                 break
             betas.append((b1, b2))
-        if ok:
+        else:
             break
     r_vals = tuple(rng.uniform(1.0, 2.5, n))
     spec = _random_bumps(rng, n)

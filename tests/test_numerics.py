@@ -13,9 +13,10 @@ from nrestrict.errors import QuadratureError
 from nrestrict.exponents import certificates_of_polyhedron, critical_exponent
 from nrestrict.geometry import NewtonPolyhedron
 from nrestrict.numerics import (BUMP_D1, BUMP_D2, BUMP_MASS, BumpSpec,
-                                SumBoundTrial, _axis_lines, _factor,
-                                _level_sups, _live_cells, _poly_xy_eval,
-                                _rho_double, bump,
+                                SumBoundTrial, _axis_lines,
+                                _denominator_single, _factor, _level_cells,
+                                _level_sups, _live_polygon, _poly_xy_eval,
+                                _rho_double, _t_sample, bump,
                                 airy_scaling_check,
                                 dominance_probe,
                                 knapp_box_probe, lambda_grid, log_log_fit,
@@ -129,8 +130,15 @@ class TestPublicApiErrors:
         (lambda: oscillatory_sum_bound(SumBoundTrial(
             "single", (F(0),), ((F(1),),), (0.0,), (1.0,), (64.0,), None)),
          "could not sample enough t"),
+        (lambda: oscillatory_sum_bound(random_single_trial(0), levels=[]),
+         "levels must be a nonempty sequence of integers >= 0"),
+        (lambda: oscillatory_sum_bound(random_single_trial(0), levels=[-4]),
+         "levels must be a nonempty sequence of integers >= 0"),
+        (lambda: oscillatory_sum_bound(random_single_trial(0), levels=[2.5]),
+         "levels must be a nonempty sequence of integers >= 0"),
     ], ids=["lam-2d", "zero-direction", "derivative-order", "no-coefficient",
-            "end-vertex", "parallel-direction", "zero-denominator"])
+            "end-vertex", "parallel-direction", "zero-denominator",
+            "no-levels", "negative-level", "fractional-level"])
     def test_rejects(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -449,10 +457,17 @@ def _full_grid_nonzero_cells(trial, m):
     return [np.concatenate(part) for part in out]
 
 
-def _expanded_live_cells(trial, m):
-    """``_live_cells``' runs expanded into cells and merged with its other
-    cells, row-major, and the number of cells that came from runs."""
-    runs, cells = _live_cells(trial, m, _axis_lines(trial, m))
+def _level_cells_at(trial, m, top):
+    """``_level_cells`` of level m read off the polygon of level top."""
+    lines = _axis_lines(trial, top)
+    return _level_cells(trial, lines, _live_polygon(trial, top, lines), m)
+
+
+def _expanded_live_cells(trial, m, top):
+    """Level m's runs, read off the polygon of level top, expanded into
+    cells and merged with its other cells, row-major, and the number of
+    cells that came from runs."""
+    runs, cells = _level_cells_at(trial, m, top)
     m1, lo, hi, value = runs
     n = hi - lo + 1
     parts = [(np.repeat(m1, n),
@@ -537,7 +552,7 @@ class TestSumBounds:
         denom = rng.uniform(0.5, 2.0, 48)
         for seed in (2000, 2006):
             trial = random_double_trial(seed)
-            runs, _ = _live_cells(trial, 256, _axis_lines(trial, 256))
+            runs, _ = _level_cells_at(trial, 256, 256)
             assert len(runs[0]) > 100, seed
             got = _level_sups(trial, (64, 256), ts, denom)
             want = direct_level_sups(trial, (64, 256), ts, denom)
@@ -549,22 +564,76 @@ class TestSumBounds:
         # m = 4096, 2037's both ends in all 103, as in criterion 9's ladder;
         # 2000's only direction is an m1-line, so its rows are whole runs,
         # and 2006's window has no lower end, so its rows are runs but for
-        # their upper edge
+        # their upper edge.  Levels m/4 and m/2 are read off level m's
+        # polygon, as the sweep reads every level off its top level's
         cases = ([(random_double_trial(2000 + i), 256) for i in range(40)]
                  + [(reference_double_trial(), 512)]
                  + [(random_single_trial(1000 + i), 16384) for i in range(10)]
                  + [(random_double_trial(i), 4096) for i in (2018, 2037)]
                  + [(random_double_trial(i), 2048) for i in (2000, 2006)])
-        nonempty = 0
-        for trial, m in cases:
-            got, in_runs = _expanded_live_cells(trial, m)
-            want = _full_grid_nonzero_cells(trial, m)
-            nonempty += bool(len(want[0]))
-            assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
-            assert got[2].tobytes() == want[2].tobytes()
-            if m == 2048:
-                assert in_runs >= 0.99 * len(want[0])
-        assert nonempty >= 49   # 53 of these 55 grids hold a live cell
+        nonempty = [0, 0]           # lower levels, top levels
+        for trial, top in cases:
+            for m in (top // 4, top // 2, top):
+                got, in_runs = _expanded_live_cells(trial, m, top)
+                want = _full_grid_nonzero_cells(trial, m)
+                nonempty[m == top] += bool(len(want[0]))
+                assert all(np.array_equal(g, w)
+                           for g, w in zip(got[:2], want[:2])), (top, m)
+                assert got[2].tobytes() == want[2].tobytes(), (top, m)
+                if top == m == 2048:
+                    assert in_runs >= 0.99 * len(want[0])
+        # 53 of the 55 top grids hold a live cell, and 74 of the 110 lower
+        assert nonempty[1] >= 49 and nonempty[0] >= 68
+
+    @staticmethod
+    def _criterion_9_trials():
+        """Criterion 9's 170 singles, 40 doubles and the reference trial,
+        each with its top level and t seed."""
+        return ([(random_single_trial(1000 + i), 16384, i) for i in range(170)]
+                + [(random_double_trial(2000 + i), 4096, i) for i in range(40)]
+                + [(reference_double_trial(), 4096, 3)])
+
+    @staticmethod
+    def _assert_full_lines(trial, top):
+        lines = _axis_lines(trial, top)
+        n = np.arange(top + 1, dtype=float)
+        for k, (b1, b2, la, line, _) in enumerate(lines):
+            if b2 == 0:
+                want = _factor(trial, k, b1 * n + la)
+                assert line.tobytes() == want.tobytes(), k
+        return sum(b2 == 0 for _, b2, _, _, _ in lines)
+
+    def test_axis_lines_on_their_window_are_the_full_lines(self):
+        # each m1-line is evaluated only between its flat end and its last
+        # possibly nonzero index; the rest must be the same bytes.  The
+        # built single's first direction is b1 = 0, a constant line
+        lines = 0
+        for trial, top, _ in self._criterion_9_trials():
+            lines += self._assert_full_lines(trial, top)
+        assert lines >= 400     # 170 singles hold 423 lines
+        built = SumBoundTrial("single", (F(1),), ((F(0),), (F(1, 3),)),
+                              (-1.0, -2.0), (1.0, -1.0), (2.0, 1.5),
+                              BumpSpec((0.2, -0.3), (0.9, 1.1)))
+        assert self._assert_full_lines(built, 1024) == 2
+
+    @given(_sum_trials(), st.integers(0, 2048))
+    @settings(max_examples=60, deadline=None)
+    def test_axis_lines_match_full_lines_property(self, trial, top):
+        self._assert_full_lines(trial, top)
+
+    def test_t_sample_is_the_full_draws_first_kept(self):
+        # the denominators go in blocks of 512 and stop once 512 t pass;
+        # the kept t and denominators are those of the whole 4096 draws
+        for trial, _, seed in self._criterion_9_trials():
+            t = np.random.default_rng(seed).uniform(0.11, 6.4, size=4096)
+            if trial.kind == "single":
+                denom = low = _denominator_single(float(trial.alphas[0]), t)
+            else:
+                denom, low = _rho_double(trial, t)
+            got = _t_sample(trial, seed)
+            assert np.array_equal(got[0], t[low >= 0.1][:512]), seed
+            assert np.array_equal(got[1], denom[low >= 0.1][:512]), seed
+            assert len(got[0]) == 512, seed
 
     def test_reference_vectors_satisfy_independence(self):
         trial = reference_double_trial()
