@@ -87,7 +87,7 @@ def _cmd_decay(args) -> int:
         if not args.expr:
             raise ParseError("decay needs an expression or --catalogue")
         fits = [surface_decay_fit(parse_expression(_expression(args.expr)).poly,
-                                  (0, 0, 1), lams=lams)]
+                                  lams=lams)]
     lines = "\n".join(json.dumps(f.to_json_dict()) for f in fits)
     _write(lines, args.json)
     if args.svg:

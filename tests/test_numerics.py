@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from fractions import Fraction as F
 
@@ -116,7 +117,22 @@ class TestPublicApiErrors:
     @pytest.mark.parametrize("call, message", [
         (lambda: oscillatory_integral_1d(np.sin, bump, -1.0, 1.0, [[10.0]]),
          "lam must be a number or a 1-D sequence"),
-        (lambda: surface_decay_fit(P("x2^2"), (0, 0, 0)), "zero direction"),
+        (lambda: oscillatory_integral_1d(np.sin, bump, -1.0, 1.0, np.inf),
+         "lam must be finite"),
+        (lambda: oscillatory_integral_2d(lambda x, y: x * y,
+                                         lambda x, y: bump(x) * bump(y),
+                                         (-1.0, 1.0, -1.0, 1.0),
+                                         [1.0, np.nan]),
+         "lam must be finite"),
+        # the 1/h law is claimed, and fitted, only in the normal direction
+        (lambda: surface_decay_fit(P("x2^2"), (0, 0, 0)),
+         re.escape("direction must be (0, 0, 1), not (0, 0, 0)")),
+        (lambda: surface_decay_fit(P("(x2 - x1^2)^2"), (0, 1, 1)),
+         re.escape("direction must be (0, 0, 1), not (0, 1, 1)")),
+        (lambda: surface_decay_fit(P("x2^2"), (1, 0, 0)),
+         re.escape("direction must be (0, 0, 1), not (1, 0, 0)")),
+        (lambda: surface_decay_fit(P("x2^2"), (0, 0, 2)),
+         re.escape("direction must be (0, 0, 1), not (0, 0, 2)")),
         (lambda: van_der_corput_fit(0, [0.0, 1.0]),
          "derivative order must be >= 1"),
         (lambda: dominance_probe(P("x2^2 + x1^4"), (1, 1), 4, 0.1),
@@ -136,7 +152,9 @@ class TestPublicApiErrors:
          "levels must be a nonempty sequence of integers >= 0"),
         (lambda: oscillatory_sum_bound(random_single_trial(0), levels=[2.5]),
          "levels must be a nonempty sequence of integers >= 0"),
-    ], ids=["lam-2d", "zero-direction", "derivative-order", "no-coefficient",
+    ], ids=["lam-2d", "infinite-lam", "nan-lam", "zero-direction",
+            "tilted-direction", "horizontal-direction", "scaled-direction",
+            "derivative-order", "no-coefficient",
             "end-vertex", "parallel-direction", "zero-denominator",
             "no-levels", "negative-level", "fractional-level"])
     def test_rejects(self, call, message):
@@ -242,6 +260,9 @@ class TestFrequencyLadder:
                 call(down)
             with pytest.raises(ValueError, match="two decades"):
                 call(short)
+            for bad in ([0.0, 1e3], [-1e3, 1e3], [1e2, np.inf]):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    call(bad)
         with pytest.raises(ValueError, match="strictly increasing"):
             van_der_corput_fit(2, [0, 0, 1], lams=down)
         with pytest.raises(ValueError, match="three decades"):
@@ -351,11 +372,6 @@ class TestSurfaceDecay:
         assert fit.meta == {"reduction": "direct_2d",
                             "fallback": "no_reduction"}
         assert fit.to_json_dict()["meta"] == fit.meta
-        # a tilted direction adds a linear term: no critical point to shear
-        tilted = surface_decay_fit(P("(x2 - x1^2)^2"), (0, 1, 1),
-                                   lams=np.geomspace(4.0, 400.0, 5))
-        assert tilted.meta == {"reduction": "direct_2d",
-                               "fallback": "no_reduction"}
 
     def test_direct_2d_default_agrees_with_finer_tau(self):
         # an 8x8-point rule at tau = 2 pi misses this by 5.5e-7 relative
